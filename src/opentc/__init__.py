@@ -6,7 +6,7 @@ from .floquet import (FloquetDiagnostics, KickedProtocol, check_observation6,
                       disorder_susceptibility, find_star, floquet_propagator,
                       matrix_exp, rotation_error_map, stroboscopic_evolve,
                       susceptibility)
-from .lindblad import (JumpChannel, LindbladModel, adjoint_liouvillian_matrix,
+from .lindblad import (Generator, JumpChannel, LindbladModel,
                        liouvillian_action, liouvillian_matrix, rk4_evolve,
                        trace_distance)
 from .models import (bell_basis, dephasing_model, dephasing_perp_field_spectrum,

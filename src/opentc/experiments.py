@@ -10,18 +10,17 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg
 
-from . import floquet, models, spectral, xy
-from .lindblad import (LindbladModel, adjoint_liouvillian_action,
-                       liouvillian_action, liouvillian_matrix, rk4_evolve,
+from . import __version__, floquet, models, spectral, xy
+from .lindblad import (LindbladModel, liouvillian_matrix, rk4_evolve,
                        trace_distance)
-from .operators import (devectorize, hermitize, hs_inner, magnetization,
+from .operators import (devectorize, hs_inner, magnetization,
                         magnetization_per_spin, trace_functional, vectorize)
 
 MAX_LENGTH = 10
@@ -30,6 +29,8 @@ MATRIX_PATH_MAX = 6
 _SQ2 = 1.0 / np.sqrt(2.0)
 DEFAULT_H_GRID = (0.0, 0.25, 0.5, _SQ2, 0.9)
 DEFAULT_ETA_GRID = (0.0, np.pi / 80, np.pi / 40, np.pi / 20, np.pi / 10)
+INTEGER_FIELDS = ("length", "order", "n_periods", "n_samples", "seed",
+                  "threads")
 
 
 class ConfigError(ValueError):
@@ -66,6 +67,11 @@ class ExperimentConfig:
     big: bool = False
 
     def __post_init__(self):
+        ints = [(name, getattr(self, name)) for name in INTEGER_FIELDS]
+        ints += [("each l_grid entry", l) for l in self.l_grid]
+        for name, value in ints:
+            if type(value) is bool or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.j <= 0 or self.jt <= 0:
             raise ConfigError("j and jt must be positive")
         if self.kappa0 < 0:
@@ -84,8 +90,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown dissipator mode {self.dissipator_mode!r}")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
-        if any(l % 2 != 0 or l > MAX_LENGTH for l in self.l_grid):
-            raise ConfigError(f"l_grid entries must be even and <= {MAX_LENGTH}")
+        if any(l % 2 != 0 or not 2 <= l <= MAX_LENGTH for l in self.l_grid):
+            raise ConfigError(
+                f"l_grid entries must be even and in [2, {MAX_LENGTH}]")
         object.__setattr__(self, "h_grid", tuple(float(x) for x in self.h_grid))
         object.__setattr__(self, "eta_grid",
                            tuple(float(x) for x in self.eta_grid))
@@ -166,84 +173,26 @@ class ResultTable:
 
 def _metadata(cfg: ExperimentConfig, kind: str) -> dict:
     return {"experiment": kind, "config": cfg.resolved(),
-            "version": "0.1.0", "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
+            "version": __version__,
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
 
 
-def _build_generator(cfg: ExperimentConfig, h: float, length: int):
-    """XY parameters plus the chosen dissipative generator at one grid point."""
+def _protocol(cfg: ExperimentConfig, h: float, eta: float, length: int):
+    """XY parameters plus the kicked protocol at one grid point.
+
+    Each period runs the chosen dissipative generator, then the
+    period-doubling kick exp(-i (pi + eta) M_z / 2).
+    """
     params = xy.XYParams(j=cfg.j, gamma=cfg.resolved_gamma(h), h=h,
                          length=length)
     bath = xy.BathSpec(kappa0=cfg.kappa0 * cfg.j, beta=cfg.beta)
     if cfg.dissipator_mode == "numeric":
-        return params, xy.NumericGenerator(params, bath)
-    return params, xy.secular_liouvillian(params, bath, cfg.dissipator_mode)
-
-
-def _generator_matrix(gen) -> np.ndarray:
-    if isinstance(gen, xy.NumericGenerator):
-        return gen.matrix()
-    return liouvillian_matrix(gen)
-
-
-def _generator_action(gen):
-    if isinstance(gen, xy.NumericGenerator):
-        return gen.action
-    return lambda rho: liouvillian_action(gen, rho)
-
-
-def _generator_operator(gen, dim: int) -> scipy.sparse.linalg.LinearOperator:
-    """The generator as a LinearOperator on vectorized states.
-
-    Supplies the adjoint action too, so the norm estimator inside
-    expm_multiply can run without a materialized matrix.
-    """
-    action = _generator_action(gen)
-    if isinstance(gen, xy.NumericGenerator):
-        adjoint = gen.adjoint_action
+        gen = xy.NumericGenerator(params, bath)
     else:
-        adjoint = lambda a: adjoint_liouvillian_action(gen, a)
-    return scipy.sparse.linalg.LinearOperator(
-        shape=(dim * dim, dim * dim), dtype=complex,
-        matvec=lambda v: action(v.reshape(dim, dim)).reshape(-1),
-        rmatvec=lambda v: adjoint(v.reshape(dim, dim)).reshape(-1))
-
-
-def _generator_trace(gen) -> complex:
-    """Trace of the superoperator matrix, computed without building it."""
-    if isinstance(gen, xy.NumericGenerator):
-        d = gen.dim
-        dd = gen.dissipator
-        z = gen.mz_diag
-        trz = np.sum(z)
-        return (trz * np.trace(dd) - d * np.sum(np.diag(dd) * z)
-                + np.trace(dd.conj().T) * trz
-                - d * np.sum(z * np.diag(dd.conj().T)))
-    d = gen.dim
-    total = 0.0 + 0.0j
-    for jc in gen.jumps:
-        l = jc.operator
-        total += jc.rate * (abs(np.trace(l)) ** 2
-                            - d * np.trace(l.conj().T @ l))
-    return total
-
-
-def _kick_phases(length: int, eta: float) -> np.ndarray:
-    """Diagonal of U_K = exp(-i (pi + eta) M_z / 2) in the spin basis."""
-    mz = np.diag(magnetization("Z", length)).real
-    return np.exp(-0.5j * (np.pi + eta) * mz)
-
-
-def _kick_superop_diag(length: int, eta: float) -> np.ndarray:
-    u = _kick_phases(length, eta)
-    return (u[:, None] * u.conj()[None, :]).reshape(-1)
-
-
-def _floquet_matrix(cfg: ExperimentConfig, h: float, eta: float,
-                    length: int) -> np.ndarray:
-    _, gen = _build_generator(cfg, h, length)
-    lmat = _generator_matrix(gen)
-    prop = floquet.matrix_exp(lmat, cfg.period)
-    return _kick_superop_diag(length, eta)[:, None] * prop
+        gen = xy.secular_liouvillian(params, bath, cfg.dissipator_mode)
+    return params, floquet.KickedProtocol(
+        model=gen, period=cfg.period,
+        kick_generator=magnetization("Z", length) / 2, error=eta)
 
 
 def _initial_state(cfg: ExperimentConfig, params: xy.XYParams) -> np.ndarray:
@@ -258,28 +207,17 @@ def _initial_state(cfg: ExperimentConfig, params: xy.XYParams) -> np.ndarray:
 
 def _trace_mx(cfg: ExperimentConfig, length: int, n_periods: int) -> list:
     """m_x(nT) for n = 0..n_periods under dissipate-then-kick periods."""
-    params, gen = _build_generator(cfg, cfg.h, length)
-    rho = _initial_state(cfg, params)
+    params, proto = _protocol(cfg, cfg.h, cfg.eta, length)
     mx = magnetization_per_spin("X", length)
-    values = [float(np.real(hs_inner(mx, rho)))]
-    t_period = cfg.period
-    op = t_period * _generator_operator(gen, params.dim)
-    tra = complex(_generator_trace(gen)) * t_period
-    kd = _kick_superop_diag(length, cfg.eta)
-    vec = vectorize(rho)
-    for _ in range(n_periods):
-        vec = scipy.sparse.linalg.expm_multiply(op, vec, traceA=tra)
-        vec = kd * vec
-        rho = hermitize(devectorize(vec))
-        values.append(float(np.real(hs_inner(mx, rho))))
-        vec = vectorize(rho)
-    return values
+    states = floquet.stroboscopic_evolve(proto, _initial_state(cfg, params),
+                                         n_periods)
+    return [float(np.real(hs_inner(mx, rho))) for rho in states]
 
 
 def _sweep_point(task):
     cfg, h, eta, length = task
     try:
-        ef = _floquet_matrix(cfg, h, eta, length)
+        ef = floquet.floquet_propagator(_protocol(cfg, h, eta, length)[1])
         sd = spectral.decompose(ef, kind="map")
         diag = floquet.find_star(sd, order=cfg.order, period=cfg.period)
         return [h, eta, diag.floquet_gap, diag.tc_distance,
@@ -343,8 +281,8 @@ def run_scaling(cfg: ExperimentConfig) -> ResultTable:
 
 def run_disorder(cfg: ExperimentConfig) -> ResultTable:
     """Linear disorder susceptibility over seeded zero-sum samples."""
-    ef = _floquet_matrix(cfg, cfg.h, cfg.eta, cfg.length)
-    sd = spectral.decompose(ef, kind="map")
+    _, proto = _protocol(cfg, cfg.h, cfg.eta, cfg.length)
+    sd = spectral.decompose(floquet.floquet_propagator(proto), kind="map")
     diag = floquet.find_star(sd, order=cfg.order, period=cfg.period)
     mu = int(np.argmin(np.abs(sd.eigenvalues - diag.star_eigenvalue)))
     sd = floquet.translation_refine(sd, cfg.length, mu)
@@ -367,13 +305,11 @@ def run_spectrum(cfg: ExperimentConfig) -> ResultTable:
     if cfg.length > MATRIX_PATH_MAX:
         raise ConfigError(
             f"spectrum needs the matrix path (length <= {MATRIX_PATH_MAX})")
-    _, gen = _build_generator(cfg, cfg.h, cfg.length)
-    lmat = _generator_matrix(gen)
-    ef = (_kick_superop_diag(cfg.length, cfg.eta)[:, None]
-          * floquet.matrix_exp(lmat, cfg.period))
+    _, proto = _protocol(cfg, cfg.h, cfg.eta, cfg.length)
     table = ResultTable(columns=["kind", "index", "re", "im", "peripheral"],
                         metadata=_metadata(cfg, "spectrum"))
-    for kind, mat in (("generator", lmat), ("map", ef)):
+    for kind, mat in (("generator", proto.model.matrix()),
+                      ("map", floquet.floquet_propagator(proto))):
         sd = spectral.decompose(mat, kind=kind)
         mask = sd.peripheral_mask()
         for i, lam in enumerate(sd.eigenvalues):

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
-from .lindblad import LindbladModel, check_state, liouvillian_matrix
+from .lindblad import TRACE_TOL, Generator, check_state
 from .operators import (devectorize, hermitize, identity, sandwich,
                         site_operator, trace_functional, unitary_conjugation,
                         vectorize)
@@ -21,11 +23,12 @@ DEGENERACY_TOL = 1e-6
 class KickedProtocol:
     """Dissipative evolution for a period, interrupted by a unitary kick.
 
-    The kick unitary is exp(-i (kick_angle + error) * kick_generator); the
-    model may be a LindbladModel or a precomputed generator matrix.
+    The kick unitary is exp(-i (kick_angle + error) * kick_generator). The
+    model is a generator (lindblad.LindbladModel or xy.NumericGenerator);
+    floquet_propagator uses its matrix, stroboscopic_evolve its actions.
     """
 
-    model: object                 # LindbladModel or d^2 x d^2 ndarray
+    model: Generator
     period: float
     kick_generator: np.ndarray
     kick_angle: float = np.pi
@@ -47,11 +50,6 @@ class KickedProtocol:
             return np.diag(np.exp(-1j * angle * np.diag(g).real))
         evals, vecs = np.linalg.eigh(g)
         return (vecs * np.exp(-1j * angle * evals)) @ vecs.conj().T
-
-    def generator_matrix(self) -> np.ndarray:
-        if isinstance(self.model, LindbladModel):
-            return liouvillian_matrix(self.model)
-        return np.asarray(self.model, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -96,10 +94,28 @@ def matrix_exp(s: np.ndarray, t: float = 1.0) -> np.ndarray:
     return out
 
 
+def _kick_map(p: KickedProtocol):
+    """x -> (U_K o U_K^*) x for x a stack of vectorized operators (columns).
+
+    A diagonal U_K scales row i d + j by u_i conj(u_j). A general one costs
+    two gemms on x reshaped to (d, d, columns), never the d^2 x d^2 kron.
+    """
+    u = p.kick_unitary
+    d = u.shape[0]
+    if not np.count_nonzero(u - np.diag(np.diag(u))):
+        u = np.diag(u)
+        kd = (u[:, None] * u.conj()[None, :]).reshape(-1, 1)
+        return lambda x: kd * x
+
+    def kick(x):
+        t = (u @ x.reshape(d, -1)).reshape(d, d, -1)
+        return np.matmul(u.conj(), t).reshape(d * d, -1)
+    return kick
+
+
 def floquet_propagator(p: KickedProtocol) -> np.ndarray:
     """(U_K o U_K^*) exp(L T); the trace functional is a left fixed point."""
-    lmat = p.generator_matrix()
-    prop = unitary_conjugation(p.kick_unitary) @ matrix_exp(lmat, p.period)
+    prop = _kick_map(p)(matrix_exp(p.model.matrix(), p.period))
     tr = trace_functional(int(round(np.sqrt(prop.shape[0]))))
     resid = np.max(np.abs(tr.conj() @ prop - tr.conj()))
     if resid > 1e-9 * np.sqrt(prop.shape[0]):
@@ -179,24 +195,44 @@ def susceptibility(sd: SpectralData, v: np.ndarray, mu: int,
 
 
 def stroboscopic_evolve(p: KickedProtocol, rho0: np.ndarray,
-                        n: int) -> list:
-    """States rho(kT) for k = 0..n under repeated application of E_F."""
+                        n: int) -> Iterator[np.ndarray]:
+    """Yield the states rho(kT) for k = 0..n under E_F, without building it.
+
+    Each period is one scipy expm_multiply on the generator's action and
+    adjoint action, with traceA from its trace(), followed by the kick; the
+    state is hermitized after every period. Arguments are checked when
+    called; a non-finite trace, or one drifting from 1 by more than
+    TRACE_TOL, raises RuntimeError.
+    """
     if n < 0:
         raise ValueError("number of periods must be >= 0")
     check_state(rho0)
-    states = [np.asarray(rho0, dtype=complex).copy()]
+    return _stroboscopic_states(p, np.asarray(rho0, dtype=complex).copy(), n)
+
+
+def _stroboscopic_states(p: KickedProtocol, rho: np.ndarray,
+                         n: int) -> Iterator[np.ndarray]:
+    yield rho
     if n == 0:
-        return states
-    ef = floquet_propagator(p)
-    vec = vectorize(rho0)
+        return
+    gen = p.model
+    d = rho.shape[0]
+    op = p.period * scipy.sparse.linalg.LinearOperator(
+        shape=(d * d, d * d), dtype=complex,
+        matvec=lambda v: gen.action(v.reshape(d, d)).reshape(-1),
+        rmatvec=lambda v: gen.adjoint_action(v.reshape(d, d)).reshape(-1))
+    tra = complex(gen.trace()) * p.period
+    kick = _kick_map(p)
+    vec = vectorize(rho)
     for _ in range(n):
-        vec = ef @ vec
-        rho = hermitize(devectorize(vec))
-        if abs(np.trace(rho) - 1.0) > 1e-8:
-            raise RuntimeError("trace drifted during stroboscopic evolution")
-        states.append(rho)
+        vec = scipy.sparse.linalg.expm_multiply(op, vec, traceA=tra)
+        rho = hermitize(devectorize(kick(vec[:, None])))
+        trace = np.trace(rho)
+        if not (np.isfinite(trace) and abs(trace - 1.0) <= TRACE_TOL):
+            raise RuntimeError(f"trace {trace} drifted during stroboscopic "
+                               f"evolution")
+        yield rho
         vec = vectorize(rho)
-    return states
 
 
 def check_observation6(map_sd: SpectralData, u_kick: np.ndarray,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Callable, Protocol, Sequence, Union
 
 import numpy as np
 
@@ -12,6 +12,20 @@ from .operators import hermitize, identity, sandwich
 HERMITICITY_TOL = 1e-10
 STATE_PSD_TOL = 1e-8
 TRACE_TOL = 1e-8
+
+
+class Generator(Protocol):
+    """A Markovian generator L on d x d operators, as floquet uses it.
+
+    Implemented by LindbladModel and xy.NumericGenerator. matrix() acts on
+    row-major vectorized states, its conjugate transpose is the adjoint
+    action, and trace() equals np.trace(matrix()) without building it.
+    """
+
+    def action(self, rho: np.ndarray) -> np.ndarray: ...
+    def adjoint_action(self, a: np.ndarray) -> np.ndarray: ...
+    def matrix(self) -> np.ndarray: ...
+    def trace(self) -> complex: ...
 
 
 @dataclass(frozen=True)
@@ -32,7 +46,11 @@ class JumpChannel:
 
 @dataclass(frozen=True)
 class LindbladModel:
-    """Hamiltonian plus weighted jump channels defining a Markovian generator."""
+    """Hamiltonian plus weighted jump channels defining a Markovian generator.
+
+    Implements the generator interface shared with xy.NumericGenerator:
+    action, adjoint_action, matrix and trace.
+    """
 
     hamiltonian: np.ndarray
     jumps: tuple = field(default_factory=tuple)
@@ -52,6 +70,24 @@ class LindbladModel:
     @property
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
+
+    def action(self, rho: np.ndarray) -> np.ndarray:
+        return liouvillian_action(self, rho)
+
+    def adjoint_action(self, a: np.ndarray) -> np.ndarray:
+        return adjoint_liouvillian_action(self, a)
+
+    def matrix(self) -> np.ndarray:
+        return liouvillian_matrix(self)
+
+    def trace(self) -> complex:
+        """Trace of matrix(), sum_a k_a (|tr L|^2 - d tr L^dag L), unbuilt."""
+        total = 0.0 + 0.0j
+        for j in self.jumps:
+            l = j.operator
+            total += j.rate * (abs(np.trace(l)) ** 2
+                               - self.dim * np.trace(l.conj().T @ l))
+        return total
 
 
 GeneratorLike = Union[LindbladModel, Callable[[np.ndarray], np.ndarray]]
@@ -97,24 +133,6 @@ def adjoint_liouvillian_action(model: LindbladModel, a: np.ndarray) -> np.ndarra
         ldl = l.conj().T @ l
         out += j.rate * (l.conj().T @ a @ l - 0.5 * (ldl @ a + a @ ldl))
     return out
-
-
-def adjoint_liouvillian_matrix(model: LindbladModel) -> np.ndarray:
-    """Generator in the Heisenberg picture: +i[H, .] plus the adjoint dissipator.
-
-    Built directly as i[H, A] + sum_a k_a (L^dag A L - {L^dag L, A}/2), which
-    coincides with the conjugate transpose of liouvillian_matrix.
-    """
-    h = model.hamiltonian
-    eye = identity(model.dim)
-    amat = 1j * (sandwich(h, eye) - sandwich(eye, h))
-    for j in model.jumps:
-        l = j.operator
-        ldl = l.conj().T @ l
-        amat += j.rate * (sandwich(l.conj().T, l)
-                          - 0.5 * sandwich(ldl, eye)
-                          - 0.5 * sandwich(eye, ldl))
-    return amat
 
 
 def check_state(rho: np.ndarray, psd_tol: float = STATE_PSD_TOL) -> None:

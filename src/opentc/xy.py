@@ -253,9 +253,10 @@ def numerical_dissipator(p: XYParams, bath: BathSpec) -> np.ndarray:
 class NumericGenerator:
     """Generator rho -> -i[H, rho] + [M_z, rho D] + [D^dag rho, M_z].
 
-    The action costs four dense matrix products plus diagonal scalings,
-    usable directly by rk4_evolve; matrix() expands the superoperator for
-    small chains.
+    Implements the generator interface shared with lindblad.LindbladModel:
+    action, adjoint_action, matrix and trace. The action costs four dense
+    matrix products plus diagonal scalings and is usable directly by
+    rk4_evolve; matrix() expands the superoperator for small chains.
     """
 
     def __init__(self, p: XYParams, bath: BathSpec):
@@ -302,9 +303,15 @@ class NumericGenerator:
         lmat += sandwich(d.conj().T, mz) - sandwich(mz @ d.conj().T, eye)
         return lmat
 
-
-def xy_liouvillian_numeric(p: XYParams, bath: BathSpec) -> NumericGenerator:
-    return NumericGenerator(p, bath)
+    def trace(self) -> complex:
+        """Trace of matrix(), from traces and diagonals of D and M_z, unbuilt."""
+        d = self.dim
+        dd = self.dissipator
+        z = self.mz_diag
+        trz = np.sum(z)
+        return (trz * np.trace(dd) - d * np.sum(np.diag(dd) * z)
+                + np.trace(dd.conj().T) * trz
+                - d * np.sum(z * np.diag(dd.conj().T)))
 
 
 def secular_liouvillian(p: XYParams, bath: BathSpec,

@@ -5,10 +5,15 @@ import json
 import numpy as np
 import pytest
 
+import opentc
 from opentc.experiments import (ConfigError, ExperimentConfig, ResultTable,
-                                _sweep_point, load_config, run_disorder,
-                                run_scaling, run_spectrum, run_sweep,
-                                run_trace, run_validate)
+                                _initial_state, _protocol, _sweep_point,
+                                load_config, run_disorder, run_scaling,
+                                run_spectrum, run_sweep, run_trace,
+                                run_validate)
+from opentc.floquet import floquet_propagator
+from opentc.operators import (devectorize, hs_inner, magnetization_per_spin,
+                              vectorize)
 from opentc.xy import theoretical_amplitude
 
 
@@ -24,7 +29,11 @@ def test_config_validation():
                 dict(length=3), dict(length=12), dict(h=1.5),
                 dict(order=1), dict(n_periods=0), dict(n_samples=0),
                 dict(initial_state="banana"), dict(dissipator_mode="banana"),
-                dict(threads=0), dict(l_grid=(3,)), dict(l_grid=(12,))):
+                dict(threads=0), dict(l_grid=(3,)), dict(l_grid=(12,)),
+                dict(length=4.0), dict(n_periods=True), dict(order=2.0),
+                dict(n_periods=2.5), dict(n_samples=3.0), dict(seed=1.5),
+                dict(threads=1.0), dict(l_grid=(4.0,)), dict(l_grid=(0,)),
+                dict(l_grid=(-2,))):
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad)
 
@@ -111,6 +120,23 @@ def test_run_trace_period_doubling_sign():
         assert abs(vals[n]) > 0.9 * abs(vals[0])
 
 
+@pytest.mark.parametrize("mode", ["independent", "collective"])
+def test_run_trace_secular_matches_dense_map(mode):
+    cfg = ExperimentConfig(length=4, h=1.0 / np.sqrt(2.0), eta=np.pi / 20,
+                           n_periods=4, dissipator_mode=mode)
+    values = run_trace(cfg).column("m_x")
+    params, proto = _protocol(cfg, cfg.h, cfg.eta, cfg.length)
+    ef = floquet_propagator(proto)
+    vec = vectorize(_initial_state(cfg, params))
+    mx = magnetization_per_spin("X", cfg.length)
+    expected = []
+    for _ in range(cfg.n_periods + 1):
+        expected.append(hs_inner(mx, devectorize(vec)).real)
+        vec = ef @ vec
+    assert np.max(np.abs(np.array(values) - expected)) < 1e-10
+    assert np.sign(values[1]) == -np.sign(values[0])
+
+
 def test_run_sweep_rows_and_gap():
     cfg = small_config()
     table = run_sweep(cfg)
@@ -179,5 +205,6 @@ def test_metadata_header():
     table = run_trace(small_config(n_periods=1))
     meta = table.metadata
     assert meta["experiment"] == "trace"
+    assert meta["version"] == opentc.__version__
     assert meta["config"]["length"] == 2
     assert meta["config"]["beta"] == "inf"

@@ -12,9 +12,10 @@ from opentc.floquet import (KickedProtocol, check_observation6,
                             translation_refine)
 from opentc.lindblad import (JumpChannel, LindbladModel, liouvillian_matrix,
                              rk4_evolve, trace_distance)
-from opentc.operators import (devectorize, pauli, site_operator,
-                              unitary_conjugation, vectorize)
+from opentc.operators import (devectorize, magnetization, pauli,
+                              site_operator, unitary_conjugation, vectorize)
 from opentc.spectral import decompose
+from opentc.xy import BathSpec, NumericGenerator, XYParams
 
 
 def dephasing(h=0.0, kappa=0.5):
@@ -32,6 +33,33 @@ def random_model(rng, d):
     jump = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return LindbladModel(hamiltonian=0.5 * (a + a.conj().T),
                          jumps=(JumpChannel(jump, float(rng.uniform(0.1, 1.0))),))
+
+
+def random_kick(rng, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return 0.5 * (a + a.conj().T)
+
+
+def random_state(rng, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
+
+
+class UniformDecay:
+    """L(rho) = -rho on a qubit: the generator interface, not trace preserving."""
+
+    def action(self, rho):
+        return -rho
+
+    def adjoint_action(self, a):
+        return -a
+
+    def matrix(self):
+        return -np.eye(4, dtype=complex)
+
+    def trace(self):
+        return -4.0
 
 
 def test_protocol_validation():
@@ -57,8 +85,8 @@ def test_matrix_exp():
 
 
 def test_propagator_trivial():
-    proto = KickedProtocol(model=np.zeros((4, 4)), period=1.0,
-                           kick_generator=np.zeros((2, 2)))
+    proto = KickedProtocol(model=LindbladModel(hamiltonian=np.zeros((2, 2))),
+                           period=1.0, kick_generator=np.zeros((2, 2)))
     assert np.allclose(floquet_propagator(proto), np.eye(4))
 
 
@@ -179,12 +207,12 @@ def test_observation3_conjugation_preserves_spectrum():
 def test_stroboscopic_evolution():
     proto = x_kick_protocol()
     rho0 = np.diag([0.8, 0.2]).astype(complex)
-    states = stroboscopic_evolve(proto, rho0, 6)
+    states = list(stroboscopic_evolve(proto, rho0, 6))
     assert len(states) == 7
     for n, rho in enumerate(states):
         z = np.real(np.trace(pauli("Z") @ rho))
         assert z == pytest.approx(0.6 * (-1.0) ** n, abs=1e-9)
-    assert np.array_equal(stroboscopic_evolve(proto, rho0, 0)[0], rho0)
+    assert np.array_equal(list(stroboscopic_evolve(proto, rho0, 0))[0], rho0)
 
 
 def test_stroboscopic_matches_rk4_plus_kick():
@@ -193,10 +221,68 @@ def test_stroboscopic_matches_rk4_plus_kick():
     proto = KickedProtocol(model=model, period=0.5,
                            kick_generator=0.5 * pauli("X"))
     rho0 = np.diag([0.7, 0.3]).astype(complex)
-    strobo = stroboscopic_evolve(proto, rho0, 1)[1]
+    strobo = list(stroboscopic_evolve(proto, rho0, 1))[1]
     u = proto.kick_unitary
     direct = u @ rk4_evolve(model, rho0, 0.5, dt=1e-4) @ u.conj().T
     assert trace_distance(strobo, direct) < 1e-6
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_propagator_matches_kron_formula(d):
+    # the dense kron(U, U*) product the gemm kick replaced
+    rng = np.random.default_rng(10 + d)
+    proto = KickedProtocol(model=random_model(rng, d), period=0.6,
+                           kick_generator=random_kick(rng, d), error=0.1)
+    expected = (unitary_conjugation(proto.kick_unitary)
+                @ matrix_exp(liouvillian_matrix(proto.model), 0.6))
+    assert np.max(np.abs(floquet_propagator(proto) - expected)) < 1e-12
+
+
+def assert_stepper_matches_dense_map(proto, rho0, n=5):
+    # the dense E_F @ vec loop the matrix-free stepper replaced
+    ef = floquet_propagator(proto)
+    states = list(stroboscopic_evolve(proto, rho0, n))
+    assert len(states) == n + 1
+    vec = vectorize(rho0)
+    for rho in states:
+        assert np.max(np.abs(rho - devectorize(vec))) < 1e-10
+        vec = ef @ vec
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_stepper_matches_dense_map_general_kick(d):
+    rng = np.random.default_rng(20 + d)
+    proto = KickedProtocol(model=random_model(rng, d), period=0.6,
+                           kick_generator=random_kick(rng, d))
+    assert_stepper_matches_dense_map(proto, random_state(rng, d))
+
+
+def test_stepper_matches_dense_map_numeric_generator():
+    p = XYParams(j=1.0, gamma=0.6, h=0.8, length=2)
+    proto = KickedProtocol(model=NumericGenerator(p, BathSpec(0.05, np.inf)),
+                           period=10.0,
+                           kick_generator=magnetization("Z", 2) / 2, error=0.1)
+    assert_stepper_matches_dense_map(
+        proto, random_state(np.random.default_rng(30), 4))
+
+
+def test_stroboscopic_checks_arguments_when_called():
+    proto = x_kick_protocol()
+    with pytest.raises(ValueError):
+        stroboscopic_evolve(proto, np.diag([0.8, 0.2]), -1)
+    with pytest.raises(ValueError):
+        stroboscopic_evolve(proto, np.diag([0.8, 0.3]), 2)
+
+
+def test_trace_loss_is_reported():
+    proto = KickedProtocol(model=UniformDecay(), period=1.0,
+                           kick_generator=0.5 * pauli("X"))
+    with pytest.raises(RuntimeError):
+        floquet_propagator(proto)
+    states = stroboscopic_evolve(proto, np.diag([0.8, 0.2]), 2)
+    next(states)
+    with pytest.raises(RuntimeError):
+        next(states)
 
 
 def test_observation6_dephasing_x_kick():

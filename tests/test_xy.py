@@ -6,12 +6,13 @@ import scipy.linalg
 
 from opentc.lindblad import liouvillian_matrix, rk4_evolve
 from opentc.operators import magnetization, pauli, site_operator
-from opentc.xy import (BathSpec, XYParams, bogoliubov_angle, brillouin_zone,
-                       dispersion, energy_eigenbasis, factorized_states,
+from opentc.xy import (BathSpec, NumericGenerator, XYParams,
+                       bogoliubov_angle, brillouin_zone, dispersion,
+                       energy_eigenbasis, factorized_states,
                        free_fermion_sector_energies, ground_state_pair,
                        numerical_dissipator, parity_operator,
                        secular_liouvillian, theoretical_amplitude,
-                       xy_hamiltonian, xy_liouvillian_numeric)
+                       xy_hamiltonian)
 
 
 def test_params_validation():
@@ -183,7 +184,7 @@ def test_bath_rates():
 
 def test_numeric_generator_matrix_matches_action():
     p = XYParams(j=1.0, gamma=0.7, h=0.3, length=2)
-    gen = xy_liouvillian_numeric(p, BathSpec(0.05, np.inf))
+    gen = NumericGenerator(p, BathSpec(0.05, np.inf))
     lmat = gen.matrix()
     rng = np.random.default_rng(1)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -200,7 +201,7 @@ def test_numeric_generator_matrix_matches_action():
 
 def test_numeric_generator_trace_preserving():
     p = XYParams(j=1.0, gamma=0.5, h=0.6, length=2)
-    gen = xy_liouvillian_numeric(p, BathSpec(0.05, 3.0))
+    gen = NumericGenerator(p, BathSpec(0.05, 3.0))
     rng = np.random.default_rng(2)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = a @ a.conj().T
@@ -212,7 +213,7 @@ def test_numeric_dissipator_protects_ground_coherence():
     # at zero temperature the ground-space coherence is exactly preserved
     gamma = 0.8
     p = XYParams(j=1.0, gamma=gamma, h=np.sqrt(1.0 - gamma ** 2), length=4)
-    gen = xy_liouvillian_numeric(p, BathSpec(0.05, np.inf))
+    gen = NumericGenerator(p, BathSpec(0.05, np.inf))
     sp, sm, _, _ = ground_state_pair(p)
     rho = np.outer(sp, sm.conj())
     out = gen.action(rho)
@@ -225,7 +226,7 @@ def test_numeric_dissipator_relaxes_to_ground_space():
     # start from the bright symmetric excited state; the antisymmetric
     # excited combination is dark under the collective M_z coupling
     p = XYParams(j=1.0, gamma=1.0, h=0.0, length=2)
-    gen = xy_liouvillian_numeric(p, BathSpec(0.5, np.inf))
+    gen = NumericGenerator(p, BathSpec(0.5, np.inf))
     px = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
     mx = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
     psi = (np.kron(px, mx) + np.kron(mx, px)) / np.sqrt(2.0)
