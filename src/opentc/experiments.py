@@ -21,7 +21,8 @@ from . import __version__, floquet, models, spectral, xy
 from .lindblad import (LindbladModel, liouvillian_matrix, rk4_evolve,
                        trace_distance)
 from .operators import (devectorize, hs_inner, magnetization,
-                        magnetization_per_spin, trace_functional, vectorize)
+                        magnetization_per_spin, pauli, trace_functional,
+                        vectorize)
 
 MAX_LENGTH = 10
 MATRIX_PATH_MAX = 6
@@ -72,6 +73,11 @@ class ExperimentConfig:
         for name, value in ints:
             if type(value) is bool or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        reals = [self.j, self.jt, self.kappa0, self.beta, self.h, self.eta,
+                 0.0 if self.gamma is None else self.gamma,
+                 *self.h_grid, *self.eta_grid]
+        if any(type(x) is bool or not isinstance(x, numbers.Real) for x in reals):
+            raise ConfigError("real fields and grid entries must be numbers")
         if self.j <= 0 or self.jt <= 0:
             raise ConfigError("j and jt must be positive")
         if self.kappa0 < 0:
@@ -88,8 +94,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown initial state {self.initial_state!r}")
         if self.dissipator_mode not in ("numeric", "independent", "collective"):
             raise ConfigError(f"unknown dissipator mode {self.dissipator_mode!r}")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
+        if self.threads < 1 or self.seed < 0:
+            raise ConfigError("threads must be >= 1 and seed >= 0")
         if any(l % 2 != 0 or not 2 <= l <= MAX_LENGTH for l in self.l_grid):
             raise ConfigError(
                 f"l_grid entries must be even and in [2, {MAX_LENGTH}]")
@@ -243,6 +249,7 @@ def run_sweep(cfg: ExperimentConfig) -> ResultTable:
     table.metadata["length"] = length
     for row in results:
         table.add(*row)
+    table.metadata["failures"] = sum(s != "ok" for s in table.column("status"))
     return table
 
 
@@ -272,6 +279,7 @@ def run_scaling(cfg: ExperimentConfig) -> ResultTable:
             table.add(length, amp, "ok")
         except Exception as exc:
             table.add(length, np.nan, f"error: {exc}")
+    table.metadata["failures"] = sum(s != "ok" for s in table.column("status"))
     probe = sorted(l for l in amps if 4 <= l <= 8)
     table.metadata["trend_nondecreasing"] = bool(
         all(amps[a] <= amps[b] + 1e-12
@@ -283,8 +291,7 @@ def run_disorder(cfg: ExperimentConfig) -> ResultTable:
     """Linear disorder susceptibility over seeded zero-sum samples."""
     _, proto = _protocol(cfg, cfg.h, cfg.eta, cfg.length)
     sd = spectral.decompose(floquet.floquet_propagator(proto), kind="map")
-    diag = floquet.find_star(sd, order=cfg.order, period=cfg.period)
-    mu = int(np.argmin(np.abs(sd.eigenvalues - diag.star_eigenvalue)))
+    mu = floquet.find_star(sd, order=cfg.order, period=cfg.period).index
     sd = floquet.translation_refine(sd, cfg.length, mu)
     rng = np.random.default_rng(cfg.seed)
     table = ResultTable(columns=["sample", "single_site", "full_sum"],
@@ -321,176 +328,187 @@ def run_spectrum(cfg: ExperimentConfig) -> ResultTable:
     return table
 
 
-def _align_error(computed: np.ndarray, target: np.ndarray) -> float:
-    """Max-norm distance after a best-fit complex scale."""
-    scale = hs_inner(computed, target) / hs_inner(computed, computed)
-    return float(np.max(np.abs(scale * computed - target)))
+# Closed-form checks: (name, value, tolerance) rows per acceptance criterion
+# plus validate-only rows. Library functions are looked up when called.
+
+_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _dfs_checks(kind: str) -> list:
-    model = (models.dfs_independent_model() if kind == "independent"
-             else models.dfs_collective_model())
-    lmat = liouvillian_matrix(model)
-    sd = spectral.decompose(lmat, kind="generator")
-    asy = spectral.asymptotic_subspace(sd)
-    psi = models.bell_basis()[:2]
-    phi = models.bell_basis()[2:]
-    targets = [np.outer(psi[a], psi[b].conj()) for a in (0, 1) for b in (0, 1)]
-    duals = spectral.dual_basis(asy, targets)
+def _max_err(got, expected) -> float:
+    return float(np.max(np.abs(got - expected)))
+
+
+def _dephasing_protocol(kappa_t: float) -> floquet.KickedProtocol:
+    return floquet.KickedProtocol(
+        model=models.dephasing_model(h=0.0, kappa=kappa_t), period=1.0,
+        kick_generator=0.5 * pauli("X"))
+
+
+def _star_chi1(proto: floquet.KickedProtocol) -> float:
+    """|chi1| of the order-2 star under a kick-angle error."""
+    sd = spectral.decompose(floquet.floquet_propagator(proto), kind="map")
+    mu = floquet.find_star(sd, order=2).index
+    return abs(floquet.susceptibility(sd, floquet.rotation_error_map(proto), mu))
+
+
+def _outers(vecs) -> list:
+    """|v_a><v_b| for (a, b) in _PAIRS."""
+    return [np.outer(vecs[a], vecs[b].conj()) for a, b in _PAIRS]
+
+
+def _conserved_err(model: LindbladModel, expected: list) -> float:
+    """Distance of the duals of |psi_a><psi_b| from expected, in _PAIRS order."""
+    asy = spectral.asymptotic_subspace(
+        spectral.decompose(liouvillian_matrix(model), kind="generator"))
+    duals = spectral.dual_basis(asy, _outers(models.bell_basis()[:2]))
+    return max(_max_err(dual, e) for dual, e in zip(duals, expected))
+
+
+def _sector_err(params: xy.XYParams, ham: np.ndarray) -> float:
+    """Exact parity-sector spectra of ham against the free-fermion oracle."""
+    par = np.diag(xy.parity_operator(params.length)).real
+    return max(_max_err(
+        np.sort(np.linalg.eigvalsh(ham[np.ix_(par == sign, par == sign)])),
+        xy.free_fermion_sector_energies(params, sector))
+        for sector, sign in (("even", 1.0), ("odd", -1.0)))
+
+
+def _dephasing_spectrum_checks() -> list:
+    """Criterion 1: the kicked dephasing spectrum {+-1, +-e^(-2 kappa T)}."""
     err = 0.0
-    for k, (a, b) in enumerate([(x, y) for x in (0, 1) for y in (0, 1)]):
-        expected = np.outer(psi[a], psi[b].conj())
-        if kind == "independent":
-            if a == b:
-                expected = expected + np.outer(phi[a], phi[b].conj())
-        else:
-            expected = expected + np.outer(phi[a], phi[b].conj())
-        err = max(err, float(np.max(np.abs(duals[k] - expected))))
-    checks = [(f"dfs_{kind}_conserved", err, 1e-8)]
-    proto = floquet.KickedProtocol(model=model, period=1.0,
-                                   kick_generator=magnetization("Z", 2) / 2,
-                                   kick_angle=np.pi)
-    ef = floquet.floquet_propagator(proto)
-    kick_err = 0.0
-    for a in (0, 1):
-        for b in (0, 1):
-            v = vectorize(np.outer(psi[a], psi[b].conj()))
-            kick_err = max(kick_err, float(np.max(np.abs(
-                ef @ v - (-1.0) ** (a + b) * v))))
-    checks.append((f"dfs_{kind}_kick_eigenvalue", kick_err, 1e-9))
-    sd_f = spectral.decompose(ef, kind="map")
-    star = floquet.find_star(sd_f, order=2)
-    mu = int(np.argmin(np.abs(sd_f.eigenvalues - star.star_eigenvalue)))
-    vmap = floquet.rotation_error_map(proto)
-    chi1 = abs(floquet.susceptibility(sd_f, vmap, mu, order=1))
-    checks.append((f"dfs_{kind}_chi1", chi1, 1e-8))
-    return checks
+    for kappa_t in (0.1, 1.0, 5.0):
+        sd = spectral.decompose(floquet.floquet_propagator(
+            _dephasing_protocol(kappa_t)), kind="map")
+        decay = np.exp(-2.0 * kappa_t)
+        err = max(err, _max_err(np.sort_complex(sd.eigenvalues),
+                                np.sort_complex([1.0, -1.0, decay, -decay])))
+    return [("dephasing_floquet_spectrum", err, 1e-10)]
 
 
-def _validation_checks() -> list:
-    """(name, measured value, tolerance) triples; pass means value <= tol."""
-    checks = []
-    kappa, period = 1.0, 1.0
-    model = models.dephasing_model(h=0.0, kappa=kappa)
-    proto = floquet.KickedProtocol(model=model, period=period,
-                                   kick_generator=np.array([[0, 0.5],
-                                                            [0.5, 0]]))
-    ef = floquet.floquet_propagator(proto)
-    sd = spectral.decompose(ef, kind="map")
-    decay = np.exp(-2.0 * kappa * period)
-    expected = np.sort_complex(np.array([1.0, -1.0, decay, -decay]))
-    checks.append(("dephasing_floquet_spectrum",
-                   float(np.max(np.abs(np.sort_complex(sd.eigenvalues)
-                                       - expected))), 1e-10))
-    star = floquet.find_star(sd, order=2, period=period)
-    mu = int(np.argmin(np.abs(sd.eigenvalues - star.star_eigenvalue)))
-    vmap = floquet.rotation_error_map(proto)
-    checks.append(("dephasing_chi1",
-                   abs(floquet.susceptibility(sd, vmap, mu, order=1)), 1e-9))
-    eta = 0.3
-    perp = LindbladModel(hamiltonian=0.5 * eta * np.array([[0, 1], [1, 0]]),
-                         jumps=model.jumps)
-    sd_p = spectral.decompose(liouvillian_matrix(perp), kind="generator")
-    expected_p = np.sort_complex(
-        models.dephasing_perp_field_spectrum(kappa, eta))
-    checks.append(("dephasing_perp_field_spectrum",
-                   float(np.max(np.abs(np.sort_complex(sd_p.eigenvalues)
-                                       - expected_p))), 1e-9))
-    report = floquet.check_observation6(
-        spectral.decompose(floquet.matrix_exp(liouvillian_matrix(model),
-                                              period), kind="map"),
-        proto.kick_unitary, order=2)
-    checks.append(("dephasing_observation6",
-                   0.0 if report.passed else 1.0, 0.5))
-    checks.extend(_dfs_checks("independent"))
-    checks.extend(_dfs_checks("collective"))
-    for etaj in (0.5, 1.0, 2.0):
-        mdl = models.suppression_by_jump_model(etaj)
-        asy = spectral.asymptotic_subspace(
-            spectral.decompose(liouvillian_matrix(mdl), kind="generator"))
-        psi = models.bell_basis()[:2]
-        targets = [np.outer(psi[a], psi[b].conj())
-                   for a in (0, 1) for b in (0, 1)]
-        duals = spectral.dual_basis(asy, targets)
-        err = max(float(np.max(np.abs(
-            duals[2 * a + b] - models.expected_jump_conserved(etaj, a, b))))
-            for a in (0, 1) for b in (0, 1))
-        checks.append((f"jump_suppression_eta_{etaj:g}", err, 1e-8))
-    for delta in (0.5, 1.0):
-        mdl = models.suppression_by_hamiltonian_model(0.3, delta)
-        asy = spectral.asymptotic_subspace(
-            spectral.decompose(liouvillian_matrix(mdl), kind="generator"))
-        psi = models.bell_basis()[:2]
-        targets = [np.outer(psi[a], psi[b].conj())
-                   for a in (0, 1) for b in (0, 1)]
-        duals = spectral.dual_basis(asy, targets)
-        err = max(float(np.max(np.abs(
-            duals[2 * a + b]
-            - models.expected_ham_conserved(0.3, delta, a, b))))
-            for a in (0, 1) for b in (0, 1))
-        checks.append((f"ham_suppression_delta_{delta:g}", err, 1e-8))
-    params = xy.XYParams(j=1.0, gamma=_SQ2, h=_SQ2, length=4)
-    err_ff = 0.0
-    for sector in ("even", "odd"):
-        oracle = xy.free_fermion_sector_energies(params, sector)
+def _dephasing_rigidity_checks() -> list:
+    """Criterion 2: a rigid star, and the perpendicular-field spectrum."""
+    proto = _dephasing_protocol(1.0)
+    err = 0.0
+    for eta in (0.3, 0.5):
+        perp = LindbladModel(hamiltonian=0.5 * eta * pauli("X"),
+                             jumps=proto.model.jumps)
+        sd = spectral.decompose(liouvillian_matrix(perp), kind="generator")
+        err = max(err, _max_err(
+            np.sort_complex(sd.eigenvalues),
+            np.sort_complex(models.dephasing_perp_field_spectrum(1.0, eta))))
+    return [("dephasing_chi1", _star_chi1(proto), 1e-9),
+            ("dephasing_perp_field_spectrum", err, 1e-9)]
+
+
+def _decoherence_free_checks() -> list:
+    """Criterion 3: DFS conserved quantities, kick phases, a rigid star."""
+    psi, phi = map(_outers, (models.bell_basis()[:2], models.bell_basis()[2:]))
+    rows = []
+    for kind, model in (("independent", models.dfs_independent_model()),
+                        ("collective", models.dfs_collective_model())):
+        expected = [c + (p if kind == "collective" or a == b else 0.0)
+                    for (a, b), c, p in zip(_PAIRS, psi, phi)]
+        proto = floquet.KickedProtocol(
+            model=model, period=1.0, kick_generator=magnetization("Z", 2) / 2)
+        ef = floquet.floquet_propagator(proto)
+        kick_err = max(_max_err(ef @ vectorize(c),
+                                (-1.0) ** (a + b) * vectorize(c))
+                       for (a, b), c in zip(_PAIRS, psi))
+        rows += [(f"dfs_{kind}_conserved", _conserved_err(model, expected),
+                  1e-8),
+                 (f"dfs_{kind}_kick_eigenvalue", kick_err, 1e-9),
+                 (f"dfs_{kind}_chi1", _star_chi1(proto), 1e-8)]
+    return rows
+
+
+def _suppression_checks() -> list:
+    """Criterion 4: suppression factors of the conserved quantities."""
+    rows = [(f"jump_suppression_eta_{eta:g}", _conserved_err(
+        models.suppression_by_jump_model(eta),
+        [models.expected_jump_conserved(eta, a, b) for a, b in _PAIRS]), 1e-8)
+        for eta in (0.5, 1.0, 2.0)]
+    return rows + [(f"ham_suppression_delta_{delta:g}", _conserved_err(
+        models.suppression_by_hamiltonian_model(0.3, delta),
+        [models.expected_ham_conserved(0.3, delta, a, b) for a, b in _PAIRS]),
+        1e-8) for delta in (0.5, 1.0)]
+
+
+def _free_fermion_checks() -> list:
+    """Criterion 5: free-fermion oracle and factorized ground pair."""
+    rng = np.random.default_rng(5)
+    chains = [xy.XYParams(j=float(rng.uniform(0.5, 1.5)),
+                          gamma=float(rng.uniform(0.1, 1.0)),
+                          h=float(rng.uniform(0.0, 1.5)), length=length)
+              for length in (2, 4, 6) for _ in range(2)]
+    rows = [("xy_free_fermion_random",
+             max(_sector_err(p, xy.xy_hamiltonian(p)) for p in chains), 1e-8)]
+    for length in (4, 6):
+        params = xy.XYParams(j=1.0, gamma=_SQ2, h=_SQ2, length=length)
+        _, _, e_plus, e_minus = xy.ground_state_pair(params)
         ham = xy.xy_hamiltonian(params)
-        par = np.diag(xy.parity_operator(4)).real
-        sign = 1.0 if sector == "even" else -1.0
-        idx = np.nonzero(par == sign)[0]
-        exact = np.linalg.eigvalsh(ham[np.ix_(idx, idx)])
-        err_ff = max(err_ff, float(np.max(np.abs(np.sort(exact) - oracle))))
-    checks.append(("xy_free_fermion_L4", err_ff, 1e-8))
-    _, _, e_plus, e_minus = xy.ground_state_pair(params)
-    checks.append(("factorization_degeneracy_L4",
-                   abs(e_plus - e_minus), 1e-10))
-    fact = xy.factorized_states(params)
-    ham = xy.xy_hamiltonian(params)
-    resid = max(float(np.linalg.norm(ham @ s - e_plus * s))
-                for s in fact.states)
-    checks.append(("factorized_state_residual_L4", resid, 1e-8))
-    bath = xy.BathSpec(kappa0=0.01, beta=np.inf)
-    gen = xy.NumericGenerator(params, bath)
-    lmat = gen.matrix()
-    tr = trace_functional(params.dim)
-    checks.append(("xy_trace_fixed_point_L4",
-                   float(np.max(np.abs(tr.conj() @ lmat))), 1e-9))
-    plus, minus = fact.parity_states
-    coherence = np.outer(plus, minus.conj())
-    checks.append(("xy_coherence_protection_L4",
-                   float(np.max(np.abs(gen.action(coherence)))), 1e-8))
-    cfg = ExperimentConfig(length=4, h=_SQ2, n_samples=5)
-    dis = run_disorder(cfg)
-    checks.append(("xy_disorder_zero_sum_L4",
-                   max(max(dis.column("single_site")),
-                       max(dis.column("full_sum"))), 1e-8))
-    checks.append(("amplitude_formula_ising",
-                   abs(xy.theoretical_amplitude(1.0) - 1.0), 1e-12))
+        resid = max(float(np.linalg.norm(ham @ s - e_plus * s))
+                    for s in xy.factorized_states(params).states)
+        rows += [(f"xy_free_fermion_L{length}", _sector_err(params, ham), 1e-8),
+                 (f"factorization_degeneracy_L{length}",
+                  abs(e_plus - e_minus), 1e-10),
+                 (f"factorized_state_residual_L{length}", resid, 1e-8)]
+    return rows
+
+
+def _disorder_checks() -> list:
+    """Criterion 8: zero-sum disorder does not move the star."""
+    dis = run_disorder(ExperimentConfig(length=4, h=_SQ2, n_samples=20))
+    return [("xy_disorder_zero_sum_L4", max(dis.column("full_sum")), 1e-8),
+            ("xy_disorder_single_site_L4",
+             max(abs(v) for v in dis.column("single_site")), 0.0)]
+
+
+def _protocol_checks() -> list:
+    """Checks outside the acceptance criteria."""
+    proto = _dephasing_protocol(1.0)
+    static = spectral.decompose(floquet.matrix_exp(
+        liouvillian_matrix(proto.model), proto.period), kind="map")
+    obs6 = floquet.check_observation6(static, proto.kick_unitary, order=2)
+    params = xy.XYParams(j=1.0, gamma=_SQ2, h=_SQ2, length=4)
+    gen = xy.NumericGenerator(params, xy.BathSpec(kappa0=0.01, beta=np.inf))
+    plus, minus = xy.factorized_states(params).parity_states
+    rows = [("dephasing_observation6", 0.0 if obs6.passed else 1.0, 0.5),
+            ("xy_trace_fixed_point_L4", _max_err(
+                trace_functional(params.dim).conj() @ gen.matrix(), 0.0), 1e-9),
+            ("xy_coherence_protection_L4", _max_err(
+                gen.action(np.outer(plus, minus.conj())), 0.0), 1e-8),
+            ("amplitude_formula_ising",
+             abs(xy.theoretical_amplitude(1.0) - 1.0), 1e-12)]
     rng = np.random.default_rng(7)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    ham_r = 0.5 * (a + a.conj().T)
-    jump_r = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    model_r = LindbladModel(hamiltonian=ham_r, jumps=((jump_r, 0.5),))
+    jump = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    model = LindbladModel(hamiltonian=0.5 * (a + a.conj().T),
+                          jumps=((jump, 0.5),))
     rho0 = np.diag(rng.uniform(0.1, 1.0, 4)).astype(complex)
     rho0 /= np.trace(rho0).real
-    t_end = 0.7
-    rho_rk4 = rk4_evolve(model_r, rho0, t_end, dt=1e-3)
-    rho_exp = devectorize(floquet.matrix_exp(liouvillian_matrix(model_r),
-                                             t_end) @ vectorize(rho0))
-    checks.append(("rk4_vs_matrix_exponential",
-                   trace_distance(rho_rk4, rho_exp), 1e-6))
-    return checks
+    rho_exp = devectorize(floquet.matrix_exp(liouvillian_matrix(model), 0.7)
+                          @ vectorize(rho0))
+    return rows + [("rk4_vs_matrix_exponential", trace_distance(
+        rk4_evolve(model, rho0, 0.7, dt=1e-3), rho_exp), 1e-6)]
+
+
+CHECKS = {
+    "criterion 1": _dephasing_spectrum_checks,
+    "criterion 2": _dephasing_rigidity_checks,
+    "criterion 3": _decoherence_free_checks,
+    "criterion 4": _suppression_checks,
+    "criterion 5": _free_fermion_checks,
+    "criterion 8": _disorder_checks,
+    "validate only": _protocol_checks,
+}
 
 
 def run_validate(cfg: ExperimentConfig | None = None) -> ResultTable:
     """Run every closed-form and protocol check; one row per check."""
-    if cfg is None:
-        cfg = ExperimentConfig()
     table = ResultTable(columns=["name", "value", "tolerance", "passed"],
-                        metadata=_metadata(cfg, "validate"))
-    failures = 0
-    for name, value, tol in _validation_checks():
-        ok = value <= tol
-        failures += 0 if ok else 1
-        table.add(name, value, tol, int(ok))
-    table.metadata["failures"] = failures
+                        metadata=_metadata(cfg or ExperimentConfig(), "validate"))
+    for entry in CHECKS.values():
+        for name, value, tol in entry():
+            table.add(name, value, tol, int(value <= tol))
+    table.metadata["failures"] = table.column("passed").count(0)
     return table

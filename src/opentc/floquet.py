@@ -57,6 +57,7 @@ class FloquetDiagnostics:
     """Subharmonic diagnostics read off a Floquet-map spectrum."""
 
     star_eigenvalue: complex
+    index: int            # position of the star in sd.eigenvalues
     floquet_gap: float
     tc_distance: float
     subharmonic_order: int
@@ -140,8 +141,8 @@ def find_star(sd: SpectralData, order: int = 2,
     best = np.lexsort((np.abs(w.imag), -np.abs(w), dist))[0]
     star = complex(w[best])
     gap = max(0.0, -np.log(max(abs(star), 1e-300)) / period)
-    return FloquetDiagnostics(star_eigenvalue=star, floquet_gap=gap,
-                              tc_distance=float(dist[best]),
+    return FloquetDiagnostics(star_eigenvalue=star, index=int(best),
+                              floquet_gap=gap, tc_distance=float(dist[best]),
                               subharmonic_order=order)
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence, Union
+from typing import Callable, Protocol, Union
 
 import numpy as np
 

@@ -10,7 +10,6 @@ secular Bohr-frequency groupings (independent or collective jumps).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -37,16 +36,6 @@ class XYParams:
     @property
     def dim(self) -> int:
         return 2 ** self.length
-
-
-@dataclass(frozen=True)
-class BogoliubovMode:
-    """One free-fermion mode of a parity sector."""
-
-    q: float
-    energy: float
-    angle: float
-    sector: str
 
 
 @dataclass(frozen=True)
@@ -84,12 +73,12 @@ class FactorizationState:
 
 def xy_hamiltonian(p: XYParams) -> np.ndarray:
     """-J sum_r [(1+g)/2 X_r X_{r+1} + (1-g)/2 Y_r Y_{r+1} + h Z_r], periodic."""
-    d = p.dim
-    ham = np.zeros((d, d), dtype=complex)
+    ham = np.zeros((p.dim, p.dim), dtype=complex)
     for r in range(p.length):
-        s = (r + 1) % p.length
-        xx = site_operator("X", r, p.length) @ site_operator("X", s, p.length)
-        yy = site_operator("Y", r, p.length) @ site_operator("Y", s, p.length)
+        # P_a P_b as a kron of two site operators: no d x d matmul
+        a, b = sorted((r, (r + 1) % p.length))
+        xx, yy = (np.kron(site_operator(k, a, b),
+                          site_operator(k, 0, p.length - b)) for k in "XY")
         ham += 0.5 * (1.0 + p.gamma) * xx + 0.5 * (1.0 - p.gamma) * yy
         ham += p.h * site_operator("Z", r, p.length)
     return -p.j * ham
@@ -173,7 +162,7 @@ def ground_state_pair(p: XYParams):
     """
     ham = xy_hamiltonian(p)
     par = np.diag(parity_operator(p.length)).real
-    comm = ham @ parity_operator(p.length) - parity_operator(p.length) @ ham
+    comm = ham * (par[None, :] - par[:, None])   # [H, P] for diagonal P
     if np.max(np.abs(comm)) > 1e-10:
         raise RuntimeError("Hamiltonian does not commute with parity")
     out = {}
@@ -289,9 +278,6 @@ class NumericGenerator:
         out = 1j * (h @ a - a @ h)
         out += za @ d.conj().T - d @ za
         return out
-
-    def __call__(self, rho: np.ndarray) -> np.ndarray:
-        return self.action(rho)
 
     def matrix(self) -> np.ndarray:
         h = self.hamiltonian

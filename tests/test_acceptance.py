@@ -7,25 +7,15 @@ default.
 
 import numpy as np
 import pytest
-import scipy.linalg
 
-from opentc.experiments import ExperimentConfig, run_disorder, run_sweep
+from opentc.experiments import CHECKS, ExperimentConfig, run_sweep
 from opentc.floquet import (KickedProtocol, floquet_propagator, matrix_exp,
                             rotation_error_map, susceptibility)
 from opentc.lindblad import (JumpChannel, LindbladModel, liouvillian_matrix,
                              rk4_evolve, trace_distance)
-from opentc.models import (bell_basis, dephasing_model,
-                           dephasing_perp_field_spectrum, dfs_collective_model,
-                           dfs_independent_model, expected_ham_conserved,
-                           expected_jump_conserved,
-                           suppression_by_hamiltonian_model,
-                           suppression_by_jump_model)
-from opentc.operators import (devectorize, magnetization, pauli,
-                              unitary_conjugation, vectorize)
-from opentc.spectral import asymptotic_subspace, decompose, dual_basis
-from opentc.xy import (XYParams, factorized_states, free_fermion_sector_energies,
-                       ground_state_pair, parity_operator,
-                       theoretical_amplitude, xy_hamiltonian)
+from opentc.operators import devectorize, unitary_conjugation, vectorize
+from opentc.spectral import decompose
+from opentc.xy import theoretical_amplitude
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -36,135 +26,35 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> None:
     print(f"criterion {number:2d} {name}: {status}{suffix}")
 
 
-def x_kick(model, period):
-    return KickedProtocol(model=model, period=period,
-                          kick_generator=0.5 * pauli("X"))
-
-
-def outer(a, b):
-    return np.outer(a, b.conj())
-
-
-def bell_targets():
-    psi = bell_basis()[:2]
-    return [outer(psi[a], psi[b]) for a in (0, 1) for b in (0, 1)]
+def check_criterion(number: int, name: str) -> None:
+    """Run the criterion's entry of the shared check table. A row passes
+    when its value is below its tolerance, or exactly 0 for tolerance 0."""
+    rows = CHECKS[f"criterion {number}"]()
+    ok = bool(rows) and all(value < tol if tol > 0 else value == 0.0
+                            for _, value, tol in rows)
+    report(number, name, ok,
+           ", ".join(f"{check} {value:.2e}" for check, value, _ in rows))
+    assert ok
 
 
 def test_criterion_1_dephasing_floquet_spectrum():
-    worst = 0.0
-    for kappa_t in (0.1, 1.0, 5.0):
-        model = dephasing_model(0.0, kappa_t)
-        ef = floquet_propagator(x_kick(model, 1.0))
-        decay = np.exp(-2.0 * kappa_t)
-        expected = np.sort_complex(
-            np.array([1.0, -1.0, decay, -decay], dtype=complex))
-        got = np.sort_complex(np.linalg.eigvals(ef))
-        worst = max(worst, float(np.max(np.abs(got - expected))))
-    ok = worst < 1e-10
-    report(1, "dephasing Floquet spectrum", ok, f"max err {worst:.2e}")
-    assert ok
+    check_criterion(1, "dephasing Floquet spectrum")
 
 
 def test_criterion_2_dephasing_rigidity():
-    kappa = 1.0
-    proto = x_kick(dephasing_model(0.0, kappa), 1.0)
-    sd = decompose(floquet_propagator(proto), kind="map")
-    mu = int(np.argmin(np.abs(sd.eigenvalues + 1.0)))
-    chi = abs(susceptibility(sd, rotation_error_map(proto), mu, order=1))
-    worst = 0.0
-    for eta in (0.3, 0.5):
-        perturbed = LindbladModel(hamiltonian=0.5 * eta * pauli("X"),
-                                  jumps=((pauli("Z"), kappa),))
-        got = np.sort_complex(
-            np.linalg.eigvals(liouvillian_matrix(perturbed)))
-        expected = np.sort_complex(dephasing_perp_field_spectrum(kappa, eta))
-        worst = max(worst, float(np.max(np.abs(got - expected))))
-    ok = chi < 1e-9 and worst < 1e-9
-    report(2, "dephasing rotation-error rigidity", ok,
-           f"chi1 {chi:.2e}, spectrum err {worst:.2e}")
-    assert ok
+    check_criterion(2, "dephasing rotation-error rigidity")
 
 
 def test_criterion_3_dfs_conserved_quantities():
-    psi = bell_basis()[:2]
-    phi = bell_basis()[2:]
-    dual_err = kick_err = chi_max = 0.0
-    for kind, model in (("independent", dfs_independent_model()),
-                        ("collective", dfs_collective_model())):
-        sd = decompose(liouvillian_matrix(model), kind="generator")
-        duals = dual_basis(asymptotic_subspace(sd), bell_targets())
-        for k, (a, b) in enumerate([(x, y) for x in (0, 1) for y in (0, 1)]):
-            expected = outer(psi[a], psi[b])
-            if kind == "collective" or a == b:
-                expected = expected + outer(phi[a], phi[b])
-            dual_err = max(dual_err,
-                           float(np.max(np.abs(duals[k] - expected))))
-        proto = KickedProtocol(model=model, period=1.0,
-                               kick_generator=magnetization("Z", 2) / 2)
-        ef = floquet_propagator(proto)
-        for a in (0, 1):
-            for b in (0, 1):
-                v = vectorize(outer(psi[a], psi[b]))
-                kick_err = max(kick_err, float(np.max(np.abs(
-                    ef @ v - (-1.0) ** (a + b) * v))))
-        sd_f = decompose(ef, kind="map")
-        mu = int(np.argmin(np.abs(sd_f.eigenvalues + 1.0)))
-        chi_max = max(chi_max, abs(susceptibility(
-            sd_f, rotation_error_map(proto), mu, order=1)))
-    ok = dual_err < 1e-8 and kick_err < 1e-9 and chi_max < 1e-8
-    report(3, "two-qubit DFS conserved quantities", ok,
-           f"dual {dual_err:.2e}, kick {kick_err:.2e}, chi1 {chi_max:.2e}")
-    assert ok
+    check_criterion(3, "two-qubit DFS conserved quantities")
 
 
 def test_criterion_4_suppression_factors():
-    worst = 0.0
-    for eta in (0.5, 1.0, 2.0):
-        sd = decompose(liouvillian_matrix(suppression_by_jump_model(eta)),
-                       kind="generator")
-        duals = dual_basis(asymptotic_subspace(sd), bell_targets())
-        for k, (a, b) in enumerate([(x, y) for x in (0, 1) for y in (0, 1)]):
-            worst = max(worst, float(np.max(np.abs(
-                duals[k] - expected_jump_conserved(eta, a, b)))))
-    for delta in (0.5, 1.0):
-        mdl = suppression_by_hamiltonian_model(0.3, delta)
-        sd = decompose(liouvillian_matrix(mdl), kind="generator")
-        duals = dual_basis(asymptotic_subspace(sd), bell_targets())
-        for k, (a, b) in enumerate([(x, y) for x in (0, 1) for y in (0, 1)]):
-            worst = max(worst, float(np.max(np.abs(
-                duals[k] - expected_ham_conserved(0.3, delta, a, b)))))
-    ok = worst < 1e-8
-    report(4, "suppression factors", ok, f"max err {worst:.2e}")
-    assert ok
+    check_criterion(4, "suppression factors")
 
 
 def test_criterion_5_xy_free_fermion_oracle():
-    rng = np.random.default_rng(5)
-    spec_err = 0.0
-    for length in (2, 4, 6):
-        for _ in range(2):
-            p = XYParams(j=float(rng.uniform(0.5, 1.5)),
-                         gamma=float(rng.uniform(0.1, 1.0)),
-                         h=float(rng.uniform(0.0, 1.5)), length=length)
-            ham = xy_hamiltonian(p)
-            par = np.diag(parity_operator(length)).real
-            for sector, sign in (("even", 1.0), ("odd", -1.0)):
-                idx = np.nonzero(par == sign)[0]
-                exact = np.linalg.eigvalsh(ham[np.ix_(idx, idx)])
-                oracle = free_fermion_sector_energies(p, sector)
-                spec_err = max(spec_err,
-                               float(np.max(np.abs(np.sort(exact) - oracle))))
-    p = XYParams(j=1.0, gamma=SQ2, h=SQ2, length=6)
-    _, _, e_plus, e_minus = ground_state_pair(p)
-    degeneracy = abs(e_plus - e_minus)
-    ham = xy_hamiltonian(p)
-    resid = max(float(np.linalg.norm(ham @ s - e_plus * s))
-                for s in factorized_states(p).states)
-    ok = spec_err < 1e-8 and degeneracy < 1e-10 and resid < 1e-8
-    report(5, "XY free-fermion oracle", ok,
-           f"spectrum {spec_err:.2e}, degeneracy {degeneracy:.2e}, "
-           f"residual {resid:.2e}")
-    assert ok
+    check_criterion(5, "XY free-fermion oracle")
 
 
 @pytest.mark.slow
@@ -206,14 +96,7 @@ def test_criterion_7_phase_diagram_trend():
 
 
 def test_criterion_8_disorder_robustness():
-    cfg = ExperimentConfig(length=4, h=SQ2, n_samples=20, seed=0)
-    table = run_disorder(cfg)
-    single = max(table.column("single_site"))
-    full = max(table.column("full_sum"))
-    ok = single == 0.0 and full < 1e-8
-    report(8, "disorder robustness", ok,
-           f"single-site {single:.2e}, full sum {full:.2e}")
-    assert ok
+    check_criterion(8, "disorder robustness")
 
 
 @pytest.mark.slow

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from opentc import experiments
 from opentc.cli import main
 
 
@@ -46,6 +47,36 @@ def test_non_integer_config_exit_code(tmp_path, capsys, values):
     cfg = write_config(tmp_path, **values)
     assert main(["trace", "--config", cfg]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, values", [
+    ("sweep", {"h_grid": ["a"]}), ("sweep", {"eta_grid": [True]}),
+    ("disorder", {"seed": -1})])
+def test_bad_grid_entry_or_seed_exit_code(tmp_path, capsys, command, values):
+    cfg = write_config(tmp_path, **values)
+    out = str(tmp_path / "out.csv")
+    assert main([command, "--config", cfg, "--out", out]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "scaling"])
+def test_failed_grid_point_exit_code(tmp_path, capsys, monkeypatch, command):
+    protocol = experiments._protocol
+
+    def failing(cfg, h, eta, length):
+        # fails the sweep point at eta = 0.1 and the scaling point at L = 4
+        if eta > 0 or length == 4:
+            raise FloatingPointError("injected")
+        return protocol(cfg, h, eta, length)
+
+    monkeypatch.setattr(experiments, "_protocol", failing)
+    cfg = write_config(tmp_path, l_grid=[2, 4])
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    header, *lines = out.read_text().splitlines()
+    assert json.loads(header[1:])["failures"] == 1
+    assert sum("error: injected" in line for line in lines) == 1
+    assert "1 row(s) failed" in capsys.readouterr().err
 
 
 def test_unknown_key_exit_code(tmp_path):

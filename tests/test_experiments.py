@@ -1,6 +1,7 @@
 """Tests for the configuration-driven experiment runners."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from opentc.floquet import floquet_propagator
 from opentc.operators import (devectorize, hs_inner, magnetization_per_spin,
                               vectorize)
 from opentc.xy import theoretical_amplitude
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def small_config(**kw):
@@ -33,7 +36,10 @@ def test_config_validation():
                 dict(length=4.0), dict(n_periods=True), dict(order=2.0),
                 dict(n_periods=2.5), dict(n_samples=3.0), dict(seed=1.5),
                 dict(threads=1.0), dict(l_grid=(4.0,)), dict(l_grid=(0,)),
-                dict(l_grid=(-2,))):
+                dict(l_grid=(-2,)), dict(h_grid=("a",)), dict(eta_grid=("a",)),
+                dict(h_grid=(True,)), dict(eta_grid=(None,)), dict(seed=-1),
+                dict(eta="x"), dict(beta="abc"), dict(gamma="x"),
+                dict(j=True)):
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad)
 
@@ -146,6 +152,7 @@ def test_run_sweep_rows_and_gap():
     # the perfect kick sits exactly on the subharmonic point
     assert gaps[0] < 1e-10
     assert table.metadata["length"] == 2
+    assert table.metadata["failures"] == 0
 
 
 def test_sweep_point_flags_failures():
@@ -160,6 +167,7 @@ def test_run_scaling_rows_and_trend():
     assert table.column("length") == [2, 4]
     assert all(s == "ok" for s in table.column("status"))
     assert "trend_nondecreasing" in table.metadata
+    assert table.metadata["failures"] == 0
     amps = table.column("amplitude")
     assert all(0.0 <= a <= 1.0 + 1e-9 for a in amps)
 
@@ -199,6 +207,11 @@ def test_run_validate_all_pass():
     assert table.metadata["failures"] == 0
     assert len(table.rows) >= 20
     assert all(p == 1 for p in table.column("passed"))
+    # every check the benchmark's correctness gate names is present and passes
+    with open(REPO / "perfbench" / "reference.json") as fh:
+        gate = json.load(fh)["validate"]["checks"]
+    passed = dict(zip(table.column("name"), table.column("passed")))
+    assert {name: passed.get(name) for name in gate} == dict.fromkeys(gate, 1)
 
 
 def test_metadata_header():

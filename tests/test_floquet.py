@@ -102,11 +102,13 @@ def test_dephasing_floquet_spectrum():
 def test_find_star():
     sd = decompose(floquet_propagator(x_kick_protocol()), kind="map")
     diag = find_star(sd, order=2, period=1.0)
+    assert sd.eigenvalues[diag.index] == diag.star_eigenvalue
     assert abs(diag.star_eigenvalue + 1.0) < 1e-12
     assert diag.floquet_gap == pytest.approx(0.0, abs=1e-12)
     assert diag.tc_distance < 1e-12
     ident = decompose(np.eye(4, dtype=complex), kind="map")
     diag = find_star(ident, order=2)
+    assert ident.eigenvalues[diag.index] == diag.star_eigenvalue
     assert diag.star_eigenvalue == pytest.approx(1.0)
     assert diag.tc_distance == pytest.approx(2.0)
 

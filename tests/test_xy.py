@@ -31,6 +31,20 @@ def test_hamiltonian_two_sites_ising():
     assert np.max(np.abs(ham + 2.0 * xx)) < 1e-12
 
 
+@pytest.mark.parametrize("length", [2, 4, 6])
+def test_hamiltonian_matches_site_operator_products(length):
+    # reference: every bond as a product of two site operators
+    p = XYParams(j=0.8, gamma=0.35, h=0.6, length=length)
+    ref = np.zeros((p.dim, p.dim), dtype=complex)
+    for r in range(length):
+        s = (r + 1) % length
+        xx = site_operator("X", r, length) @ site_operator("X", s, length)
+        yy = site_operator("Y", r, length) @ site_operator("Y", s, length)
+        ref += 0.5 * (1.0 + p.gamma) * xx + 0.5 * (1.0 - p.gamma) * yy
+        ref += p.h * site_operator("Z", r, length)
+    assert np.array_equal(xy_hamiltonian(p), -p.j * ref)
+
+
 def test_hamiltonian_field_term():
     p0 = XYParams(j=0.7, gamma=0.3, h=0.0, length=4)
     p1 = XYParams(j=0.7, gamma=0.3, h=0.9, length=4)
