@@ -82,6 +82,8 @@ class ExperimentConfig:
             raise ConfigError("j and jt must be positive")
         if self.kappa0 < 0:
             raise ConfigError("kappa0 must be non-negative")
+        if not self.beta > 0:   # also rejects NaN
+            raise ConfigError("beta must be positive, or inf")
         if self.length % 2 != 0 or not 2 <= self.length <= MAX_LENGTH:
             raise ConfigError(f"length must be even and in [2, {MAX_LENGTH}]")
         if not 0.0 <= self.h <= 1.0:

@@ -16,8 +16,6 @@ from .operators import (devectorize, hermitize, identity, sandwich,
                         vectorize)
 from .spectral import SpectralData
 
-DEGENERACY_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class KickedProtocol:
@@ -129,7 +127,10 @@ def find_star(sd: SpectralData, order: int = 2,
               period: float = 1.0) -> FloquetDiagnostics:
     """Eigenvalue closest to exp(2 pi i / order) and the derived diagnostics.
 
-    Ties are broken by larger modulus, then by smaller |Im|.
+    Distances, and then moduli, that agree within the spectrum's cluster
+    tolerance tie. Among the nearest, largest eigenvalues the star is one
+    with Im >= 0, then the nearest, then the smallest |Im|, so rounding
+    never picks the side of a conjugate pair.
     """
     if sd.kind != "map":
         raise ValueError("find_star expects a map-kind spectrum")
@@ -138,7 +139,9 @@ def find_star(sd: SpectralData, order: int = 2,
     target = np.exp(2j * np.pi / order)
     w = sd.eigenvalues
     dist = np.abs(w - target)
-    best = np.lexsort((np.abs(w.imag), -np.abs(w), dist))[0]
+    tied = dist <= dist.min() + sd.peripheral_tolerance
+    tied &= np.abs(w) >= np.abs(w[tied]).max() - sd.peripheral_tolerance
+    best = np.lexsort((np.abs(w.imag), dist, w.imag < 0, ~tied))[0]
     star = complex(w[best])
     gap = max(0.0, -np.log(max(abs(star), 1e-300)) / period)
     return FloquetDiagnostics(star_eigenvalue=star, index=int(best),
@@ -165,14 +168,15 @@ def susceptibility(sd: SpectralData, v: np.ndarray, mu: int,
 
     Uses the biorthogonal perturbation recurrence
     eps_k = <<l0| V |r_{k-1}>> - sum_{l=1}^{k-1} eps_l <<l0|r_{k-l}>>.
-    For a degenerate target only the first order is defined, via the
-    eigenvalues of the cluster matrix (the largest in magnitude is returned).
+    For a degenerate target (more than one eigenvalue in its decompose
+    cluster) only the first order is defined, via the eigenvalues of the
+    cluster matrix (the largest in magnitude is returned).
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     w = sd.eigenvalues
     eps0 = w[mu]
-    cluster = np.nonzero(np.abs(w - eps0) < DEGENERACY_TOL)[0]
+    cluster = sd.cluster(mu)
     if cluster.size > 1:
         if order > 1:
             raise ValueError("target eigenvalue is degenerate; higher-order "
@@ -282,16 +286,15 @@ def translation_operator(length: int) -> np.ndarray:
     return t
 
 
-def translation_refine(sd: SpectralData, length: int, mu: int,
-                       tol: float = DEGENERACY_TOL) -> SpectralData:
+def translation_refine(sd: SpectralData, length: int,
+                       mu: int) -> SpectralData:
     """Rotate the degenerate cluster of eps_mu into translation eigenvectors.
 
     For a translation-invariant map the refined left/right pairs make matrix
     elements of site operators independent of the site, which the single-site
     disorder reduction relies on. Non-degenerate targets pass through.
     """
-    w = sd.eigenvalues
-    cluster = np.nonzero(np.abs(w - w[mu]) < tol)[0]
+    cluster = sd.cluster(mu)
     if cluster.size == 1:
         return sd
     tsup = unitary_conjugation(translation_operator(length))
@@ -301,9 +304,7 @@ def translation_refine(sd: SpectralData, length: int, mu: int,
     left = sd.left.copy()
     right[:, cluster] = right[:, cluster] @ tvecs
     left[:, cluster] = left[:, cluster] @ np.linalg.inv(tvecs).conj().T
-    return SpectralData(eigenvalues=w, right=right, left=left, kind=sd.kind,
-                        peripheral_tolerance=sd.peripheral_tolerance,
-                        defective=sd.defective)
+    return dataclasses.replace(sd, right=right, left=left)
 
 
 def disorder_susceptibility(sd: SpectralData, deltas, length: int,

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Union
+from typing import Protocol
 
 import numpy as np
 
-from .operators import hermitize, identity, sandwich
+from .operators import hermitize, sandwich
 
 HERMITICITY_TOL = 1e-10
 STATE_PSD_TOL = 1e-8
@@ -26,6 +26,52 @@ class Generator(Protocol):
     def adjoint_action(self, a: np.ndarray) -> np.ndarray: ...
     def matrix(self) -> np.ndarray: ...
     def trace(self) -> complex: ...
+
+
+class _Terms:
+    """A generator as a sum of sandwiches, L(rho) = sum_k A_k rho B_k.
+
+    A factor is a d x d matrix or, when diagonal, its length-d diagonal as a
+    1-D array (the identity is ones(d)). Each generator type only builds its
+    factor pairs; the action, adjoint, matrix and trace are written once here.
+    """
+
+    def __init__(self, pairs):
+        self.pairs = tuple((np.asarray(a, dtype=complex),
+                            np.asarray(b, dtype=complex)) for a, b in pairs)
+        self.dim = self.pairs[0][1].shape[0]
+
+    def _apply(self, pairs, x) -> np.ndarray:
+        x = np.asarray(x, dtype=complex)
+        if x.shape != (self.dim, self.dim):
+            raise ValueError("operator dimension differs from generator "
+                             "dimension")
+        out = np.zeros_like(x)
+        for a, b in pairs:
+            ax = a[:, None] * x if a.ndim == 1 else a @ x
+            out += ax * b if b.ndim == 1 else ax @ b
+        return out
+
+    def action(self, rho) -> np.ndarray:
+        return self._apply(self.pairs, rho)
+
+    def adjoint_action(self, a) -> np.ndarray:
+        """sum_k A_k^dag a B_k^dag, as (sum_k B_k a^dag A_k)^dag."""
+        a = np.conj(np.asarray(a, dtype=complex).T, order="C")
+        out = self._apply(((r, l) for l, r in self.pairs), a)
+        return np.conj(out.T, order="C")
+
+    def matrix(self) -> np.ndarray:
+        full = lambda f: np.diag(f) if f.ndim == 1 else f
+        out = np.zeros((self.dim ** 2,) * 2, dtype=complex)
+        for a, b in self.pairs:
+            out += sandwich(full(a), full(b))
+        return out
+
+    def trace(self) -> complex:
+        """sum_k tr(A_k) tr(B_k), the trace of matrix()."""
+        tr = lambda f: np.sum(f) if f.ndim == 1 else np.trace(f)
+        return complex(sum(tr(a) * tr(b) for a, b in self.pairs))
 
 
 @dataclass(frozen=True)
@@ -49,7 +95,9 @@ class LindbladModel:
     """Hamiltonian plus weighted jump channels defining a Markovian generator.
 
     Implements the generator interface shared with xy.NumericGenerator:
-    action, adjoint_action, matrix and trace.
+    action, adjoint_action, matrix and trace. The generator is built once as
+    the sandwiches (K, 1), (1, K^dag) and (k_a L_a, L_a^dag) with
+    K = -iH - 1/2 sum_a k_a L_a^dag L_a.
     """
 
     hamiltonian: np.ndarray
@@ -66,6 +114,12 @@ class LindbladModel:
             if j.operator.shape != h.shape:
                 raise ValueError("jump operator dimension differs from Hamiltonian")
         object.__setattr__(self, "jumps", jumps)
+        k = -1j * h - 0.5 * sum(j.rate * (j.operator.conj().T @ j.operator)
+                                for j in jumps)
+        one = np.ones(self.dim)
+        object.__setattr__(self, "_terms", _Terms(
+            [(k, one), (one, k.conj().T)]
+            + [(j.rate * j.operator, j.operator.conj().T) for j in jumps]))
 
     @property
     def dim(self) -> int:
@@ -81,58 +135,23 @@ class LindbladModel:
         return liouvillian_matrix(self)
 
     def trace(self) -> complex:
-        """Trace of matrix(), sum_a k_a (|tr L|^2 - d tr L^dag L), unbuilt."""
-        total = 0.0 + 0.0j
-        for j in self.jumps:
-            l = j.operator
-            total += j.rate * (abs(np.trace(l)) ** 2
-                               - self.dim * np.trace(l.conj().T @ l))
-        return total
-
-
-GeneratorLike = Union[LindbladModel, Callable[[np.ndarray], np.ndarray]]
+        """Trace of matrix(), without building it."""
+        return self._terms.trace()
 
 
 def liouvillian_action(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
     """-i[H, rho] + sum_a k_a (L rho L^dag - {L^dag L, rho}/2), in operator space."""
-    rho = np.asarray(rho, dtype=complex)
-    h = model.hamiltonian
-    if rho.shape != h.shape:
-        raise ValueError("state dimension differs from model dimension")
-    out = -1j * (h @ rho - rho @ h)
-    for j in model.jumps:
-        l = j.operator
-        ldl = l.conj().T @ l
-        out += j.rate * (l @ rho @ l.conj().T - 0.5 * (ldl @ rho + rho @ ldl))
-    return out
+    return model._terms.action(rho)
 
 
 def liouvillian_matrix(model: LindbladModel) -> np.ndarray:
     """Vectorized generator matrix acting on row-major vectorized states."""
-    h = model.hamiltonian
-    eye = identity(model.dim)
-    lmat = -1j * (sandwich(h, eye) - sandwich(eye, h))
-    for j in model.jumps:
-        l = j.operator
-        ldl = l.conj().T @ l
-        lmat += j.rate * (sandwich(l, l.conj().T)
-                          - 0.5 * sandwich(ldl, eye)
-                          - 0.5 * sandwich(eye, ldl))
-    return lmat
+    return model._terms.matrix()
 
 
 def adjoint_liouvillian_action(model: LindbladModel, a: np.ndarray) -> np.ndarray:
     """Heisenberg-picture action i[H, A] + sum_a k_a (L^dag A L - {L^dag L, A}/2)."""
-    a = np.asarray(a, dtype=complex)
-    h = model.hamiltonian
-    if a.shape != h.shape:
-        raise ValueError("observable dimension differs from model dimension")
-    out = 1j * (h @ a - a @ h)
-    for j in model.jumps:
-        l = j.operator
-        ldl = l.conj().T @ l
-        out += j.rate * (l.conj().T @ a @ l - 0.5 * (ldl @ a + a @ ldl))
-    return out
+    return model._terms.adjoint_action(a)
 
 
 def check_state(rho: np.ndarray, psd_tol: float = STATE_PSD_TOL) -> None:
@@ -146,31 +165,13 @@ def check_state(rho: np.ndarray, psd_tol: float = STATE_PSD_TOL) -> None:
         raise ValueError("state has a negative eigenvalue beyond tolerance")
 
 
-def default_dt(model: LindbladModel) -> float:
-    """Step resolving the fastest coherent and dissipative scales by ~1e2."""
-    hscale = np.linalg.norm(model.hamiltonian, 1)
-    kmax = max((j.rate for j in model.jumps), default=0.0)
-    scale = max(hscale, kmax)
-    if scale == 0.0:
-        return 1e-2
-    return 1e-2 / scale
-
-
-def rk4_evolve(model: GeneratorLike, rho0: np.ndarray, t_total: float,
-               dt: float | None = None) -> np.ndarray:
+def rk4_evolve(model: Generator, rho0: np.ndarray, t_total: float,
+               dt: float) -> np.ndarray:
     """Classic fourth-order integration of d rho/dt = L(rho) in operator space.
 
-    `model` is a LindbladModel or any callable rho -> d rho/dt. The state is
-    hermitized after every step; the d^2 x d^2 matrix is never materialized.
+    `model` is any Generator; only its action is used, so the d^2 x d^2
+    matrix is never materialized. The state is hermitized after every step.
     """
-    if isinstance(model, LindbladModel):
-        action = lambda r: liouvillian_action(model, r)
-        if dt is None:
-            dt = default_dt(model)
-    else:
-        action = model
-        if dt is None:
-            raise ValueError("dt is required when evolving a bare action")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     check_state(rho0)
@@ -180,10 +181,10 @@ def rk4_evolve(model: GeneratorLike, rho0: np.ndarray, t_total: float,
     n_steps = max(1, int(np.ceil(t_total / dt)))
     step = t_total / n_steps
     for _ in range(n_steps):
-        k1 = action(rho)
-        k2 = action(rho + 0.5 * step * k1)
-        k3 = action(rho + 0.5 * step * k2)
-        k4 = action(rho + step * k3)
+        k1 = model.action(rho)
+        k2 = model.action(rho + 0.5 * step * k1)
+        k3 = model.action(rho + 0.5 * step * k2)
+        k4 = model.action(rho + step * k3)
         rho = rho + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         rho = hermitize(rho)
     drift = abs(np.trace(rho) - 1.0)

@@ -24,7 +24,9 @@ class SpectralData:
 
     Columns of `right` and `left` are matched index-by-index and normalized
     so that left[:, m].conj() @ right[:, n] = delta_mn except inside clusters
-    flagged as defective.
+    flagged as defective. `clusters` labels each eigenvalue with its
+    degenerate cluster, the connected components of eigenvalues closer than
+    peripheral_tolerance; it is the one degeneracy test downstream.
     """
 
     eigenvalues: np.ndarray
@@ -33,6 +35,7 @@ class SpectralData:
     kind: str
     peripheral_tolerance: float = DEFAULT_TOL
     defective: np.ndarray | None = None
+    clusters: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -43,6 +46,12 @@ class SpectralData:
         if self.kind == "generator":
             return self.eigenvalues.real >= -tol
         return np.abs(self.eigenvalues) >= 1.0 - tol
+
+    def cluster(self, mu: int) -> np.ndarray:
+        """Indices of the eigenvalues in the degenerate cluster of mu."""
+        if self.clusters is None:
+            raise ValueError("spectrum carries no cluster labels")
+        return np.nonzero(self.clusters == self.clusters[mu])[0]
 
     def right_operator(self, mu: int) -> np.ndarray:
         return devectorize(self.right[:, mu])
@@ -109,8 +118,10 @@ def decompose(s: np.ndarray, kind: str = "generator",
     order = np.lexsort((-w.imag, -w.real))
     w, vl, vr = w[order], vl[:, order], vr[:, order]
     defective = np.zeros(w.size, dtype=bool)
-    for group in _clusters(w, tol):
+    clusters = np.empty(w.size, dtype=int)
+    for label, group in enumerate(_clusters(w, tol)):
         idx = np.array(group)
+        clusters[idx] = label
         gram = vl[:, idx].conj().T @ vr[:, idx]
         # columns are unit norm, so a healthy cluster has an O(1) Gram
         svals = np.linalg.svd(gram, compute_uv=False)
@@ -120,7 +131,8 @@ def decompose(s: np.ndarray, kind: str = "generator",
         # L_new = L @ inv(gram)^dag gives L_new^dag R = identity
         vl[:, idx] = vl[:, idx] @ np.linalg.inv(gram).conj().T
     return SpectralData(eigenvalues=w, right=vr, left=vl, kind=kind,
-                        peripheral_tolerance=tol, defective=defective)
+                        peripheral_tolerance=tol, defective=defective,
+                        clusters=clusters)
 
 
 def asymptotic_subspace(sd: SpectralData) -> AsymptoticSubspace:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import JumpChannel, LindbladModel
-from .operators import identity, magnetization, sandwich, site_operator
+from .lindblad import JumpChannel, LindbladModel, _Terms
+from .operators import magnetization, site_operator
 
 BOHR_CLUSTER_TOL = 1e-6
 FACTORIZATION_TOL = 1e-10
@@ -243,61 +243,41 @@ class NumericGenerator:
     """Generator rho -> -i[H, rho] + [M_z, rho D] + [D^dag rho, M_z].
 
     Implements the generator interface shared with lindblad.LindbladModel:
-    action, adjoint_action, matrix and trace. The action costs four dense
-    matrix products plus diagonal scalings and is usable directly by
-    rk4_evolve; matrix() expands the superoperator for small chains.
+    action, adjoint_action, matrix and trace. It is built once as the
+    sandwiches (-iH - M_z D^dag, 1), (1, iH - D M_z), (M_z, D) and
+    (D^dag, M_z), with M_z kept as its diagonal, so the action costs four
+    dense matrix products plus diagonal scalings; matrix() expands the
+    superoperator for small chains.
     """
 
     def __init__(self, p: XYParams, bath: BathSpec):
         self.params = p
         self.bath = bath
-        self.hamiltonian = xy_hamiltonian(p)
-        self.dissipator = numerical_dissipator(p, bath)
-        self.mz_diag = np.diag(magnetization("Z", p.length)).real
+        self.hamiltonian = h = xy_hamiltonian(p)
+        self.dissipator = d = numerical_dissipator(p, bath)
+        self.mz_diag = z = np.diag(magnetization("Z", p.length)).real
+        d_dag = d.conj().T
+        one = np.ones(p.dim)
+        self._terms = _Terms([(-1j * h - z[:, None] * d_dag, one),
+                              (one, 1j * h - d * z[None, :]),
+                              (z, d), (d_dag, z)])
 
     @property
     def dim(self) -> int:
         return self.params.dim
 
     def action(self, rho: np.ndarray) -> np.ndarray:
-        h = self.hamiltonian
-        d = self.dissipator
-        z = self.mz_diag
-        rd = rho @ d
-        dr = d.conj().T @ rho
-        out = -1j * (h @ rho - rho @ h)
-        out += z[:, None] * rd - rd * z[None, :]
-        out += dr * z[None, :] - z[:, None] * dr
-        return out
+        return self._terms.action(rho)
 
     def adjoint_action(self, a: np.ndarray) -> np.ndarray:
-        h = self.hamiltonian
-        d = self.dissipator
-        z = self.mz_diag
-        za = z[:, None] * a - a * z[None, :]
-        out = 1j * (h @ a - a @ h)
-        out += za @ d.conj().T - d @ za
-        return out
+        return self._terms.adjoint_action(a)
 
     def matrix(self) -> np.ndarray:
-        h = self.hamiltonian
-        d = self.dissipator
-        mz = np.diag(self.mz_diag.astype(complex))
-        eye = identity(self.dim)
-        lmat = -1j * (sandwich(h, eye) - sandwich(eye, h))
-        lmat += sandwich(mz, d) - sandwich(eye, d @ mz)
-        lmat += sandwich(d.conj().T, mz) - sandwich(mz @ d.conj().T, eye)
-        return lmat
+        return self._terms.matrix()
 
     def trace(self) -> complex:
-        """Trace of matrix(), from traces and diagonals of D and M_z, unbuilt."""
-        d = self.dim
-        dd = self.dissipator
-        z = self.mz_diag
-        trz = np.sum(z)
-        return (trz * np.trace(dd) - d * np.sum(np.diag(dd) * z)
-                + np.trace(dd.conj().T) * trz
-                - d * np.sum(z * np.diag(dd.conj().T)))
+        """Trace of matrix(), without building it."""
+        return self._terms.trace()
 
 
 def secular_liouvillian(p: XYParams, bath: BathSpec,

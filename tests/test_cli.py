@@ -42,6 +42,13 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["trace", "--config", str(tmp_path / "nope.json")]) == 1
 
 
+@pytest.mark.parametrize("values", [{"beta": -1.0}, {"beta": 0.0}])
+def test_non_positive_beta_exit_code(tmp_path, capsys, values):
+    cfg = write_config(tmp_path, h=0.5, **values)
+    assert main(["trace", "--config", cfg]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("values", [{"length": 4.0}, {"n_periods": 2.5}])
 def test_non_integer_config_exit_code(tmp_path, capsys, values):
     cfg = write_config(tmp_path, **values)

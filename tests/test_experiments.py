@@ -39,7 +39,8 @@ def test_config_validation():
                 dict(l_grid=(-2,)), dict(h_grid=("a",)), dict(eta_grid=("a",)),
                 dict(h_grid=(True,)), dict(eta_grid=(None,)), dict(seed=-1),
                 dict(eta="x"), dict(beta="abc"), dict(gamma="x"),
-                dict(j=True)):
+                dict(j=True), dict(beta=-1.0), dict(beta=0.0),
+                dict(beta=float("nan")), dict(beta=-np.inf)):
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad)
 
@@ -153,6 +154,13 @@ def test_run_sweep_rows_and_gap():
     assert gaps[0] < 1e-10
     assert table.metadata["length"] == 2
     assert table.metadata["failures"] == 0
+
+
+def test_default_sweep_stars_have_nonnegative_imaginary_part():
+    # conjugate stars tie; rounding must not pick the Im < 0 side
+    table = run_sweep(ExperimentConfig())
+    assert table.metadata["failures"] == 0
+    assert min(table.column("star_im")) >= 0.0
 
 
 def test_sweep_point_flags_failures():

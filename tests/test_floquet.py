@@ -113,6 +113,40 @@ def test_find_star():
     assert diag.tc_distance == pytest.approx(2.0)
 
 
+def test_find_star_ties_prefer_nonnegative_imaginary_part():
+    # a conjugate pair around -1 ties within decompose's tolerance even when
+    # rounding puts the Im < 0 member nearer; a clearly nearer one still wins
+    pair = -0.99 - 0.02j
+    sd = decompose(np.diag([pair, pair.conjugate() + 1e-12, 1.0, 0.5]),
+                   kind="map")
+    star = find_star(sd, order=2).star_eigenvalue
+    assert star == pytest.approx(pair.conjugate(), abs=1e-11)
+    assert star.imag > 0
+    sd = decompose(np.diag([pair, -0.98 + 0.02j, 1.0]), kind="map")
+    assert find_star(sd, order=2).star_eigenvalue == pair
+
+
+def test_susceptibility_near_degenerate_pair():
+    # eigenvalues 5e-7 apart are distinct clusters of decompose (tolerance
+    # 1e-8), so chi1 is <<l|V|r>>, not an eigenvalue of the pair's block
+    rng = np.random.default_rng(11)
+    r = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    s = r @ np.diag([0.5, 0.5 + 5e-7, 0.1, -0.3]) @ np.linalg.inv(r)
+    v = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    sd = decompose(s, kind="map")
+    mu = int(np.argmin(np.abs(sd.eigenvalues - 0.5)))
+    assert sd.cluster(mu).tolist() == [mu]
+    exact = (np.linalg.inv(r) @ v @ r)[0, 0]
+
+    def eig_at(eta):
+        w = np.linalg.eigvals(s + eta * v)
+        return w[np.argmin(np.abs(w - 0.5))]
+
+    fd = (eig_at(1e-11) - eig_at(-1e-11)) / 2e-11
+    assert abs(fd - exact) < 1e-3 * abs(exact)
+    assert abs(susceptibility(sd, v, mu) - exact) < 1e-8 * abs(exact)
+
+
 def test_rotation_error_map_finite_difference():
     eta = 1e-4
     proto = x_kick_protocol()

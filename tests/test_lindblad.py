@@ -151,8 +151,6 @@ def test_rk4_rejects_bad_input():
         rk4_evolve(model, rho0, 1.0, dt=-0.1)
     with pytest.raises(ValueError):
         rk4_evolve(model, np.diag([0.9, 0.9]), 1.0, dt=0.1)
-    with pytest.raises(ValueError):
-        rk4_evolve(lambda r: r, rho0, 1.0)
 
 
 def test_evolution_invariants_along_trajectory():

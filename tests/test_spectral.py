@@ -147,3 +147,12 @@ def test_defective_cluster_flagged():
     mat = np.array([[0.0, 1.0], [0.0, 0.0]])
     sd = decompose(mat, kind="generator")
     assert sd.defective is not None and sd.defective.all()
+
+
+def test_cluster_labels_at_decompose_tolerance():
+    w = np.array([0.5, 0.5 + 1e-9, 0.5 + 5e-7, 0.1], dtype=complex)
+    sd = decompose(np.diag(w), kind="map")
+    for mu, lam in enumerate(sd.eigenvalues):
+        near = np.nonzero(np.abs(sd.eigenvalues - lam) < sd.peripheral_tolerance)
+        assert sd.cluster(mu).tolist() == near[0].tolist()
+    assert sorted(len(sd.cluster(mu)) for mu in range(4)) == [1, 1, 2, 2]

@@ -246,7 +246,7 @@ def test_numeric_dissipator_relaxes_to_ground_space():
     psi = (np.kron(px, mx) + np.kron(mx, px)) / np.sqrt(2.0)
     rho = np.outer(psi, psi.conj())
     for _ in range(8):
-        rho = rk4_evolve(gen.action, rho, 5.0, dt=1e-2)
+        rho = rk4_evolve(gen, rho, 5.0, dt=1e-2)
     sp, sm, ep, _ = ground_state_pair(p)
     proj = np.outer(sp, sp.conj()) + np.outer(sm, sm.conj())
     assert np.trace(proj @ rho).real > 1.0 - 1e-6
