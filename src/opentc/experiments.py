@@ -200,7 +200,8 @@ def _protocol(cfg: ExperimentConfig, h: float, eta: float, length: int):
         gen = xy.secular_liouvillian(params, bath, cfg.dissipator_mode)
     return params, floquet.KickedProtocol(
         model=gen, period=cfg.period,
-        kick_generator=magnetization("Z", length) / 2, error=eta)
+        kick_generator=np.diag(magnetization("Z", length)).real / 2,
+        error=eta)
 
 
 def _initial_state(cfg: ExperimentConfig, params: xy.XYParams) -> np.ndarray:
@@ -411,7 +412,8 @@ def _decoherence_free_checks() -> list:
         expected = [c + (p if kind == "collective" or a == b else 0.0)
                     for (a, b), c, p in zip(_PAIRS, psi, phi)]
         proto = floquet.KickedProtocol(
-            model=model, period=1.0, kick_generator=magnetization("Z", 2) / 2)
+            model=model, period=1.0,
+            kick_generator=np.diag(magnetization("Z", 2)).real / 2)
         ef = floquet.floquet_propagator(proto)
         kick_err = max(_max_err(ef @ vectorize(c),
                                 (-1.0) ** (a + b) * vectorize(c))

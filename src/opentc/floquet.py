@@ -10,10 +10,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .lindblad import TRACE_TOL, Generator, check_state
-from .operators import (devectorize, hermitize, identity, sandwich,
-                        site_operator, trace_functional, unitary_conjugation,
-                        vectorize)
+from .lindblad import TRACE_TOL, Generator, _Terms, check_state
+from .operators import (UNITARITY_TOL, devectorize, hermitize, is_unitary,
+                        site_operator, trace_functional, vectorize)
 from .spectral import SpectralData
 
 
@@ -21,7 +20,8 @@ from .spectral import SpectralData
 class KickedProtocol:
     """Dissipative evolution for a period, interrupted by a unitary kick.
 
-    The kick unitary is exp(-i (kick_angle + error) * kick_generator). The
+    The kick unitary is exp(-i (kick_angle + error) * kick_generator). A
+    1-D kick generator is a diagonal, and its kick unitary is 1-D too. The
     model is a generator (lindblad.LindbladModel or xy.NumericGenerator);
     floquet_propagator uses its matrix, stroboscopic_evolve its actions.
     """
@@ -36,7 +36,8 @@ class KickedProtocol:
         if self.period <= 0:
             raise ValueError("period must be positive")
         g = np.asarray(self.kick_generator, dtype=complex)
-        if np.max(np.abs(g - g.conj().T)) > 1e-10:
+        g_dag = g.conj() if g.ndim == 1 else g.conj().T
+        if np.max(np.abs(g - g_dag)) > 1e-10:
             raise ValueError("kick generator must be Hermitian")
         object.__setattr__(self, "kick_generator", g)
 
@@ -44,8 +45,8 @@ class KickedProtocol:
     def kick_unitary(self) -> np.ndarray:
         angle = self.kick_angle + self.error
         g = self.kick_generator
-        if np.max(np.abs(g - np.diag(np.diag(g)))) < 1e-14:
-            return np.diag(np.exp(-1j * angle * np.diag(g).real))
+        if g.ndim == 1:
+            return np.exp(-1j * angle * g.real)
         evals, vecs = np.linalg.eigh(g)
         return (vecs * np.exp(-1j * angle * evals)) @ vecs.conj().T
 
@@ -93,28 +94,19 @@ def matrix_exp(s: np.ndarray, t: float = 1.0) -> np.ndarray:
     return out
 
 
-def _kick_map(p: KickedProtocol):
-    """x -> (U_K o U_K^*) x for x a stack of vectorized operators (columns).
-
-    A diagonal U_K scales row i d + j by u_i conj(u_j). A general one costs
-    two gemms on x reshaped to (d, d, columns), never the d^2 x d^2 kron.
-    """
-    u = p.kick_unitary
-    d = u.shape[0]
-    if not np.count_nonzero(u - np.diag(np.diag(u))):
-        u = np.diag(u)
-        kd = (u[:, None] * u.conj()[None, :]).reshape(-1, 1)
-        return lambda x: kd * x
-
-    def kick(x):
-        t = (u @ x.reshape(d, -1)).reshape(d, d, -1)
-        return np.matmul(u.conj(), t).reshape(d * d, -1)
-    return kick
+def _conjugation(u: np.ndarray) -> _Terms:
+    """rho -> U rho U^dag as one sandwich; a 1-D u is a diagonal."""
+    u = np.asarray(u, dtype=complex)
+    if not is_unitary(np.diag(u) if u.ndim == 1 else u):
+        raise ValueError("input is not unitary within tolerance "
+                         f"{UNITARITY_TOL:g}")
+    return _Terms([(u, u.conj() if u.ndim == 1 else u.conj().T)])
 
 
 def floquet_propagator(p: KickedProtocol) -> np.ndarray:
     """(U_K o U_K^*) exp(L T); the trace functional is a left fixed point."""
-    prop = _kick_map(p)(matrix_exp(p.model.matrix(), p.period))
+    prop = _conjugation(p.kick_unitary).columns(
+        matrix_exp(p.model.matrix(), p.period))
     tr = trace_functional(int(round(np.sqrt(prop.shape[0]))))
     resid = np.max(np.abs(tr.conj() @ prop - tr.conj()))
     if resid > 1e-9 * np.sqrt(prop.shape[0]):
@@ -155,11 +147,10 @@ def rotation_error_map(p: KickedProtocol) -> np.ndarray:
     For U_K(error) = exp(-i (theta + error) G) the propagator expands as
     E_F(error) = E_F + error * V + O(error^2) with V = -i [G, E_F(.)].
     """
-    p0 = dataclasses.replace(p, error=0.0)
-    ef = floquet_propagator(p0)
+    ef = floquet_propagator(dataclasses.replace(p, error=0.0))
     g = p.kick_generator
-    eye = identity(g.shape[0])
-    return -1j * (sandwich(g, eye) - sandwich(eye, g)) @ ef
+    one = np.ones(g.shape[0])
+    return -1j * _Terms([(g, one), (one, -g)]).columns(ef)
 
 
 def susceptibility(sd: SpectralData, v: np.ndarray, mu: int,
@@ -227,11 +218,11 @@ def _stroboscopic_states(p: KickedProtocol, rho: np.ndarray,
         matvec=lambda v: gen.action(v.reshape(d, d)).reshape(-1),
         rmatvec=lambda v: gen.adjoint_action(v.reshape(d, d)).reshape(-1))
     tra = complex(gen.trace()) * p.period
-    kick = _kick_map(p)
+    kick = _conjugation(p.kick_unitary)
     vec = vectorize(rho)
     for _ in range(n):
         vec = scipy.sparse.linalg.expm_multiply(op, vec, traceA=tra)
-        rho = hermitize(devectorize(kick(vec[:, None])))
+        rho = hermitize(kick.action(devectorize(vec)))
         trace = np.trace(rho)
         if not (np.isfinite(trace) and abs(trace - 1.0) <= TRACE_TOL):
             raise RuntimeError(f"trace {trace} drifted during stroboscopic "
@@ -258,14 +249,14 @@ def check_observation6(map_sd: SpectralData, u_kick: np.ndarray,
     dec = np.nonzero(~mask)[0]
     cond1 = asy.size > 0 and bool(
         np.max(np.abs(map_sd.eigenvalues[asy] - 1.0)) < np.sqrt(tol))
-    uk = unitary_conjugation(u_kick)
+    # the kick in the map's biorthogonal eigenbasis
+    kick = map_sd.left.conj().T @ _conjugation(u_kick).columns(map_sd.right)
     cross = 0.0
     if asy.size and dec.size:
-        c1 = map_sd.left[:, dec].conj().T @ uk @ map_sd.right[:, asy]
-        c2 = map_sd.left[:, asy].conj().T @ uk @ map_sd.right[:, dec]
-        cross = max(np.max(np.abs(c1)), np.max(np.abs(c2)))
+        cross = max(np.max(np.abs(kick[np.ix_(dec, asy)])),
+                    np.max(np.abs(kick[np.ix_(asy, dec)])))
     cond2 = cross < tol
-    block = map_sd.left[:, asy].conj().T @ uk @ map_sd.right[:, asy]
+    block = kick[np.ix_(asy, asy)]
     uvals = np.linalg.eigvals(block)
     roots = np.exp(2j * np.pi * np.arange(order) / order)
     on_roots = bool(np.max(np.min(np.abs(uvals[:, None] - roots[None, :]),
@@ -297,8 +288,8 @@ def translation_refine(sd: SpectralData, length: int,
     cluster = sd.cluster(mu)
     if cluster.size == 1:
         return sd
-    tsup = unitary_conjugation(translation_operator(length))
-    block = sd.left[:, cluster].conj().T @ tsup @ sd.right[:, cluster]
+    block = sd.left[:, cluster].conj().T @ _conjugation(
+        translation_operator(length)).columns(sd.right[:, cluster])
     tvals, tvecs = np.linalg.eig(block)
     right = sd.right.copy()
     left = sd.left.copy()

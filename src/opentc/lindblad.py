@@ -29,11 +29,13 @@ class Generator(Protocol):
 
 
 class _Terms:
-    """A generator as a sum of sandwiches, L(rho) = sum_k A_k rho B_k.
+    """A superoperator as a sum of sandwiches, L(rho) = sum_k A_k rho B_k.
 
     A factor is a d x d matrix or, when diagonal, its length-d diagonal as a
-    1-D array (the identity is ones(d)). Each generator type only builds its
-    factor pairs; the action, adjoint, matrix and trace are written once here.
+    1-D array (the identity is ones(d)). Generators, kicks and the other
+    superoperators only build their factor pairs; the action, adjoint,
+    matrix and trace are written once here. The actions also take a stack
+    of operators, shape (..., d, d).
     """
 
     def __init__(self, pairs):
@@ -43,8 +45,8 @@ class _Terms:
 
     def _apply(self, pairs, x) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
-        if x.shape != (self.dim, self.dim):
-            raise ValueError("operator dimension differs from generator "
+        if x.shape[-2:] != (self.dim, self.dim):
+            raise ValueError("operator dimension differs from superoperator "
                              "dimension")
         out = np.zeros_like(x)
         for a, b in pairs:
@@ -56,10 +58,15 @@ class _Terms:
         return self._apply(self.pairs, rho)
 
     def adjoint_action(self, a) -> np.ndarray:
-        """sum_k A_k^dag a B_k^dag, as (sum_k B_k a^dag A_k)^dag."""
-        a = np.conj(np.asarray(a, dtype=complex).T, order="C")
-        out = self._apply(((r, l) for l, r in self.pairs), a)
-        return np.conj(out.T, order="C")
+        """sum_k A_k^dag a B_k^dag, as conj(sum_k A_k^T conj(a) B_k^T)."""
+        out = self._apply(((l.T, r.T) for l, r in self.pairs), np.conj(a))
+        return np.conj(out, out=out)
+
+    def columns(self, m) -> np.ndarray:
+        """matrix() @ m, reading each column of m as a vectorized operator."""
+        d = self.dim
+        m = np.asarray(m, dtype=complex)
+        return self.action(m.T.reshape(-1, d, d)).reshape(-1, d * d).T
 
     def matrix(self) -> np.ndarray:
         full = lambda f: np.diag(f) if f.ndim == 1 else f

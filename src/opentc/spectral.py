@@ -115,7 +115,9 @@ def decompose(s: np.ndarray, kind: str = "generator",
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError("superoperator must be square")
     w, vl, vr = scipy.linalg.eig(s, left=True, right=True)
-    order = np.lexsort((-w.imag, -w.real))
+    # keys rounded to tol first, so rounding noise cannot swap rows
+    order = np.lexsort((-w.imag, -w.real, -np.round(w.imag / tol),
+                        -np.round(w.real / tol)))
     w, vl, vr = w[order], vl[:, order], vr[:, order]
     defective = np.zeros(w.size, dtype=bool)
     clusters = np.empty(w.size, dtype=int)

@@ -43,8 +43,12 @@ class BathSpec:
     """Ohmic bath J(omega) = kappa0 * omega at inverse temperature beta.
 
     The full rate is kappa(omega) = J(omega)(1 + n(omega)) with n the Bose
-    function; at beta = inf this is kappa0*omega for omega > 0 and zero
-    otherwise. The zero-frequency channel carries no dissipation.
+    function, kappa0 omega / (1 - exp(-beta omega)); at beta = inf this is
+    kappa0*omega for omega > 0 and zero otherwise. It obeys detailed balance,
+    kappa(-omega) = exp(-beta omega) kappa(omega). At omega = 0 the rate is
+    its continuous limit kappa0 / beta, which is 0 at beta = inf;
+    numerical_dissipator counts Bohr frequencies below BOHR_CLUSTER_TOL |J|
+    as 0, and the secular dissipators keep only those above it.
     """
 
     kappa0: float = 0.01
@@ -55,11 +59,12 @@ class BathSpec:
             raise ValueError("kappa0 must be non-negative")
 
     def rate(self, omega: float) -> float:
-        if omega == 0.0 or self.kappa0 == 0.0:
-            return 0.0
-        if np.isinf(self.beta):
-            return self.kappa0 * omega if omega > 0 else 0.0
-        return self.kappa0 * omega / (1.0 - np.exp(-self.beta * omega))
+        if omega == 0.0:
+            return self.kappa0 / self.beta
+        # kappa0 |w| e^(-beta |w|) / (1 - e^(-beta |w|)) for w < 0: no overflow
+        w = abs(omega)
+        return (self.kappa0 * w * np.exp(min(self.beta * omega, 0.0))
+                / -np.expm1(-self.beta * w))
 
 
 @dataclass(frozen=True)
@@ -234,6 +239,7 @@ def numerical_dissipator(p: XYParams, bath: BathSpec) -> np.ndarray:
     mz_diag = np.diag(magnetization("Z", p.length)).real
     m = vecs.conj().T @ (mz_diag[:, None] * vecs)
     omega = evals[:, None] - evals[None, :]
+    omega[np.abs(omega) < BOHR_CLUSTER_TOL * abs(p.j)] = 0.0
     rates = np.vectorize(bath.rate)(omega)
     d_eig = 0.5 * rates * m
     return vecs @ d_eig @ vecs.conj().T
@@ -294,50 +300,29 @@ def secular_liouvillian(p: XYParams, bath: BathSpec,
     evals, vecs = energy_eigenbasis(p)
     mz_diag = np.diag(magnetization("Z", p.length)).real
     m = vecs.conj().T @ (mz_diag[:, None] * vecs)
-    pairs = []
-    for k in range(evals.size):
-        for l in range(evals.size):
-            omega = evals[l] - evals[k]
-            if omega > BOHR_CLUSTER_TOL * max(abs(p.j), 1e-12) \
-                    and abs(m[k, l]) > 1e-12:
-                pairs.append((omega, k, l))
-    if not pairs:
-        raise ValueError("no nonzero Bohr frequency couples to M_z")
-    pairs.sort(key=lambda t: t[0])
-    clusters = []
     tol = BOHR_CLUSTER_TOL * max(abs(p.j), 1e-12)
-    for omega, k, l in pairs:
-        if clusters and omega - clusters[-1][-1][0] < tol:
-            clusters[-1].append((omega, k, l))
-        else:
-            clusters.append([(omega, k, l)])
-    jumps = []
-    ops = []
-    freqs = []
-    for group in clusters:
+    omega = evals[None, :] - evals[:, None]      # E_l - E_k at [k, l]
+    k, l = np.nonzero((omega > tol) & (np.abs(m) > 1e-12))
+    if k.size == 0:
+        raise ValueError("no nonzero Bohr frequency couples to M_z")
+    order = np.argsort(omega[k, l], kind="stable")
+    k, l = k[order], l[order]
+    w = omega[k, l]
+    labels = np.concatenate(([0], np.cumsum(np.diff(w) >= tol)))
+    channels = []
+    for c in range(labels[-1] + 1):
+        kc, lc, wc = k[labels == c], l[labels == c], w[labels == c]
         a_eig = np.zeros_like(m)
-        for omega, k, l in group:
-            a_eig[k, l] = m[k, l]
-        a = vecs @ a_eig @ vecs.conj().T
-        wbar = float(np.mean([g[0] for g in group]))
-        ops.append(a)
-        freqs.append(wbar)
-        if mode == "independent":
-            down = bath.rate(wbar)
-            up = bath.rate(-wbar)
-            if down > 0:
-                jumps.append(JumpChannel(a, down))
-            if up > 0:
-                jumps.append(JumpChannel(a.conj().T, up))
+        a_eig[kc, lc] = m[kc, lc]
+        channels.append((vecs @ a_eig @ vecs.conj().T, float(np.mean(wc))))
     if mode == "collective":
-        total = sum(ops)
-        wbar = float(np.mean(freqs))
-        down = bath.rate(wbar)
-        up = bath.rate(-wbar)
-        if down > 0:
-            jumps.append(JumpChannel(total, down))
-        if up > 0:
-            jumps.append(JumpChannel(total.conj().T, up))
+        channels = [(sum(a for a, _ in channels),
+                     float(np.mean([wbar for _, wbar in channels])))]
+    jumps = []
+    for a, wbar in channels:
+        for op, rate in ((a, bath.rate(wbar)), (a.conj().T, bath.rate(-wbar))):
+            if rate > 0:
+                jumps.append(JumpChannel(op, rate))
     return LindbladModel(hamiltonian=xy_hamiltonian(p), jumps=tuple(jumps))
 
 

@@ -49,6 +49,16 @@ def test_non_positive_beta_exit_code(tmp_path, capsys, values):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sweep", "trace"])
+def test_finite_temperature_runs(tmp_path, capsys, command):
+    # degenerate levels at L=4 have Bohr frequencies of rounding size
+    cfg = write_config(tmp_path, beta=1.0, h=0.5, length=4, h_grid=[0.5])
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    assert "error" not in out.read_text()
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("values", [{"length": 4.0}, {"n_periods": 2.5}])
 def test_non_integer_config_exit_code(tmp_path, capsys, values):
     cfg = write_config(tmp_path, **values)

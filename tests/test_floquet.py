@@ -1,5 +1,7 @@
 """Tests for the kicked protocol, diagnostics and susceptibilities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,7 +14,8 @@ from opentc.floquet import (KickedProtocol, check_observation6,
                             translation_refine)
 from opentc.lindblad import (JumpChannel, LindbladModel, liouvillian_matrix,
                              rk4_evolve, trace_distance)
-from opentc.operators import (devectorize, magnetization, pauli,
+from opentc.models import dfs_collective_model
+from opentc.operators import (devectorize, magnetization, pauli, sandwich,
                               site_operator, unitary_conjugation, vectorize)
 from opentc.spectral import decompose
 from opentc.xy import BathSpec, NumericGenerator, XYParams
@@ -69,6 +72,9 @@ def test_protocol_validation():
     with pytest.raises(ValueError):
         KickedProtocol(model=dephasing(), period=1.0,
                        kick_generator=np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError):   # a 1-D generator is a diagonal
+        KickedProtocol(model=dephasing(), period=1.0,
+                       kick_generator=np.array([0.5, 0.5j]))
 
 
 def test_matrix_exp():
@@ -361,3 +367,98 @@ def test_disorder_susceptibility_uniform_equals_global():
     assert chi.single_site == pytest.approx(chi.full_sum, abs=1e-10)
     with pytest.raises(ValueError):
         disorder_susceptibility(sd, [0.1], length, mu)
+
+
+# The kick, the rotation-error map, the observation-6 check and the
+# translation refinement go through one sandwich evaluator. Their former
+# kron(U, U*) and sandwich formulas are kept here as references, for a
+# diagonal kick given as 1-D and for a dense one.
+
+def full(f):
+    return np.diag(f) if f.ndim == 1 else f
+
+
+def kicked(kind, error=0.1):
+    rng = np.random.default_rng(40)
+    model = random_model(rng, 4)
+    g = rng.normal(size=4) if kind == "diagonal" else random_kick(rng, 4)
+    return KickedProtocol(model=model, period=0.6, kick_generator=g,
+                          error=error)
+
+
+def random_unitary(rng, d, kind):
+    if kind == "diagonal":
+        return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=d))
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q
+
+
+def kron_propagator(p):
+    return (unitary_conjugation(full(p.kick_unitary))
+            @ matrix_exp(p.model.matrix(), p.period))
+
+
+def test_diagonal_kick_generator_as_1d_or_dense():
+    p = kicked("diagonal")
+    dense = dataclasses.replace(p, kick_generator=np.diag(p.kick_generator))
+    assert p.kick_unitary.shape == (4,)
+    assert np.max(np.abs(np.diag(p.kick_unitary) - dense.kick_unitary)) < 1e-14
+    assert np.max(np.abs(floquet_propagator(p)
+                         - floquet_propagator(dense))) < 1e-12
+    assert np.max(np.abs(floquet_propagator(p) - kron_propagator(p))) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+def test_rotation_error_map_matches_kron_formula(kind):
+    p = kicked(kind)
+    g = full(p.kick_generator)
+    eye = np.eye(4)
+    expected = -1j * ((sandwich(g, eye) - sandwich(eye, g))
+                      @ kron_propagator(dataclasses.replace(p, error=0.0)))
+    assert np.max(np.abs(rotation_error_map(p) - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+def test_observation6_matches_kron_formula(kind):
+    sd = decompose(matrix_exp(liouvillian_matrix(dfs_collective_model()),
+                              1.0), kind="map")
+    u = random_unitary(np.random.default_rng(41), 4, kind)
+    report = check_observation6(sd, u, order=2)
+    mask = sd.peripheral_mask() & ~sd.defective
+    asy, dec = np.nonzero(mask)[0], np.nonzero(~mask)[0]
+    assert asy.size > 1 and dec.size > 0
+    uk = unitary_conjugation(full(u))
+    cross = max(np.max(np.abs(sd.left[:, i].conj().T @ uk @ sd.right[:, j]))
+                for i, j in ((dec, asy), (asy, dec)))
+    assert report.kick_block_preserving == (cross < 1e-8)
+    block = sd.left[:, asy].conj().T @ uk @ sd.right[:, asy]
+    got = report.kick_asymptotic_eigenvalues
+    expected = np.linalg.eigvals(block)
+    assert np.max(np.min(np.abs(got[:, None] - expected[None, :]),
+                         axis=1)) < 1e-12
+    with pytest.raises(ValueError):
+        check_observation6(sd, 2.0 * u, order=2)
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+def test_translation_refine_matches_kron_formula(kind):
+    # independent Z dephasing on two sites: translation-invariant, with
+    # degenerate clusters that the refinement must diagonalize
+    length = 2
+    model = LindbladModel(hamiltonian=np.zeros((4, 4)), jumps=tuple(
+        (site_operator("Z", r, length), 0.05) for r in range(length)))
+    g = 0.5 * np.diag(magnetization("Z", length)).real
+    proto = KickedProtocol(model=model, period=2.0,
+                           kick_generator=g if kind == "diagonal" else
+                           np.diag(g) + 0.3 * magnetization("X", length))
+    sd = decompose(floquet_propagator(proto), kind="map")
+    tsup = unitary_conjugation(translation_operator(length))
+    degenerate = [mu for mu in range(sd.size) if sd.cluster(mu).size > 1]
+    assert degenerate
+    for mu in degenerate:
+        cluster = sd.cluster(mu)
+        ref = translation_refine(sd, length, mu)
+        block = ref.left[:, cluster].conj().T @ tsup @ ref.right[:, cluster]
+        assert np.max(np.abs(block - np.diag(np.diag(block)))) < 1e-12
+        gram = ref.left[:, cluster].conj().T @ ref.right[:, cluster]
+        assert np.max(np.abs(gram - np.eye(cluster.size))) < 1e-12

@@ -9,8 +9,10 @@ actions are also checked against the textbook formulas, written out below.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from opentc.lindblad import JumpChannel, LindbladModel
+from opentc.lindblad import JumpChannel, LindbladModel, _Terms
 from opentc.operators import devectorize, vectorize
 from opentc.xy import BathSpec, NumericGenerator, XYParams, secular_liouvillian
 
@@ -151,3 +153,37 @@ def test_dimension_mismatch_raises(generator):
     for apply in (generator.action, generator.adjoint_action):
         with pytest.raises(ValueError):
             apply(wrong)
+
+
+@st.composite
+def sandwich_sums(draw):
+    """A _Terms of 1 to 3 pairs on d <= 4, each factor 1-D or dense."""
+    d = draw(st.integers(1, 4))
+    diagonal = draw(st.lists(st.tuples(st.booleans(), st.booleans()),
+                             min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def factor(is_diagonal):
+        shape = (d,) if is_diagonal else (d, d)
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    return _Terms([(factor(a), factor(b)) for a, b in diagonal]), rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(sandwich_sums(), st.integers(1, 5))
+def test_sandwich_sum_columns_stacks_and_adjoint(terms_and_rng, n):
+    terms, rng = terms_and_rng
+    d = terms.dim
+    mat = terms.matrix()
+    m = rng.normal(size=(d * d, n)) + 1j * rng.normal(size=(d * d, n))
+    expected = mat @ m
+    scale = max(1.0, np.max(np.abs(expected)))
+    assert np.max(np.abs(terms.columns(m) - expected)) <= 1e-13 * scale
+    stack = m.T.reshape(n, d, d)
+    got = terms.action(stack)
+    for k in range(n):
+        assert np.max(np.abs(got[k] - terms.action(stack[k]))) <= 1e-13 * scale
+        adj = devectorize(mat.conj().T @ vectorize(stack[k]))
+        assert np.max(np.abs(terms.adjoint_action(stack[k]) - adj)) \
+            <= 1e-13 * max(1.0, np.max(np.abs(adj)))

@@ -156,3 +156,18 @@ def test_cluster_labels_at_decompose_tolerance():
         near = np.nonzero(np.abs(sd.eigenvalues - lam) < sd.peripheral_tolerance)
         assert sd.cluster(mu).tolist() == near[0].tolist()
     assert sorted(len(sd.cluster(mu)) for mu in range(4)) == [1, 1, 2, 2]
+
+
+def test_eigenvalue_order_ignores_rounding_noise():
+    # equal real parts (a conjugate pair and a third value) split by noise
+    # of 1e-14; the order must follow the rounded keys, not the noise
+    rng = np.random.default_rng(7)
+    w = np.array([1.0, -0.5 + 0.3j, -0.5 - 0.3j, -0.5 + 0.1j, -0.2, 0.4j,
+                  -0.4j, -0.9])
+    v = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    s = v @ np.diag(w) @ np.linalg.inv(v)
+    ref = decompose(s, kind="map").eigenvalues
+    for _ in range(5):
+        noise = 1e-14 * (rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+        got = decompose(s + noise, kind="map").eigenvalues
+        assert np.max(np.abs(got - ref)) < 1e-10

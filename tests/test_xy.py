@@ -6,8 +6,8 @@ import scipy.linalg
 
 from opentc.lindblad import liouvillian_matrix, rk4_evolve
 from opentc.operators import magnetization, pauli, site_operator
-from opentc.xy import (BathSpec, NumericGenerator, XYParams,
-                       bogoliubov_angle, brillouin_zone, dispersion,
+from opentc.xy import (BOHR_CLUSTER_TOL, BathSpec, NumericGenerator,
+                       XYParams, bogoliubov_angle, brillouin_zone, dispersion,
                        energy_eigenbasis, factorized_states,
                        free_fermion_sector_energies, ground_state_pair,
                        numerical_dissipator, parity_operator,
@@ -192,6 +192,15 @@ def test_bath_rates():
     # detailed balance: rate(w) / rate(-w) = exp(beta w)
     ratio = warm.rate(1.0) / warm.rate(-1.0)
     assert ratio == pytest.approx(np.exp(2.0))
+    for w in np.logspace(-12, 1, 40):
+        assert warm.rate(-w) == pytest.approx(np.exp(-2.0 * w) * warm.rate(w),
+                                              rel=1e-14)
+    # the zero-frequency rate is the continuous limit kappa0 / beta, so the
+    # rounding-noise frequencies of degenerate levels stay finite
+    assert warm.rate(0.0) == pytest.approx(0.01)
+    assert warm.rate(1e-17) == pytest.approx(0.01)
+    assert warm.rate(-1e-16) == pytest.approx(0.01)
+    assert BathSpec(kappa0=0.02, beta=1e3).rate(-1.0) == 0.0
     with pytest.raises(ValueError):
         BathSpec(kappa0=-0.1)
 
@@ -298,3 +307,52 @@ def test_symmetry_breaking_content_of_parity_states():
         assert abs(np.vdot(vec, mx @ vec).real) < 1e-12
     val = np.vdot(fs.states[0], mx @ fs.states[0]).real
     assert abs(val) == pytest.approx(theoretical_amplitude(gamma), abs=1e-10)
+
+
+def secular_jumps_reference(p, bath, mode):
+    """The former pair-by-pair loop of secular_liouvillian, as a reference."""
+    evals, vecs = energy_eigenbasis(p)
+    z = np.diag(magnetization("Z", p.length)).real
+    m = vecs.conj().T @ (z[:, None] * vecs)
+    tol = BOHR_CLUSTER_TOL * max(abs(p.j), 1e-12)
+    pairs = sorted(((evals[l] - evals[k], k, l)
+                    for k in range(evals.size) for l in range(evals.size)
+                    if evals[l] - evals[k] > tol and abs(m[k, l]) > 1e-12),
+                   key=lambda t: t[0])
+    clusters = []
+    for pair in pairs:
+        if clusters and pair[0] - clusters[-1][-1][0] < tol:
+            clusters[-1].append(pair)
+        else:
+            clusters.append([pair])
+    ops, freqs = [], []
+    for group in clusters:
+        a_eig = np.zeros_like(m)
+        for _, k, l in group:
+            a_eig[k, l] = m[k, l]
+        ops.append(vecs @ a_eig @ vecs.conj().T)
+        freqs.append(float(np.mean([g[0] for g in group])))
+    if mode == "collective":
+        ops, freqs = [sum(ops)], [float(np.mean(freqs))]
+    jumps = []
+    for a, wbar in zip(ops, freqs):
+        for op, rate in ((a, bath.rate(wbar)), (a.conj().T, bath.rate(-wbar))):
+            if rate > 0:
+                jumps.append((op, rate))
+    return jumps
+
+
+@pytest.mark.parametrize("mode", ["independent", "collective"])
+@pytest.mark.parametrize("length", [2, 4, 6])
+def test_secular_jumps_match_loop_reference(mode, length):
+    for h in (0.0, 0.5, 1.0 / np.sqrt(2.0), 0.9):
+        p = XYParams(j=1.0, gamma=float(np.sqrt(1.0 - h * h)), h=h,
+                     length=length)
+        for beta in (np.inf, 1.0):
+            bath = BathSpec(0.01, beta)
+            got = secular_liouvillian(p, bath, mode).jumps
+            expected = secular_jumps_reference(p, bath, mode)
+            assert len(got) == len(expected)
+            for jump, (op, rate) in zip(got, expected):
+                assert jump.rate == rate
+                assert np.array_equal(jump.operator, op)
