@@ -1,6 +1,6 @@
 """Command-line front end for the experiment runners.
 
-Exit codes: 0 success, 1 configuration error, 2 numeric failure,
+Exit codes: 0 success, 1 configuration or usage error, 2 numeric failure,
 3 checks or grid points failed (the CSV is still written).
 """
 
@@ -24,8 +24,16 @@ _RUNNERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 1; 2 means numeric failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="opentc",
         description="Floquet time-crystal diagnostics for driven open "
                     "spin chains")
@@ -39,16 +47,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="RNG seed")
         p.add_argument("--threads", type=int, default=None,
                        help="worker processes for grid sweeps")
-        p.add_argument("--big", action="store_true", default=None,
-                       help="enable the large runs (L=6 sweep, L=10 scaling)")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, seed=args.seed, threads=args.threads,
-                          big=args.big)
+        cfg = load_config(args.config, seed=args.seed, threads=args.threads)
         table = _RUNNERS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

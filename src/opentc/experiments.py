@@ -25,7 +25,9 @@ from .operators import (devectorize, hs_inner, magnetization,
                         vectorize)
 
 MAX_LENGTH = 10
+# spectrum, sweep and disorder build the 4^L x 4^L map: 64 GiB at L = 8
 MATRIX_PATH_MAX = 6
+TREND_SLACK = 1e-12           # absolute; README "Tolerances"
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 DEFAULT_H_GRID = (0.0, 0.25, 0.5, _SQ2, 0.9)
@@ -65,7 +67,6 @@ class ExperimentConfig:
     dissipator_mode: str = "numeric"
     seed: int = 0
     threads: int = 1
-    big: bool = False
 
     def __post_init__(self):
         ints = [(name, getattr(self, name)) for name in INTEGER_FIELDS]
@@ -223,6 +224,12 @@ def _trace_mx(cfg: ExperimentConfig, length: int, n_periods: int) -> list:
     return [float(np.real(hs_inner(mx, rho))) for rho in states]
 
 
+def _require_matrix_path(cfg: ExperimentConfig, command: str) -> None:
+    if cfg.length > MATRIX_PATH_MAX:
+        raise ConfigError(f"{command} needs the matrix path "
+                          f"(length <= {MATRIX_PATH_MAX})")
+
+
 def _sweep_point(task):
     cfg, h, eta, length = task
     try:
@@ -237,8 +244,8 @@ def _sweep_point(task):
 
 def run_sweep(cfg: ExperimentConfig) -> ResultTable:
     """Floquet diagnostics over the (h, eta) grid along the factorization line."""
-    length = 6 if cfg.big else cfg.length
-    tasks = [(cfg, h, eta, length)
+    _require_matrix_path(cfg, "sweep")
+    tasks = [(cfg, h, eta, cfg.length)
              for h in cfg.h_grid for eta in cfg.eta_grid]
     if cfg.threads > 1:
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
@@ -249,7 +256,7 @@ def run_sweep(cfg: ExperimentConfig) -> ResultTable:
         columns=["h", "eta", "floquet_gap", "tc_distance",
                  "star_re", "star_im", "status"],
         metadata=_metadata(cfg, "sweep"))
-    table.metadata["length"] = length
+    table.metadata["length"] = cfg.length
     for row in results:
         table.add(*row)
     table.metadata["failures"] = sum(s != "ok" for s in table.column("status"))
@@ -268,13 +275,10 @@ def run_trace(cfg: ExperimentConfig) -> ResultTable:
 
 def run_scaling(cfg: ExperimentConfig) -> ResultTable:
     """|m_x(10T)| against chain length at fixed kick error."""
-    lengths = list(cfg.l_grid)
-    if cfg.big and MAX_LENGTH not in lengths:
-        lengths.append(MAX_LENGTH)
     table = ResultTable(columns=["length", "amplitude", "status"],
                         metadata=_metadata(cfg, "scaling"))
     amps = {}
-    for length in lengths:
+    for length in cfg.l_grid:
         try:
             values = _trace_mx(cfg, length, 10)
             amp = abs(values[10])
@@ -285,13 +289,14 @@ def run_scaling(cfg: ExperimentConfig) -> ResultTable:
     table.metadata["failures"] = sum(s != "ok" for s in table.column("status"))
     probe = sorted(l for l in amps if 4 <= l <= 8)
     table.metadata["trend_nondecreasing"] = bool(
-        all(amps[a] <= amps[b] + 1e-12
+        all(amps[a] <= amps[b] + TREND_SLACK
             for a, b in zip(probe, probe[1:])))
     return table
 
 
 def run_disorder(cfg: ExperimentConfig) -> ResultTable:
     """Linear disorder susceptibility over seeded zero-sum samples."""
+    _require_matrix_path(cfg, "disorder")
     _, proto = _protocol(cfg, cfg.h, cfg.eta, cfg.length)
     sd = spectral.decompose(floquet.floquet_propagator(proto), kind="map")
     mu = floquet.find_star(sd, order=cfg.order, period=cfg.period).index
@@ -312,9 +317,7 @@ def run_disorder(cfg: ExperimentConfig) -> ResultTable:
 
 def run_spectrum(cfg: ExperimentConfig) -> ResultTable:
     """Full generator and Floquet-map spectra at one parameter point."""
-    if cfg.length > MATRIX_PATH_MAX:
-        raise ConfigError(
-            f"spectrum needs the matrix path (length <= {MATRIX_PATH_MAX})")
+    _require_matrix_path(cfg, "spectrum")
     _, proto = _protocol(cfg, cfg.h, cfg.eta, cfg.length)
     table = ResultTable(columns=["kind", "index", "re", "im", "peripheral"],
                         metadata=_metadata(cfg, "spectrum"))

@@ -10,10 +10,14 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .lindblad import TRACE_TOL, Generator, _Terms, check_state
+from .lindblad import (HERMITICITY_TOL, TRACE_TOL, Generator, _Terms,
+                       check_state)
 from .operators import (UNITARITY_TOL, devectorize, hermitize, is_unitary,
                         site_operator, trace_functional, vectorize)
 from .spectral import SpectralData
+
+PROPAGATOR_TRACE_TOL = 1e-9   # times the dimension d; README "Tolerances"
+ROOT_OF_UNITY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -37,7 +41,7 @@ class KickedProtocol:
             raise ValueError("period must be positive")
         g = np.asarray(self.kick_generator, dtype=complex)
         g_dag = g.conj() if g.ndim == 1 else g.conj().T
-        if np.max(np.abs(g - g_dag)) > 1e-10:
+        if np.max(np.abs(g - g_dag)) > HERMITICITY_TOL:
             raise ValueError("kick generator must be Hermitian")
         object.__setattr__(self, "kick_generator", g)
 
@@ -109,7 +113,7 @@ def floquet_propagator(p: KickedProtocol) -> np.ndarray:
         matrix_exp(p.model.matrix(), p.period))
     tr = trace_functional(int(round(np.sqrt(prop.shape[0]))))
     resid = np.max(np.abs(tr.conj() @ prop - tr.conj()))
-    if resid > 1e-9 * np.sqrt(prop.shape[0]):
+    if resid > PROPAGATOR_TRACE_TOL * np.sqrt(prop.shape[0]):
         raise RuntimeError(f"propagator is not trace preserving (residual "
                            f"{resid:.2e})")
     return prop
@@ -232,21 +236,22 @@ def _stroboscopic_states(p: KickedProtocol, rho: np.ndarray,
 
 
 def check_observation6(map_sd: SpectralData, u_kick: np.ndarray,
-                       order: int = 2, tol: float = 1e-8) -> Observation6Report:
+                       order: int = 2) -> Observation6Report:
     """Test the three conditions of the subharmonic-response protocol.
 
     (i) the static map is multistable with all peripheral eigenvalues 1,
     (ii) the kick acts block-diagonally on asymptotic vs decay spans,
     (iii) the kick restricted to the asymptotic block has eigenvalues that are
     order-th roots of unity, at least one different from 1.
+    With tol the spectrum's peripheral_tolerance, (i) allows a spread of
+    sqrt(tol) around 1 and (ii) couplings below tol.
     """
     if map_sd.kind != "map":
         raise ValueError("observation-6 check expects a map-kind spectrum")
-    mask = map_sd.peripheral_mask()
-    if map_sd.defective is not None:
-        mask = mask & ~map_sd.defective
+    mask = map_sd.peripheral_mask() & ~map_sd.defective
     asy = np.nonzero(mask)[0]
     dec = np.nonzero(~mask)[0]
+    tol = map_sd.peripheral_tolerance
     cond1 = asy.size > 0 and bool(
         np.max(np.abs(map_sd.eigenvalues[asy] - 1.0)) < np.sqrt(tol))
     # the kick in the map's biorthogonal eigenbasis
@@ -260,8 +265,8 @@ def check_observation6(map_sd: SpectralData, u_kick: np.ndarray,
     uvals = np.linalg.eigvals(block)
     roots = np.exp(2j * np.pi * np.arange(order) / order)
     on_roots = bool(np.max(np.min(np.abs(uvals[:, None] - roots[None, :]),
-                                  axis=1)) < 1e-6)
-    nontrivial = bool(np.max(np.abs(uvals - 1.0)) > 1e-6)
+                                  axis=1)) < ROOT_OF_UNITY_TOL)
+    nontrivial = bool(np.max(np.abs(uvals - 1.0)) > ROOT_OF_UNITY_TOL)
     return Observation6Report(static_peripheral_trivial=cond1,
                               kick_block_preserving=cond2,
                               kick_subharmonic=on_roots and nontrivial,

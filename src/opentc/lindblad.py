@@ -9,7 +9,7 @@ import numpy as np
 
 from .operators import hermitize, sandwich
 
-HERMITICITY_TOL = 1e-10
+HERMITICITY_TOL = 1e-10       # absolute, as all three; README "Tolerances"
 STATE_PSD_TOL = 1e-8
 TRACE_TOL = 1e-8
 
@@ -161,14 +161,14 @@ def adjoint_liouvillian_action(model: LindbladModel, a: np.ndarray) -> np.ndarra
     return model._terms.adjoint_action(a)
 
 
-def check_state(rho: np.ndarray, psd_tol: float = STATE_PSD_TOL) -> None:
+def check_state(rho: np.ndarray) -> None:
     """Raise if rho is not Hermitian, unit trace and PSD within tolerance."""
     rho = np.asarray(rho)
     if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
         raise ValueError("state is not Hermitian")
     if abs(np.trace(rho) - 1.0) > TRACE_TOL:
         raise ValueError(f"state trace {np.trace(rho)} differs from 1")
-    if np.linalg.eigvalsh(hermitize(rho)).min() < -psd_tol:
+    if np.linalg.eigvalsh(hermitize(rho)).min() < -STATE_PSD_TOL:
         raise ValueError("state has a negative eigenvalue beyond tolerance")
 
 

@@ -11,6 +11,8 @@ import numpy as np
 from .lindblad import JumpChannel, LindbladModel
 from .operators import pauli
 
+UNIT_VECTOR_TOL = 1e-10       # absolute; README "Tolerances"
+
 
 def _basis_ket(index: int, dim: int) -> np.ndarray:
     v = np.zeros(dim, dtype=complex)
@@ -67,7 +69,7 @@ def dfs_collective_model() -> LindbladModel:
 def _phi_pauli_vector(n) -> np.ndarray:
     """n . sigma restricted to the phi subspace, n a unit Bloch vector."""
     n = np.asarray(n, dtype=float)
-    if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > 1e-10:
+    if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > UNIT_VECTOR_TOL:
         raise ValueError("n must be a unit 3-vector")
     _, _, f0, f1 = bell_basis()
     sx = _outer(f0, f1) + _outer(f1, f0)

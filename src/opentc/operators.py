@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-UNITARITY_TOL = 1e-10
+UNITARITY_TOL = 1e-10         # absolute; README "Tolerances"
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -85,9 +85,10 @@ def trace_functional(dim: int) -> np.ndarray:
     return vectorize(identity(dim))
 
 
-def is_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
+def is_unitary(u: np.ndarray) -> bool:
     u = np.asarray(u)
-    return bool(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < tol)
+    return bool(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
+                < UNITARITY_TOL)
 
 
 def unitary_conjugation(u: np.ndarray) -> np.ndarray:

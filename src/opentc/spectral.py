@@ -11,11 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 
 from .operators import devectorize, hs_inner, vectorize
 
-DEFAULT_TOL = 1e-8
-DEFECTIVE_COND = 1e10
+SPECTRAL_TOL = 1e-8           # clusters and peripheral modes; README table
+DEFECTIVE_COND = 1e10         # a condition number
 
 
 @dataclass(frozen=True)
@@ -33,9 +35,9 @@ class SpectralData:
     right: np.ndarray
     left: np.ndarray
     kind: str
-    peripheral_tolerance: float = DEFAULT_TOL
-    defective: np.ndarray | None = None
-    clusters: np.ndarray | None = None
+    defective: np.ndarray
+    clusters: np.ndarray
+    peripheral_tolerance = SPECTRAL_TOL     # a class constant, not a field
 
     @property
     def size(self) -> int:
@@ -49,8 +51,6 @@ class SpectralData:
 
     def cluster(self, mu: int) -> np.ndarray:
         """Indices of the eigenvalues in the degenerate cluster of mu."""
-        if self.clusters is None:
-            raise ValueError("spectrum carries no cluster labels")
         return np.nonzero(self.clusters == self.clusters[mu])[0]
 
     def right_operator(self, mu: int) -> np.ndarray:
@@ -74,56 +74,32 @@ class AsymptoticSubspace:
         return self.eigenvalues.size
 
 
-def _clusters(values: np.ndarray, tol: float) -> list:
-    """Connected components of eigenvalues closer than tol."""
-    n = values.size
-    if n == 0:
-        return []
-    close = np.abs(values[:, None] - values[None, :]) < tol
-    seen = np.zeros(n, dtype=bool)
-    groups = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        members = []
-        while stack:
-            i = stack.pop()
-            members.append(i)
-            for j in np.nonzero(close[i] & ~seen)[0]:
-                seen[j] = True
-                stack.append(j)
-        groups.append(sorted(members))
-    return groups
-
-
-def decompose(s: np.ndarray, kind: str = "generator",
-              tol: float = DEFAULT_TOL) -> SpectralData:
+def decompose(s: np.ndarray, kind: str = "generator") -> SpectralData:
     """Full biorthonormal eigendecomposition of a superoperator matrix.
 
     Left vectors come from the adjoint problem (scipy's `left=True`), matched
-    to right vectors by index. Degenerate clusters (eigenvalue spread < tol)
-    are re-mixed so the cross-Gram matrix is the identity; clusters whose
-    cross-Gram is numerically singular are flagged defective.
+    to right vectors by index. Degenerate clusters (eigenvalues joined by
+    steps < SPECTRAL_TOL) are re-mixed so the cross-Gram matrix is the
+    identity; clusters whose cross-Gram is numerically singular are flagged
+    defective.
     """
     if kind not in ("generator", "map"):
         raise ValueError(f"kind must be 'generator' or 'map', got {kind!r}")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     s = np.asarray(s, dtype=complex)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError("superoperator must be square")
     w, vl, vr = scipy.linalg.eig(s, left=True, right=True)
+    tol = SPECTRAL_TOL
     # keys rounded to tol first, so rounding noise cannot swap rows
     order = np.lexsort((-w.imag, -w.real, -np.round(w.imag / tol),
                         -np.round(w.real / tol)))
     w, vl, vr = w[order], vl[:, order], vr[:, order]
     defective = np.zeros(w.size, dtype=bool)
-    clusters = np.empty(w.size, dtype=int)
-    for label, group in enumerate(_clusters(w, tol)):
-        idx = np.array(group)
-        clusters[idx] = label
+    # labels in order of each cluster's first member
+    n_clusters, clusters = connected_components(scipy.sparse.csr_array(
+        np.abs(w[:, None] - w[None, :]) < tol), directed=False)
+    for label in range(n_clusters):
+        idx = np.nonzero(clusters == label)[0]
         gram = vl[:, idx].conj().T @ vr[:, idx]
         # columns are unit norm, so a healthy cluster has an O(1) Gram
         svals = np.linalg.svd(gram, compute_uv=False)
@@ -133,15 +109,12 @@ def decompose(s: np.ndarray, kind: str = "generator",
         # L_new = L @ inv(gram)^dag gives L_new^dag R = identity
         vl[:, idx] = vl[:, idx] @ np.linalg.inv(gram).conj().T
     return SpectralData(eigenvalues=w, right=vr, left=vl, kind=kind,
-                        peripheral_tolerance=tol, defective=defective,
-                        clusters=clusters)
+                        defective=defective, clusters=clusters)
 
 
 def asymptotic_subspace(sd: SpectralData) -> AsymptoticSubspace:
     """Peripheral modes and their conserved quantities j_mu = left partners."""
-    mask = sd.peripheral_mask()
-    if sd.defective is not None:
-        mask = mask & ~sd.defective
+    mask = sd.peripheral_mask() & ~sd.defective
     idx = np.nonzero(mask)[0]
     if idx.size == 0:
         raise ValueError("no peripheral eigenvalue found; input is not a "
@@ -165,7 +138,7 @@ def dual_basis(asy: AsymptoticSubspace, targets) -> list:
     coeff = jmat.conj().T @ tmat
     if coeff.shape[0] != coeff.shape[1]:
         raise ValueError("targets must have the same count as asymptotic modes")
-    if np.linalg.cond(coeff) > 1e10:
+    if np.linalg.cond(coeff) > DEFECTIVE_COND:
         raise ValueError("targets do not span the asymptotic subspace")
     duals = jmat @ np.linalg.inv(coeff).conj().T
     return [devectorize(duals[:, k]) for k in range(duals.shape[1])]

@@ -16,8 +16,13 @@ import numpy as np
 from .lindblad import JumpChannel, LindbladModel, _Terms
 from .operators import magnetization, site_operator
 
-BOHR_CLUSTER_TOL = 1e-6
+BOHR_CLUSTER_TOL = 1e-6       # times |J|; README "Tolerances" has them all
+ENERGY_CLUSTER_TOL = 1e-8     # times max(1, max |E|)
+COUPLING_TOL = 1e-12
 FACTORIZATION_TOL = 1e-10
+PARITY_TOL = 1e-10
+MOMENTUM_TOL = 1e-12
+GAPLESS_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -109,7 +114,8 @@ def brillouin_zone(length: int, sector: str) -> np.ndarray:
 
 
 def _check_momentum(p: XYParams, q: float) -> None:
-    if abs(2 * q - round(2 * q)) > 1e-12 or not -p.length / 2 <= q < p.length / 2:
+    if (abs(2 * q - round(2 * q)) > MOMENTUM_TOL
+            or not -p.length / 2 <= q < p.length / 2):
         raise ValueError(f"momentum {q} lies in neither Brillouin zone")
 
 
@@ -127,7 +133,7 @@ def bogoliubov_angle(p: XYParams, q: float) -> float:
     phase = 2.0 * np.pi * q / p.length
     y = p.gamma * np.sin(phase)
     x = p.h - np.cos(phase)
-    if abs(x) < 1e-14 and abs(y) < 1e-14:
+    if abs(x) < GAPLESS_TOL and abs(y) < GAPLESS_TOL:
         raise ValueError(f"Bogoliubov angle indeterminate at gapless momentum {q}")
     return float(np.arctan2(y, x))
 
@@ -168,7 +174,7 @@ def ground_state_pair(p: XYParams):
     ham = xy_hamiltonian(p)
     par = np.diag(parity_operator(p.length)).real
     comm = ham * (par[None, :] - par[:, None])   # [H, P] for diagonal P
-    if np.max(np.abs(comm)) > 1e-10:
+    if np.max(np.abs(comm)) > PARITY_TOL:
         raise RuntimeError("Hamiltonian does not commute with parity")
     out = {}
     for sign in (1.0, -1.0):
@@ -209,7 +215,13 @@ def factorized_states(p: XYParams) -> FactorizationState:
                               parity_states=tuple(parity_states))
 
 
-def energy_eigenbasis(p: XYParams, cluster_tol: float = 1e-8):
+def _runs(joined: np.ndarray) -> list:
+    """Clusters of sorted values as slices; joined[i]: values i, i+1 close."""
+    cuts = [0, *(np.flatnonzero(~joined) + 1), joined.size + 1]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+def energy_eigenbasis(p: XYParams):
     """Eigenbasis of H with M_z diagonalized inside degenerate clusters.
 
     Returns (energies, vectors). The cluster rotation removes the gauge
@@ -219,17 +231,12 @@ def energy_eigenbasis(p: XYParams, cluster_tol: float = 1e-8):
     evals, vecs = np.linalg.eigh(ham)
     mz_diag = np.diag(magnetization("Z", p.length)).real
     scale = max(1.0, float(np.max(np.abs(evals))))
-    start = 0
-    while start < evals.size:
-        stop = start + 1
-        while stop < evals.size and evals[stop] - evals[stop - 1] < cluster_tol * scale:
-            stop += 1
-        if stop - start > 1:
-            block = vecs[:, start:stop]
+    for run in _runs(np.diff(evals) < ENERGY_CLUSTER_TOL * scale):
+        if run.stop - run.start > 1:
+            block = vecs[:, run]
             mz_block = block.conj().T @ (mz_diag[:, None] * block)
             _, w = np.linalg.eigh(mz_block)
-            vecs[:, start:stop] = block @ w
-        start = stop
+            vecs[:, run] = block @ w
     return evals, vecs
 
 
@@ -300,21 +307,20 @@ def secular_liouvillian(p: XYParams, bath: BathSpec,
     evals, vecs = energy_eigenbasis(p)
     mz_diag = np.diag(magnetization("Z", p.length)).real
     m = vecs.conj().T @ (mz_diag[:, None] * vecs)
-    tol = BOHR_CLUSTER_TOL * max(abs(p.j), 1e-12)
+    tol = BOHR_CLUSTER_TOL * abs(p.j)
     omega = evals[None, :] - evals[:, None]      # E_l - E_k at [k, l]
-    k, l = np.nonzero((omega > tol) & (np.abs(m) > 1e-12))
+    k, l = np.nonzero((omega > tol) & (np.abs(m) > COUPLING_TOL))
     if k.size == 0:
         raise ValueError("no nonzero Bohr frequency couples to M_z")
     order = np.argsort(omega[k, l], kind="stable")
     k, l = k[order], l[order]
     w = omega[k, l]
-    labels = np.concatenate(([0], np.cumsum(np.diff(w) >= tol)))
     channels = []
-    for c in range(labels[-1] + 1):
-        kc, lc, wc = k[labels == c], l[labels == c], w[labels == c]
+    for run in _runs(np.diff(w) < tol):
         a_eig = np.zeros_like(m)
-        a_eig[kc, lc] = m[kc, lc]
-        channels.append((vecs @ a_eig @ vecs.conj().T, float(np.mean(wc))))
+        a_eig[k[run], l[run]] = m[k[run], l[run]]
+        channels.append((vecs @ a_eig @ vecs.conj().T,
+                         float(np.mean(w[run]))))
     if mode == "collective":
         channels = [(sum(a for a, _ in channels),
                      float(np.mean([wbar for _, wbar in channels])))]

@@ -98,13 +98,19 @@ def test_failed_grid_point_exit_code(tmp_path, capsys, monkeypatch, command):
 
 def test_unknown_key_exit_code(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"frequency": 2.0}))
-    assert main(["trace", "--config", str(path)]) == 1
+    for values in ({"frequency": 2.0}, {"big": True}):
+        path.write_text(json.dumps(values))
+        assert main(["trace", "--config", str(path)]) == 1
 
 
-def test_spectrum_length_guard_exit_code(tmp_path):
+def test_spectrum_length_guard_exit_code(tmp_path, capsys):
+    # every dense runner refuses L=8 (a 65536 x 65536 map) before building
     cfg = write_config(tmp_path, length=8)
-    assert main(["spectrum", "--config", cfg]) == 1
+    for command in ("spectrum", "sweep", "disorder"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert "needs the matrix path" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_numeric_failure_exit_code(tmp_path, capsys):
@@ -135,5 +141,27 @@ def test_validate_success(tmp_path, capsys):
 
 
 def test_missing_command_is_usage_error():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main([])
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--seed", "abc"], "invalid int value"),
+    (["sweep", "--bogus"], "unrecognized arguments"),
+    (["scaling", "--big"], "unrecognized arguments"),
+    (["banana"], "invalid choice")],
+    ids=["bad-seed", "unknown-flag", "big-flag", "unknown-command"])
+def test_usage_error_exit_code(capsys, argv, message):
+    # 2 is reserved for numeric failure, so argparse must not use it
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert message in capsys.readouterr().err
+
+
+def test_help_exit_code(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out

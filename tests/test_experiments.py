@@ -127,11 +127,17 @@ def test_run_trace_period_doubling_sign():
         assert abs(vals[n]) > 0.9 * abs(vals[0])
 
 
-@pytest.mark.parametrize("mode", ["independent", "collective"])
-def test_run_trace_secular_matches_dense_map(mode):
+@pytest.mark.parametrize("mode, state", [
+    ("independent", "gs_superposition"), ("collective", "gs_superposition"),
+    ("independent", "local_plus_x")],
+    ids=["independent", "collective", "local_plus_x"])
+def test_run_trace_secular_matches_dense_map(mode, state):
     cfg = ExperimentConfig(length=4, h=1.0 / np.sqrt(2.0), eta=np.pi / 20,
-                           n_periods=4, dissipator_mode=mode)
+                           n_periods=4, dissipator_mode=mode,
+                           initial_state=state)
     values = run_trace(cfg).column("m_x")
+    if state == "local_plus_x":
+        assert values[0] == pytest.approx(1.0, abs=1e-14)
     params, proto = _protocol(cfg, cfg.h, cfg.eta, cfg.length)
     ef = floquet_propagator(proto)
     vec = vectorize(_initial_state(cfg, params))

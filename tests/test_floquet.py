@@ -14,7 +14,7 @@ from opentc.floquet import (KickedProtocol, check_observation6,
                             translation_refine)
 from opentc.lindblad import (JumpChannel, LindbladModel, liouvillian_matrix,
                              rk4_evolve, trace_distance)
-from opentc.models import dfs_collective_model
+from opentc.models import bell_basis, dfs_collective_model
 from opentc.operators import (devectorize, magnetization, pauli, sandwich,
                               site_operator, unitary_conjugation, vectorize)
 from opentc.spectral import decompose
@@ -418,11 +418,27 @@ def test_rotation_error_map_matches_kron_formula(kind):
     assert np.max(np.abs(rotation_error_map(p) - expected)) < 1e-12
 
 
-@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+def dfs_phi_rotation():
+    """Identity on the psi pair, exp(-0.7i sigma_x) on the phi pair.
+
+    On the collective-DFS map it couples the asymptotic modes into the decay
+    modes (about 0.36) but not back (rounding), so it tests the
+    asymptotic-to-decay block of condition (ii) alone.
+    """
+    p0, p1, f0, f1 = bell_basis()
+    rot = scipy.linalg.expm(-0.7j * pauli("X"))
+    return (np.outer(p0, p0.conj()) + np.outer(p1, p1.conj())
+            + sum(rot[a, b] * np.outer(fa, fb.conj())
+                  for a, fa in enumerate((f0, f1))
+                  for b, fb in enumerate((f0, f1))))
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "dense", "dfs"])
 def test_observation6_matches_kron_formula(kind):
     sd = decompose(matrix_exp(liouvillian_matrix(dfs_collective_model()),
                               1.0), kind="map")
-    u = random_unitary(np.random.default_rng(41), 4, kind)
+    u = (dfs_phi_rotation() if kind == "dfs"
+         else random_unitary(np.random.default_rng(41), 4, kind))
     report = check_observation6(sd, u, order=2)
     mask = sd.peripheral_mask() & ~sd.defective
     asy, dec = np.nonzero(mask)[0], np.nonzero(~mask)[0]

@@ -6,8 +6,9 @@ import scipy.linalg
 
 from opentc.lindblad import JumpChannel, LindbladModel, liouvillian_matrix
 from opentc.operators import devectorize, pauli, vectorize
-from opentc.spectral import (asymptotic_state, asymptotic_subspace, decompose,
-                             dissipative_gap, dual_basis)
+from opentc.spectral import (SPECTRAL_TOL, asymptotic_state,
+                             asymptotic_subspace, decompose, dissipative_gap,
+                             dual_basis)
 
 
 def dephasing_generator(h=0.0, kappa=0.5):
@@ -29,8 +30,6 @@ def random_generator(rng, d, n_jumps=2):
 def test_input_validation():
     with pytest.raises(ValueError):
         decompose(np.eye(4), kind="banana")
-    with pytest.raises(ValueError):
-        decompose(np.eye(4), tol=0.0)
     with pytest.raises(ValueError):
         decompose(np.ones((2, 3)))
 
@@ -156,6 +155,47 @@ def test_cluster_labels_at_decompose_tolerance():
         near = np.nonzero(np.abs(sd.eigenvalues - lam) < sd.peripheral_tolerance)
         assert sd.cluster(mu).tolist() == near[0].tolist()
     assert sorted(len(sd.cluster(mu)) for mu in range(4)) == [1, 1, 2, 2]
+
+
+def breadth_first_clusters(values, tol):
+    """The former cluster search, kept as the reference for the labels."""
+    n = values.size
+    close = np.abs(values[:, None] - values[None, :]) < tol
+    seen = np.zeros(n, dtype=bool)
+    labels = np.empty(n, dtype=int)
+    count = 0
+    for start in range(n):
+        if seen[start]:
+            continue
+        stack = [start]
+        seen[start] = True
+        while stack:
+            i = stack.pop()
+            labels[i] = count
+            for j in np.nonzero(close[i] & ~seen)[0]:
+                seen[j] = True
+                stack.append(j)
+        count += 1
+    return labels
+
+
+def test_clusters_match_breadth_first_reference():
+    # chains of eigenvalues with steps below the tolerance: a cluster may
+    # spread wider than the tolerance, and it still is one cluster
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        centers = rng.uniform(-1, 1, 8) + 1j * rng.uniform(-1, 1, 8)
+        w = np.concatenate([
+            c + np.cumsum(SPECTRAL_TOL * rng.uniform(0.2, 0.9, k)
+                          * np.exp(2j * np.pi * rng.uniform(size=k)))
+            for c, k in zip(centers, rng.integers(1, 5, 8))])
+        q, _ = np.linalg.qr(rng.normal(size=(w.size, w.size))
+                            + 1j * rng.normal(size=(w.size, w.size)))
+        sd = decompose((q * w) @ q.conj().T, kind="map")
+        assert np.array_equal(sd.clusters,
+                              breadth_first_clusters(sd.eigenvalues,
+                                                     SPECTRAL_TOL))
+        assert sd.clusters.max() + 1 < w.size
 
 
 def test_eigenvalue_order_ignores_rounding_noise():

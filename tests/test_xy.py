@@ -183,6 +183,38 @@ def test_energy_eigenbasis_diagonalizes_mz_in_clusters():
                 assert abs(m[i, j]) < 1e-8
 
 
+def energy_eigenbasis_reference(p, cluster_tol=1e-8):
+    """The former run-by-run loop of energy_eigenbasis, as a reference."""
+    evals, vecs = np.linalg.eigh(xy_hamiltonian(p))
+    mz_diag = np.diag(magnetization("Z", p.length)).real
+    scale = max(1.0, float(np.max(np.abs(evals))))
+    start = 0
+    while start < evals.size:
+        stop = start + 1
+        while (stop < evals.size
+               and evals[stop] - evals[stop - 1] < cluster_tol * scale):
+            stop += 1
+        if stop - start > 1:
+            block = vecs[:, start:stop]
+            mz_block = block.conj().T @ (mz_diag[:, None] * block)
+            _, w = np.linalg.eigh(mz_block)
+            vecs[:, start:stop] = block @ w
+        start = stop
+    return evals, vecs
+
+
+@pytest.mark.parametrize("length", [2, 4, 6])
+def test_energy_eigenbasis_matches_loop_reference(length):
+    for j, h in ((1.0, 0.0), (1.0, 0.5), (1.0, 1.0 / np.sqrt(2.0)),
+                 (1.0, 0.9), (2.5, 0.3)):
+        p = XYParams(j=j, gamma=float(np.sqrt(1.0 - h * h)), h=h,
+                     length=length)
+        evals, vecs = energy_eigenbasis(p)
+        ref_evals, ref_vecs = energy_eigenbasis_reference(p)
+        assert np.array_equal(evals, ref_evals)
+        assert np.array_equal(vecs, ref_vecs)
+
+
 def test_bath_rates():
     bath = BathSpec(kappa0=0.02, beta=np.inf)
     assert bath.rate(0.0) == 0.0
