@@ -1,12 +1,14 @@
 """Command-line front end for the experiment runners.
 
-Exit codes: 0 success, 1 configuration or usage error, 2 numeric failure,
-3 checks or grid points failed (the CSV is still written).
+Exit codes: 0 success, 1 configuration or usage error or an unwritable
+output path, 2 numeric failure, 3 checks or grid points failed (the CSV is
+still written).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -52,6 +54,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    out = args.out or f"{args.command}.csv"
+    folder = os.path.dirname(os.path.abspath(out))
+    if os.path.isdir(out) or not (os.path.isdir(folder)
+                                  and os.access(folder, os.W_OK)):
+        print(f"cannot write {out}: not a file in a writable directory",
+              file=sys.stderr)
+        return 1
     try:
         cfg = load_config(args.config, seed=args.seed, threads=args.threads)
         table = _RUNNERS[args.command](cfg)
@@ -62,8 +71,11 @@ def main(argv=None) -> int:
             np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
-    out = args.out or f"{args.command}.csv"
-    table.write(out)
+    try:
+        table.write(out)
+    except OSError as exc:
+        print(f"cannot write {out}: {exc}", file=sys.stderr)
+        return 1
     if args.command == "validate":
         for row in table.rows:
             status = "pass" if row[3] else "FAIL"

@@ -8,6 +8,7 @@ over points; rows always come out in grid order.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import numbers
@@ -25,7 +26,8 @@ from .operators import (devectorize, hs_inner, magnetization,
                         vectorize)
 
 MAX_LENGTH = 10
-# spectrum, sweep and disorder build the 4^L x 4^L map: 64 GiB at L = 8
+# spectrum, sweep and disorder build the 4^L x 4^L map as four parity
+# blocks of (4^L / 4)^2 entries: 4 GiB each at L = 8
 MATRIX_PATH_MAX = 6
 TREND_SLACK = 1e-12           # absolute; README "Tolerances"
 
@@ -99,6 +101,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown dissipator mode {self.dissipator_mode!r}")
         if self.threads < 1 or self.seed < 0:
             raise ConfigError("threads must be >= 1 and seed >= 0")
+        if not all(len(g) for g in (self.h_grid, self.eta_grid, self.l_grid)):
+            raise ConfigError("h_grid, eta_grid and l_grid must not be empty")
         if any(l % 2 != 0 or not 2 <= l <= MAX_LENGTH for l in self.l_grid):
             raise ConfigError(
                 f"l_grid entries must be even and in [2, {MAX_LENGTH}]")
@@ -190,7 +194,9 @@ def _protocol(cfg: ExperimentConfig, h: float, eta: float, length: int):
     """XY parameters plus the kicked protocol at one grid point.
 
     Each period runs the chosen dissipative generator, then the
-    period-doubling kick exp(-i (pi + eta) M_z / 2).
+    period-doubling kick exp(-i (pi + eta) M_z / 2). Both keep the parity
+    P = prod Z_r of each side of rho, so the protocol's sectors are the
+    P = +1 and P = -1 basis indices, in that order.
     """
     params = xy.XYParams(j=cfg.j, gamma=cfg.resolved_gamma(h), h=h,
                          length=length)
@@ -199,10 +205,20 @@ def _protocol(cfg: ExperimentConfig, h: float, eta: float, length: int):
         gen = xy.NumericGenerator(params, bath)
     else:
         gen = xy.secular_liouvillian(params, bath, cfg.dissipator_mode)
+    parity = np.diag(xy.parity_operator(length)).real
     return params, floquet.KickedProtocol(
         model=gen, period=cfg.period,
         kick_generator=np.diag(magnetization("Z", length)).real / 2,
-        error=eta)
+        error=eta, sectors=tuple(np.flatnonzero(parity == sign)
+                                 for sign in (1.0, -1.0)))
+
+
+def _block_spectra(proto: floquet.KickedProtocol, kind: str = "map") -> list:
+    """Spectra of the Floquet map, or of the generator, one per block."""
+    build = (proto.model.matrix if kind == "generator"
+             else functools.partial(floquet.floquet_propagator, proto))
+    return [spectral.decompose(build(block), kind=kind)
+            for block in proto.blocks]
 
 
 def _initial_state(cfg: ExperimentConfig, params: xy.XYParams) -> np.ndarray:
@@ -233,9 +249,9 @@ def _require_matrix_path(cfg: ExperimentConfig, command: str) -> None:
 def _sweep_point(task):
     cfg, h, eta, length = task
     try:
-        ef = floquet.floquet_propagator(_protocol(cfg, h, eta, length)[1])
-        sd = spectral.decompose(ef, kind="map")
-        diag = floquet.find_star(sd, order=cfg.order, period=cfg.period)
+        spectra = _block_spectra(_protocol(cfg, h, eta, length)[1])
+        diag = floquet.find_star(*spectra, order=cfg.order,
+                                 period=cfg.period)
         return [h, eta, diag.floquet_gap, diag.tc_distance,
                 diag.star_eigenvalue.real, diag.star_eigenvalue.imag, "ok"]
     except Exception as exc:   # per-point failures flagged, run continues
@@ -298,9 +314,11 @@ def run_disorder(cfg: ExperimentConfig) -> ResultTable:
     """Linear disorder susceptibility over seeded zero-sum samples."""
     _require_matrix_path(cfg, "disorder")
     _, proto = _protocol(cfg, cfg.h, cfg.eta, cfg.length)
-    sd = spectral.decompose(floquet.floquet_propagator(proto), kind="map")
-    mu = floquet.find_star(sd, order=cfg.order, period=cfg.period).index
-    sd = floquet.translation_refine(sd, cfg.length, mu)
+    spectra = _block_spectra(proto)
+    star = floquet.find_star(*spectra, order=cfg.order, period=cfg.period)
+    mu, block = star.index, proto.blocks[star.block]
+    sd = floquet.translation_refine(spectra[star.block], cfg.length, mu,
+                                    block)
     rng = np.random.default_rng(cfg.seed)
     table = ResultTable(columns=["sample", "single_site", "full_sum"],
                         metadata=_metadata(cfg, "disorder"))
@@ -310,25 +328,34 @@ def run_disorder(cfg: ExperimentConfig) -> ResultTable:
         grains = rng.integers(-scale, scale, cfg.length)
         grains[0] -= grains.sum()
         deltas = grains / float(scale)
-        chi = floquet.disorder_susceptibility(sd, deltas, cfg.length, mu)
+        chi = floquet.disorder_susceptibility(sd, deltas, cfg.length, mu,
+                                              block)
         table.add(k, chi.single_site, chi.full_sum)
     return table
 
 
 def run_spectrum(cfg: ExperimentConfig) -> ResultTable:
-    """Full generator and Floquet-map spectra at one parameter point."""
+    """Full generator and Floquet-map spectra at one parameter point.
+
+    Each is the union of its parity blocks; `sector` names the block (P of
+    the rows, P of the columns of rho) and `index` counts within it.
+    """
     _require_matrix_path(cfg, "spectrum")
     _, proto = _protocol(cfg, cfg.h, cfg.eta, cfg.length)
-    table = ResultTable(columns=["kind", "index", "re", "im", "peripheral"],
-                        metadata=_metadata(cfg, "spectrum"))
-    for kind, mat in (("generator", proto.model.matrix()),
-                      ("map", floquet.floquet_propagator(proto))):
-        sd = spectral.decompose(mat, kind=kind)
-        mask = sd.peripheral_mask()
-        for i, lam in enumerate(sd.eigenvalues):
-            table.add(kind, i, lam.real, lam.imag, int(mask[i]))
+    table = ResultTable(
+        columns=["kind", "sector", "index", "re", "im", "peripheral"],
+        metadata=_metadata(cfg, "spectrum"))
+    # in the order of proto.blocks, over the sectors P = +1, P = -1
+    names = [rows + cols for rows in "+-" for cols in "+-"]
+    for kind in ("generator", "map"):
+        spectra = _block_spectra(proto, kind)
+        for name, sd in zip(names, spectra):
+            mask = sd.peripheral_mask()
+            for i, lam in enumerate(sd.eigenvalues):
+                table.add(kind, name, i, lam.real, lam.imag, int(mask[i]))
         if kind == "map":
-            diag = floquet.find_star(sd, order=cfg.order, period=cfg.period)
+            diag = floquet.find_star(*spectra, order=cfg.order,
+                                     period=cfg.period)
             table.metadata["floquet_gap"] = diag.floquet_gap
             table.metadata["tc_distance"] = diag.tc_distance
     return table

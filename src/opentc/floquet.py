@@ -28,6 +28,9 @@ class KickedProtocol:
     1-D kick generator is a diagonal, and its kick unitary is 1-D too. The
     model is a generator (lindblad.LindbladModel or xy.NumericGenerator);
     floquet_propagator uses its matrix, stroboscopic_evolve its actions.
+    `sectors` are basis-index arrays of one size that split the basis and
+    that the model and the kick keep apart; the map is then block-diagonal
+    over `blocks`. The default is one sector holding every index.
     """
 
     model: Generator
@@ -35,6 +38,7 @@ class KickedProtocol:
     kick_generator: np.ndarray
     kick_angle: float = np.pi
     error: float = 0.0
+    sectors: tuple | None = None
 
     def __post_init__(self):
         if self.period <= 0:
@@ -44,6 +48,19 @@ class KickedProtocol:
         if np.max(np.abs(g - g_dag)) > HERMITICITY_TOL:
             raise ValueError("kick generator must be Hermitian")
         object.__setattr__(self, "kick_generator", g)
+        d = g.shape[0]
+        sectors = tuple(np.asarray(s, dtype=int) for s in
+                        (self.sectors or (np.arange(d),)))
+        if (len({s.size for s in sectors}) != 1 or not np.array_equal(
+                np.sort(np.concatenate(sectors)), np.arange(d))):
+            raise ValueError("sectors must split the basis indices into "
+                             "sets of one size")
+        object.__setattr__(self, "sectors", sectors)
+
+    @property
+    def blocks(self) -> list:
+        """Every block (rows, cols) of rho, rows and cols running over sectors."""
+        return [(rows, cols) for rows in self.sectors for cols in self.sectors]
 
     @property
     def kick_unitary(self) -> np.ndarray:
@@ -60,7 +77,8 @@ class FloquetDiagnostics:
     """Subharmonic diagnostics read off a Floquet-map spectrum."""
 
     star_eigenvalue: complex
-    index: int            # position of the star in sd.eigenvalues
+    block: int            # which of the spectra given to find_star holds it
+    index: int            # position of the star in that one's eigenvalues
     floquet_gap: float
     tc_distance: float
     subharmonic_order: int
@@ -107,40 +125,52 @@ def _conjugation(u: np.ndarray) -> _Terms:
     return _Terms([(u, u.conj() if u.ndim == 1 else u.conj().T)])
 
 
-def floquet_propagator(p: KickedProtocol) -> np.ndarray:
-    """(U_K o U_K^*) exp(L T); the trace functional is a left fixed point."""
-    prop = _conjugation(p.kick_unitary).columns(
-        matrix_exp(p.model.matrix(), p.period))
-    tr = trace_functional(int(round(np.sqrt(prop.shape[0]))))
-    resid = np.max(np.abs(tr.conj() @ prop - tr.conj()))
-    if resid > PROPAGATOR_TRACE_TOL * np.sqrt(prop.shape[0]):
-        raise RuntimeError(f"propagator is not trace preserving (residual "
-                           f"{resid:.2e})")
+def floquet_propagator(p: KickedProtocol, block=None) -> np.ndarray:
+    """(U_K o U_K^*) exp(L T) on the block (rows, cols) of rho; None is all.
+
+    The generator block is exponentiated and the kick, restricted the same
+    way, applied to it; a block of p.blocks is exact, and a model or kick
+    that couples the sectors raises ValueError. The trace functional is a
+    left fixed point of the whole map and of every diagonal block.
+    """
+    prop = _conjugation(p.kick_unitary).restrict(block).columns(
+        matrix_exp(p.model.matrix(block), p.period))
+    if block is None or np.array_equal(*block):
+        tr = trace_functional(int(round(np.sqrt(prop.shape[0]))))
+        resid = np.max(np.abs(tr.conj() @ prop - tr.conj()))
+        if resid > PROPAGATOR_TRACE_TOL * p.kick_generator.shape[0]:
+            raise RuntimeError(f"propagator is not trace preserving "
+                               f"(residual {resid:.2e})")
     return prop
 
 
-def find_star(sd: SpectralData, order: int = 2,
+def find_star(*spectra: SpectralData, order: int = 2,
               period: float = 1.0) -> FloquetDiagnostics:
     """Eigenvalue closest to exp(2 pi i / order) and the derived diagnostics.
 
-    Distances, and then moduli, that agree within the spectrum's cluster
+    Searches the union of the given spectra, e.g. the blocks of one map.
+    Distances, and then moduli, that agree within the spectra's cluster
     tolerance tie. Among the nearest, largest eigenvalues the star is one
     with Im >= 0, then the nearest, then the smallest |Im|, so rounding
-    never picks the side of a conjugate pair.
+    never picks the side of a conjugate pair, not even across blocks.
     """
-    if sd.kind != "map":
-        raise ValueError("find_star expects a map-kind spectrum")
+    if not spectra or any(sd.kind != "map" for sd in spectra):
+        raise ValueError("find_star expects map-kind spectra")
     if order < 2:
         raise ValueError("subharmonic order must be >= 2")
     target = np.exp(2j * np.pi / order)
-    w = sd.eigenvalues
+    w = np.concatenate([sd.eigenvalues for sd in spectra])
+    tol = SpectralData.peripheral_tolerance
     dist = np.abs(w - target)
-    tied = dist <= dist.min() + sd.peripheral_tolerance
-    tied &= np.abs(w) >= np.abs(w[tied]).max() - sd.peripheral_tolerance
+    tied = dist <= dist.min() + tol
+    tied &= np.abs(w) >= np.abs(w[tied]).max() - tol
     best = np.lexsort((np.abs(w.imag), dist, w.imag < 0, ~tied))[0]
+    sizes = [sd.size for sd in spectra]
+    block = int(np.searchsorted(np.cumsum(sizes), best, side="right"))
     star = complex(w[best])
     gap = max(0.0, -np.log(max(abs(star), 1e-300)) / period)
-    return FloquetDiagnostics(star_eigenvalue=star, index=int(best),
+    return FloquetDiagnostics(star_eigenvalue=star, block=block,
+                              index=int(best - sum(sizes[:block])),
                               floquet_gap=gap, tc_distance=float(dist[best]),
                               subharmonic_order=order)
 
@@ -153,8 +183,7 @@ def rotation_error_map(p: KickedProtocol) -> np.ndarray:
     """
     ef = floquet_propagator(dataclasses.replace(p, error=0.0))
     g = p.kick_generator
-    one = np.ones(g.shape[0])
-    return -1j * _Terms([(g, one), (one, -g)]).columns(ef)
+    return -1j * _Terms([(g, None), (None, -g)]).columns(ef)
 
 
 def susceptibility(sd: SpectralData, v: np.ndarray, mu: int,
@@ -282,20 +311,23 @@ def translation_operator(length: int) -> np.ndarray:
     return t
 
 
-def translation_refine(sd: SpectralData, length: int,
-                       mu: int) -> SpectralData:
+def translation_refine(sd: SpectralData, length: int, mu: int,
+                       block=None) -> SpectralData:
     """Rotate the degenerate cluster of eps_mu into translation eigenvectors.
 
     For a translation-invariant map the refined left/right pairs make matrix
     elements of site operators independent of the site, which the single-site
-    disorder reduction relies on. Non-degenerate targets pass through.
+    disorder reduction relies on. Non-degenerate targets pass through. sd
+    is the spectrum of the map's block (rows, cols); None is the whole map.
+    T keeps parity, so restricting it to a parity block is exact.
     """
     cluster = sd.cluster(mu)
     if cluster.size == 1:
         return sd
-    block = sd.left[:, cluster].conj().T @ _conjugation(
-        translation_operator(length)).columns(sd.right[:, cluster])
-    tvals, tvecs = np.linalg.eig(block)
+    tmat = sd.left[:, cluster].conj().T @ _conjugation(
+        translation_operator(length)).restrict(block).columns(
+        sd.right[:, cluster])
+    tvals, tvecs = np.linalg.eig(tmat)
     right = sd.right.copy()
     left = sd.left.copy()
     right[:, cluster] = right[:, cluster] @ tvecs
@@ -303,24 +335,26 @@ def translation_refine(sd: SpectralData, length: int,
     return dataclasses.replace(sd, right=right, left=left)
 
 
-def disorder_susceptibility(sd: SpectralData, deltas, length: int,
-                            mu: int) -> DisorderSusceptibility:
+def disorder_susceptibility(sd: SpectralData, deltas, length: int, mu: int,
+                            block=None) -> DisorderSusceptibility:
     """Linear susceptibility of eps_mu to a site-dependent kick error.
 
     Reports the permutation-invariant single-site reduction
     (|eps|/2) |<<l| Z_0 (.) - (.) Z_0 |r>>| sum_r delta_r, together with the
-    full sum over -(i/2) delta_r <<l| [Z_r, .] E_F |r>>.
+    full sum over -(i/2) delta_r <<l| [Z_r, .] E_F |r>>. sd is the spectrum
+    of the map's block (rows, cols); None is the whole map.
     """
     deltas = np.asarray(deltas, dtype=float)
     if deltas.size != length:
         raise ValueError("one disorder amplitude per site is required")
+    rows, cols = block or (np.arange(2 ** length),) * 2
     eps = sd.eigenvalues[mu]
-    l = devectorize(sd.left[:, mu])
-    r = devectorize(sd.right[:, mu])
+    l = sd.left[:, mu].reshape(rows.size, cols.size)
+    r = sd.right[:, mu].reshape(rows.size, cols.size)
     elements = np.empty(length, dtype=complex)
     for site in range(length):
         z = np.diag(site_operator("Z", site, length)).real
-        weight = z[:, None] - z[None, :]
+        weight = z[rows][:, None] - z[cols][None, :]
         elements[site] = np.vdot(l, weight * r)
     single = 0.5 * abs(eps) * abs(elements[0]) * float(np.sum(deltas))
     full = 0.5 * abs(eps) * abs(np.sum(deltas * elements))

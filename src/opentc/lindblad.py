@@ -9,9 +9,10 @@ import numpy as np
 
 from .operators import hermitize, sandwich
 
-HERMITICITY_TOL = 1e-10       # absolute, as all three; README "Tolerances"
+HERMITICITY_TOL = 1e-10       # absolute, as all four; README "Tolerances"
 STATE_PSD_TOL = 1e-8
 TRACE_TOL = 1e-8
+SECTOR_TOL = 1e-10
 
 
 class Generator(Protocol):
@@ -20,28 +21,30 @@ class Generator(Protocol):
     Implemented by LindbladModel and xy.NumericGenerator. matrix() acts on
     row-major vectorized states, its conjugate transpose is the adjoint
     action, and trace() equals np.trace(matrix()) without building it.
+    matrix(block) is the generator on one block (rows, cols) of rho, built
+    from restricted factors (see _Terms.restrict).
     """
 
     def action(self, rho: np.ndarray) -> np.ndarray: ...
     def adjoint_action(self, a: np.ndarray) -> np.ndarray: ...
-    def matrix(self) -> np.ndarray: ...
+    def matrix(self, block=None) -> np.ndarray: ...
     def trace(self) -> complex: ...
 
 
 class _Terms:
     """A superoperator as a sum of sandwiches, L(rho) = sum_k A_k rho B_k.
 
-    A factor is a d x d matrix or, when diagonal, its length-d diagonal as a
-    1-D array (the identity is ones(d)). Generators, kicks and the other
-    superoperators only build their factor pairs; the action, adjoint,
-    matrix and trace are written once here. The actions also take a stack
-    of operators, shape (..., d, d).
+    A factor is a d x d matrix, its length-d diagonal as a 1-D array when it
+    is diagonal, or None for the identity, which the actions skip.
+    Generators, kicks and the other superoperators only build their factor
+    pairs; the action, adjoint, matrix and trace are written once here. The
+    actions also take a stack of operators, shape (..., d, d).
     """
 
     def __init__(self, pairs):
-        self.pairs = tuple((np.asarray(a, dtype=complex),
-                            np.asarray(b, dtype=complex)) for a, b in pairs)
-        self.dim = self.pairs[0][1].shape[0]
+        self.pairs = tuple((_factor(a), _factor(b)) for a, b in pairs)
+        self.dim = next(f.shape[0] for pair in self.pairs for f in pair
+                        if f is not None)
 
     def _apply(self, pairs, x) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
@@ -50,8 +53,8 @@ class _Terms:
                              "dimension")
         out = np.zeros_like(x)
         for a, b in pairs:
-            ax = a[:, None] * x if a.ndim == 1 else a @ x
-            out += ax * b if b.ndim == 1 else ax @ b
+            ax = x if a is None else a[:, None] * x if a.ndim == 1 else a @ x
+            out += ax if b is None else ax * b if b.ndim == 1 else ax @ b
         return out
 
     def action(self, rho) -> np.ndarray:
@@ -59,7 +62,8 @@ class _Terms:
 
     def adjoint_action(self, a) -> np.ndarray:
         """sum_k A_k^dag a B_k^dag, as conj(sum_k A_k^T conj(a) B_k^T)."""
-        out = self._apply(((l.T, r.T) for l, r in self.pairs), np.conj(a))
+        out = self._apply(((_transpose(l), _transpose(r))
+                           for l, r in self.pairs), np.conj(a))
         return np.conj(out, out=out)
 
     def columns(self, m) -> np.ndarray:
@@ -69,7 +73,8 @@ class _Terms:
         return self.action(m.T.reshape(-1, d, d)).reshape(-1, d * d).T
 
     def matrix(self) -> np.ndarray:
-        full = lambda f: np.diag(f) if f.ndim == 1 else f
+        full = lambda f: (np.eye(self.dim) if f is None
+                          else np.diag(f) if f.ndim == 1 else f)
         out = np.zeros((self.dim ** 2,) * 2, dtype=complex)
         for a, b in self.pairs:
             out += sandwich(full(a), full(b))
@@ -77,8 +82,47 @@ class _Terms:
 
     def trace(self) -> complex:
         """sum_k tr(A_k) tr(B_k), the trace of matrix()."""
-        tr = lambda f: np.sum(f) if f.ndim == 1 else np.trace(f)
+        tr = lambda f: (self.dim if f is None
+                        else np.sum(f) if f.ndim == 1 else np.trace(f))
         return complex(sum(tr(a) * tr(b) for a, b in self.pairs))
+
+    def restrict(self, block) -> _Terms:
+        """The superoperator on the block rho[rows][:, cols], block = (rows, cols).
+
+        Each left factor becomes A[rows, rows] and each right factor
+        B[cols, cols]. That is exact when every factor keeps rows, and cols,
+        apart from the other indices; a dropped entry above SECTOR_TOL
+        raises ValueError. None is the whole of rho.
+        """
+        if block is None:
+            return self
+        rows, cols = block
+        return _Terms([(_restrict(a, rows), _restrict(b, cols))
+                       for a, b in self.pairs])
+
+
+def _factor(f):
+    return None if f is None else np.asarray(f, dtype=complex)
+
+
+def _transpose(f):
+    return None if f is None else f.T
+
+
+def _restrict(f, idx: np.ndarray):
+    """f on the indices idx; checks the entries that couple them to the rest."""
+    if f is None:
+        return None
+    if f.ndim == 1:
+        return f[idx]
+    rest = np.ones(f.shape[0], dtype=bool)
+    rest[idx] = False
+    leak = max(np.abs(f[np.ix_(idx, rest)]).max(initial=0.0),
+               np.abs(f[np.ix_(rest, idx)]).max(initial=0.0))
+    if leak > SECTOR_TOL:
+        raise ValueError(f"a factor couples the sector to its complement "
+                         f"(entry {leak:.2e} > SECTOR_TOL)")
+    return f[np.ix_(idx, idx)]
 
 
 @dataclass(frozen=True)
@@ -123,9 +167,8 @@ class LindbladModel:
         object.__setattr__(self, "jumps", jumps)
         k = -1j * h - 0.5 * sum(j.rate * (j.operator.conj().T @ j.operator)
                                 for j in jumps)
-        one = np.ones(self.dim)
         object.__setattr__(self, "_terms", _Terms(
-            [(k, one), (one, k.conj().T)]
+            [(k, None), (None, k.conj().T)]
             + [(j.rate * j.operator, j.operator.conj().T) for j in jumps]))
 
     @property
@@ -138,8 +181,8 @@ class LindbladModel:
     def adjoint_action(self, a: np.ndarray) -> np.ndarray:
         return adjoint_liouvillian_action(self, a)
 
-    def matrix(self) -> np.ndarray:
-        return liouvillian_matrix(self)
+    def matrix(self, block=None) -> np.ndarray:
+        return liouvillian_matrix(self, block)
 
     def trace(self) -> complex:
         """Trace of matrix(), without building it."""
@@ -151,9 +194,12 @@ def liouvillian_action(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
     return model._terms.action(rho)
 
 
-def liouvillian_matrix(model: LindbladModel) -> np.ndarray:
-    """Vectorized generator matrix acting on row-major vectorized states."""
-    return model._terms.matrix()
+def liouvillian_matrix(model: LindbladModel, block=None) -> np.ndarray:
+    """Vectorized generator matrix acting on row-major vectorized states.
+
+    With block = (rows, cols), the generator on rho[rows][:, cols] only.
+    """
+    return model._terms.restrict(block).matrix()
 
 
 def adjoint_liouvillian_action(model: LindbladModel, a: np.ndarray) -> np.ndarray:

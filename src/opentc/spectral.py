@@ -95,9 +95,7 @@ def decompose(s: np.ndarray, kind: str = "generator") -> SpectralData:
                         -np.round(w.real / tol)))
     w, vl, vr = w[order], vl[:, order], vr[:, order]
     defective = np.zeros(w.size, dtype=bool)
-    # labels in order of each cluster's first member
-    n_clusters, clusters = connected_components(scipy.sparse.csr_array(
-        np.abs(w[:, None] - w[None, :]) < tol), directed=False)
+    n_clusters, clusters = _clusters(w)
     for label in range(n_clusters):
         idx = np.nonzero(clusters == label)[0]
         gram = vl[:, idx].conj().T @ vr[:, idx]
@@ -110,6 +108,30 @@ def decompose(s: np.ndarray, kind: str = "generator") -> SpectralData:
         vl[:, idx] = vl[:, idx] @ np.linalg.inv(gram).conj().T
     return SpectralData(eigenvalues=w, right=vr, left=vl, kind=kind,
                         defective=defective, clusters=clusters)
+
+
+def _clusters(w: np.ndarray) -> tuple:
+    """Connected components of |w_i - w_j| < SPECTRAL_TOL: (count, labels).
+
+    Labels are in order of each cluster's first member. Neighbours are
+    looked for after a sort by real part, offset by offset, until no pair
+    at an offset has real parts within the tolerance, so no n x n array
+    is formed.
+    """
+    order = np.argsort(w.real, kind="stable")
+    ws = w[order]
+    pairs = [np.empty((2, 0), dtype=int)]
+    for k in range(1, w.size):
+        # real gaps grow with the offset; 2 tol leaves room for rounding
+        near = np.flatnonzero(ws[k:].real - ws[:-k].real <= 2 * SPECTRAL_TOL)
+        if near.size == 0:
+            break
+        near = near[np.abs(ws[near + k] - ws[near]) < SPECTRAL_TOL]
+        pairs.append(order[np.stack((near, near + k))])
+    i, j = np.concatenate(pairs, axis=1)
+    graph = scipy.sparse.csr_array((np.ones(i.size, dtype=bool), (i, j)),
+                                   shape=(w.size, w.size))
+    return connected_components(graph, directed=False)
 
 
 def asymptotic_subspace(sd: SpectralData) -> AsymptoticSubspace:

@@ -260,7 +260,7 @@ class NumericGenerator:
     sandwiches (-iH - M_z D^dag, 1), (1, iH - D M_z), (M_z, D) and
     (D^dag, M_z), with M_z kept as its diagonal, so the action costs four
     dense matrix products plus diagonal scalings; matrix() expands the
-    superoperator for small chains.
+    superoperator, or one block of it, for small chains.
     """
 
     def __init__(self, p: XYParams, bath: BathSpec):
@@ -270,9 +270,8 @@ class NumericGenerator:
         self.dissipator = d = numerical_dissipator(p, bath)
         self.mz_diag = z = np.diag(magnetization("Z", p.length)).real
         d_dag = d.conj().T
-        one = np.ones(p.dim)
-        self._terms = _Terms([(-1j * h - z[:, None] * d_dag, one),
-                              (one, 1j * h - d * z[None, :]),
+        self._terms = _Terms([(-1j * h - z[:, None] * d_dag, None),
+                              (None, 1j * h - d * z[None, :]),
                               (z, d), (d_dag, z)])
 
     @property
@@ -285,8 +284,8 @@ class NumericGenerator:
     def adjoint_action(self, a: np.ndarray) -> np.ndarray:
         return self._terms.adjoint_action(a)
 
-    def matrix(self) -> np.ndarray:
-        return self._terms.matrix()
+    def matrix(self, block=None) -> np.ndarray:
+        return self._terms.restrict(block).matrix()
 
     def trace(self) -> complex:
         """Trace of matrix(), without building it."""

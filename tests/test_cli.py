@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from opentc import experiments
+from opentc import cli, experiments
 from opentc.cli import main
 
 
@@ -94,6 +94,40 @@ def test_failed_grid_point_exit_code(tmp_path, capsys, monkeypatch, command):
     assert json.loads(header[1:])["failures"] == 1
     assert sum("error: injected" in line for line in lines) == 1
     assert "1 row(s) failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, values", [
+    ("sweep", {"eta_grid": []}), ("sweep", {"h_grid": []}),
+    ("scaling", {"l_grid": []})])
+def test_empty_grid_exit_code(tmp_path, capsys, command, values):
+    cfg = write_config(tmp_path, **values)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert "must not be empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unwritable_output_exit_code(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setitem(cli._RUNNERS, "validate", calls.append)
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert main(["validate", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"cannot write {out}" in err
+        assert "Traceback" not in err
+    assert calls == []   # refused before the runner started
+
+
+def test_write_failure_exit_code(tmp_path, capsys, monkeypatch):
+    def failing(self, path):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(experiments.ResultTable, "write", failing)
+    out = tmp_path / "trace.csv"
+    assert main(["trace", "--config", write_config(tmp_path),
+                 "--out", str(out)]) == 1
+    assert f"cannot write {out}: [Errno 13] Permission denied" in \
+        capsys.readouterr().err
 
 
 def test_unknown_key_exit_code(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import opentc
+from opentc import spectral
 from opentc.experiments import (ConfigError, ExperimentConfig, ResultTable,
                                 _initial_state, _protocol, _sweep_point,
                                 load_config, run_disorder, run_scaling,
@@ -40,7 +41,8 @@ def test_config_validation():
                 dict(h_grid=(True,)), dict(eta_grid=(None,)), dict(seed=-1),
                 dict(eta="x"), dict(beta="abc"), dict(gamma="x"),
                 dict(j=True), dict(beta=-1.0), dict(beta=0.0),
-                dict(beta=float("nan")), dict(beta=-np.inf)):
+                dict(beta=float("nan")), dict(beta=-np.inf),
+                dict(h_grid=()), dict(eta_grid=()), dict(l_grid=())):
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad)
 
@@ -169,6 +171,22 @@ def test_default_sweep_stars_have_nonnegative_imaginary_part():
     assert min(table.column("star_im")) >= 0.0
 
 
+def test_default_dense_runners_decompose_parity_blocks(monkeypatch):
+    # the default L=4 runners never fall back to the full 256 x 256 map
+    decompose = spectral.decompose
+    shapes = []
+
+    def recording(s, kind="generator"):
+        shapes.append(np.shape(s))
+        return decompose(s, kind=kind)
+
+    monkeypatch.setattr(spectral, "decompose", recording)
+    for run in (run_sweep, run_spectrum, run_disorder):
+        shapes.clear()
+        run(ExperimentConfig())
+        assert shapes and max(max(shape) for shape in shapes) == 64, run
+
+
 def test_sweep_point_flags_failures():
     row = _sweep_point((small_config(), 0.0, 0.0, 3))
     assert row[-1].startswith("error:")
@@ -210,6 +228,13 @@ def test_run_spectrum_contents():
     assert len(table.rows) == 2 * dim ** 2
     kinds = set(table.column("kind"))
     assert kinds == {"generator", "map"}
+    # one parity block (P of the rows, P of the columns of rho) per row
+    assert table.columns[:3] == ["kind", "sector", "index"]
+    for kind in kinds:
+        sectors = [s for k, s in zip(table.column("kind"),
+                                     table.column("sector")) if k == kind]
+        assert {s: sectors.count(s) for s in set(sectors)} == dict.fromkeys(
+            ["++", "+-", "-+", "--"], dim ** 2 // 4)
     assert "floquet_gap" in table.metadata
     assert "tc_distance" in table.metadata
     with pytest.raises(ConfigError):

@@ -58,8 +58,9 @@ class UniformDecay:
     def adjoint_action(self, a):
         return -a
 
-    def matrix(self):
-        return -np.eye(4, dtype=complex)
+    def matrix(self, block=None):
+        n = 2 if block is None else len(block[0])
+        return -np.eye(n * n, dtype=complex)
 
     def trace(self):
         return -4.0

@@ -187,3 +187,40 @@ def test_sandwich_sum_columns_stacks_and_adjoint(terms_and_rng, n):
         adj = devectorize(mat.conj().T @ vectorize(stack[k]))
         assert np.max(np.abs(terms.adjoint_action(stack[k]) - adj)) \
             <= 1e-13 * max(1.0, np.max(np.abs(adj)))
+
+
+def former_action(terms, x):
+    """The evaluator before identity factors were skipped: each identity
+    factor was multiplied in as the diagonal ones(d)."""
+    out = np.zeros_like(x)
+    one = np.ones(terms.dim, dtype=complex)
+    for a, b in terms.pairs:
+        a = one if a is None else a
+        b = one if b is None else b
+        ax = a[:, None] * x if a.ndim == 1 else a @ x
+        out += ax * b if b.ndim == 1 else ax @ b
+    return out
+
+
+@pytest.mark.parametrize("name", ["secular-independent-L4", "numeric-L4"])
+def test_skipped_identity_factors_are_bitwise_unchanged(name):
+    gen = GENERATORS[name]()
+    par = np.array([bin(i).count("1") % 2 for i in range(gen.dim)])
+    even, odd = np.flatnonzero(par == 0), np.flatnonzero(par == 1)
+    rng = np.random.default_rng(8)
+    for terms in (gen._terms, gen._terms.restrict((even, odd))):
+        assert any(f is None for pair in terms.pairs for f in pair)
+        x = random_operator(rng, terms.dim)
+        assert np.array_equal(terms.action(x), former_action(terms, x))
+
+
+def test_restricted_block_matches_full_matrix():
+    gen = GENERATORS["numeric-L4"]()
+    par = np.array([bin(i).count("1") % 2 for i in range(16)])
+    rows, cols = np.flatnonzero(par == 0), np.flatnonzero(par == 1)
+    full = gen.matrix()
+    keep = (rows[:, None] * 16 + cols[None, :]).reshape(-1)
+    block = gen.matrix((rows, cols))
+    assert np.max(np.abs(block - full[np.ix_(keep, keep)])) < 1e-14
+    assert abs(gen._terms.restrict((rows, cols)).trace()
+               - np.trace(block)) < 1e-12

@@ -6,7 +6,7 @@ import scipy.linalg
 
 from opentc.lindblad import JumpChannel, LindbladModel, liouvillian_matrix
 from opentc.operators import devectorize, pauli, vectorize
-from opentc.spectral import (SPECTRAL_TOL, asymptotic_state,
+from opentc.spectral import (SPECTRAL_TOL, _clusters, asymptotic_state,
                              asymptotic_subspace, decompose, dissipative_gap,
                              dual_basis)
 
@@ -211,3 +211,20 @@ def test_eigenvalue_order_ignores_rounding_noise():
         noise = 1e-14 * (rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
         got = decompose(s + noise, kind="map").eigenvalues
         assert np.max(np.abs(got - ref)) < 1e-10
+
+
+def test_clusters_with_shared_real_parts_match_breadth_first_reference():
+    # exact values: conjugate pairs, a column of equal real parts (so the
+    # sorted neighbour search runs past the first offset), duplicates and
+    # a chain wider than the tolerance
+    rng = np.random.default_rng(12)
+    column = -0.3 + 1j * SPECTRAL_TOL * np.arange(-20, 21) * 0.7
+    chain = 0.2 + np.cumsum(np.full(6, 0.8 * SPECTRAL_TOL))
+    pairs = rng.uniform(-1, 1, 10) + 1j * rng.uniform(0.1, 1, 10)
+    for w in (np.concatenate([column, chain, pairs, pairs.conj(),
+                              np.zeros(5), np.full(3, 1j)]),
+              np.full(7, 0.5), np.array([0.25]), 1j * np.arange(30.0)):
+        w = w[rng.permutation(w.size)]
+        count, labels = _clusters(w)
+        assert np.array_equal(labels, breadth_first_clusters(w, SPECTRAL_TOL))
+        assert count == labels.max() + 1
