@@ -190,13 +190,15 @@ def _metadata(cfg: ExperimentConfig, kind: str) -> dict:
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
 
 
-def _protocol(cfg: ExperimentConfig, h: float, eta: float, length: int):
+def _protocol(cfg: ExperimentConfig, h: float, eta: float, length: int,
+              sectors: tuple | None = None):
     """XY parameters plus the kicked protocol at one grid point.
 
     Each period runs the chosen dissipative generator, then the
     period-doubling kick exp(-i (pi + eta) M_z / 2). Both keep the parity
-    P = prod Z_r of each side of rho, so the protocol's sectors are the
-    P = +1 and P = -1 basis indices, in that order.
+    P = prod Z_r of each side of rho and commute with the translation T.
+    The protocol's sectors are `sectors` if given, else the P = +1 and
+    P = -1 basis indices, in that order.
     """
     params = xy.XYParams(j=cfg.j, gamma=cfg.resolved_gamma(h), h=h,
                          length=length)
@@ -205,12 +207,14 @@ def _protocol(cfg: ExperimentConfig, h: float, eta: float, length: int):
         gen = xy.NumericGenerator(params, bath)
     else:
         gen = xy.secular_liouvillian(params, bath, cfg.dissipator_mode)
-    parity = np.diag(xy.parity_operator(length)).real
+    if sectors is None:
+        parity = np.diag(xy.parity_operator(length)).real
+        sectors = tuple(np.flatnonzero(parity == sign)
+                        for sign in (1.0, -1.0))
     return params, floquet.KickedProtocol(
         model=gen, period=cfg.period,
         kick_generator=np.diag(magnetization("Z", length)).real / 2,
-        error=eta, sectors=tuple(np.flatnonzero(parity == sign)
-                                 for sign in (1.0, -1.0)))
+        error=eta, sectors=sectors)
 
 
 def _block_spectra(proto: floquet.KickedProtocol, kind: str = "map") -> list:
@@ -232,8 +236,14 @@ def _initial_state(cfg: ExperimentConfig, params: xy.XYParams) -> np.ndarray:
 
 
 def _trace_mx(cfg: ExperimentConfig, length: int, n_periods: int) -> list:
-    """m_x(nT) for n = 0..n_periods under dissipate-then-kick periods."""
-    params, proto = _protocol(cfg, cfg.h, cfg.eta, length)
+    """m_x(nT) for n = 0..n_periods under dissipate-then-kick periods.
+
+    The protocol's sectors are the momentum eigenspaces of T; both initial
+    states are translation invariant, so the stepper evolves their k = 0
+    block only.
+    """
+    params, proto = _protocol(cfg, cfg.h, cfg.eta, length,
+                              floquet.momentum_sectors(length))
     mx = magnetization_per_spin("X", length)
     states = floquet.stroboscopic_evolve(proto, _initial_state(cfg, params),
                                          n_periods)

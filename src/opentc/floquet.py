@@ -10,8 +10,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .lindblad import (HERMITICITY_TOL, TRACE_TOL, Generator, _Terms,
-                       check_state)
+from .lindblad import (HERMITICITY_TOL, SECTOR_TOL, TRACE_TOL, Generator,
+                       _Terms, check_state)
 from .operators import (UNITARITY_TOL, devectorize, hermitize, is_unitary,
                         site_operator, trace_functional, vectorize)
 from .spectral import SpectralData
@@ -28,9 +28,11 @@ class KickedProtocol:
     1-D kick generator is a diagonal, and its kick unitary is 1-D too. The
     model is a generator (lindblad.LindbladModel or xy.NumericGenerator);
     floquet_propagator uses its matrix, stroboscopic_evolve its actions.
-    `sectors` are basis-index arrays of one size that split the basis and
+    `sectors` are isometries (d x n matrices, n may differ between them)
+    whose columns together form an orthonormal basis, spanning subspaces
     that the model and the kick keep apart; the map is then block-diagonal
-    over `blocks`. The default is one sector holding every index.
+    over `blocks`. An index array stands for the identity columns it
+    selects. The default is one sector, the whole space.
     """
 
     model: Generator
@@ -49,12 +51,14 @@ class KickedProtocol:
             raise ValueError("kick generator must be Hermitian")
         object.__setattr__(self, "kick_generator", g)
         d = g.shape[0]
-        sectors = tuple(np.asarray(s, dtype=int) for s in
-                        (self.sectors or (np.arange(d),)))
-        if (len({s.size for s in sectors}) != 1 or not np.array_equal(
-                np.sort(np.concatenate(sectors)), np.arange(d))):
-            raise ValueError("sectors must split the basis indices into "
-                             "sets of one size")
+        sectors = tuple(
+            np.eye(d, dtype=complex)[:, np.asarray(s, dtype=int)]
+            if np.ndim(s) == 1 else np.asarray(s, dtype=complex)
+            for s in (self.sectors or (np.arange(d),)))
+        basis = np.hstack(sectors)
+        if basis.shape != (d, d) or not is_unitary(basis):
+            raise ValueError("sectors must be isometries whose columns "
+                             "together form an orthonormal basis")
         object.__setattr__(self, "sectors", sectors)
 
     @property
@@ -126,7 +130,7 @@ def _conjugation(u: np.ndarray) -> _Terms:
 
 
 def floquet_propagator(p: KickedProtocol, block=None) -> np.ndarray:
-    """(U_K o U_K^*) exp(L T) on the block (rows, cols) of rho; None is all.
+    """(U_K o U_K^*) exp(L T) on the block rows^dag rho cols; None is all.
 
     The generator block is exponentiated and the kick, restricted the same
     way, applied to it; a block of p.blocks is exact, and a model or kick
@@ -227,11 +231,14 @@ def stroboscopic_evolve(p: KickedProtocol, rho0: np.ndarray,
                         n: int) -> Iterator[np.ndarray]:
     """Yield the states rho(kT) for k = 0..n under E_F, without building it.
 
-    Each period is one scipy expm_multiply on the generator's action and
-    adjoint action, with traceA from its trace(), followed by the kick; the
-    state is hermitized after every period. Arguments are checked when
-    called; a non-finite trace, or one drifting from 1 by more than
-    TRACE_TOL, raises RuntimeError.
+    Only the sectors of p that rho0 touches are evolved: with U the union
+    of those whose s^dag rho0 has an entry above SECTOR_TOL, the stepper
+    evolves r = U^dag rho U and yields U r U^dag. When rho0 touches every
+    sector, r is rho itself. Each period is one scipy expm_multiply on the
+    generator's action and adjoint action on r, with traceA from its
+    trace(), followed by the kick; r is hermitized after every period.
+    Arguments are checked when called; a non-finite trace, or one drifting
+    from 1 by more than TRACE_TOL, raises RuntimeError.
     """
     if n < 0:
         raise ValueError("number of periods must be >= 0")
@@ -244,14 +251,22 @@ def _stroboscopic_states(p: KickedProtocol, rho: np.ndarray,
     yield rho
     if n == 0:
         return
+    touched = [s for s in p.sectors
+               if np.abs(s.conj().T @ rho).max() > SECTOR_TOL]
+    block = None
+    if len(touched) < len(p.sectors):
+        u = np.hstack(touched)
+        block = (u, u)
+        rho = u.conj().T @ rho @ u
     gen = p.model
     d = rho.shape[0]
     op = p.period * scipy.sparse.linalg.LinearOperator(
         shape=(d * d, d * d), dtype=complex,
-        matvec=lambda v: gen.action(v.reshape(d, d)).reshape(-1),
-        rmatvec=lambda v: gen.adjoint_action(v.reshape(d, d)).reshape(-1))
-    tra = complex(gen.trace()) * p.period
-    kick = _conjugation(p.kick_unitary)
+        matvec=lambda v: gen.action(v.reshape(d, d), block).reshape(-1),
+        rmatvec=lambda v: gen.adjoint_action(v.reshape(d, d),
+                                             block).reshape(-1))
+    tra = complex(gen.trace(block)) * p.period
+    kick = _conjugation(p.kick_unitary).restrict(block)
     vec = vectorize(rho)
     for _ in range(n):
         vec = scipy.sparse.linalg.expm_multiply(op, vec, traceA=tra)
@@ -260,7 +275,7 @@ def _stroboscopic_states(p: KickedProtocol, rho: np.ndarray,
         if not (np.isfinite(trace) and abs(trace - 1.0) <= TRACE_TOL):
             raise RuntimeError(f"trace {trace} drifted during stroboscopic "
                                f"evolution")
-        yield rho
+        yield rho if block is None else u @ rho @ u.conj().T
         vec = vectorize(rho)
 
 
@@ -302,13 +317,46 @@ def check_observation6(map_sd: SpectralData, u_kick: np.ndarray,
                               kick_asymptotic_eigenvalues=uvals)
 
 
+def _shift(length: int) -> np.ndarray:
+    """The basis index of T|i> for every basis index i."""
+    i = np.arange(2 ** length)
+    return (i >> 1) | ((i & 1) << (length - 1))
+
+
 def translation_operator(length: int) -> np.ndarray:
     """One-site cyclic shift T with T Z_r T^dag = Z_{r+1 mod L}."""
     d = 2 ** length
     t = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        t[(i >> 1) | ((i & 1) << (length - 1)), i] = 1.0
+    t[_shift(length), np.arange(d)] = 1.0
     return t
+
+
+def momentum_sectors(length: int) -> tuple:
+    """The eigenspaces of T as isometries V_k, T V_k = e^(2 pi i k / L) V_k.
+
+    One V_k for each k = 0..L-1. Each column is the Fourier sum over one
+    orbit of the cyclic shift, sum_j e^(-2 pi i k j / L) T^j |s> / sqrt(p)
+    over the orbit's p states, |s> its smallest basis state; an orbit has a
+    column in V_k when k p is a multiple of L. Columns are ordered by s.
+    """
+    d = 2 ** length
+    shift = _shift(length)
+    orbit = [np.arange(d)]                  # orbit[j][i]: index of T^j |i>
+    for _ in range(length - 1):
+        orbit.append(shift[orbit[-1]])
+    orbit = np.array(orbit)
+    period = length // np.sum(orbit == orbit[0], axis=0)
+    rep = orbit.min(axis=0)
+    offset = np.argmax(orbit[:, rep] == orbit[0], axis=0)  # T^offset rep = i
+    sectors = []
+    for k in range(length):
+        keep = (k * period) % length == 0
+        _, col = np.unique(rep[keep], return_inverse=True)
+        v = np.zeros((d, col.max() + 1), dtype=complex)
+        v[keep, col] = (np.exp(-2j * np.pi * k * offset[keep] / length)
+                        / np.sqrt(period[keep]))
+        sectors.append(v)
+    return tuple(sectors)
 
 
 def translation_refine(sd: SpectralData, length: int, mu: int,
@@ -347,15 +395,13 @@ def disorder_susceptibility(sd: SpectralData, deltas, length: int, mu: int,
     deltas = np.asarray(deltas, dtype=float)
     if deltas.size != length:
         raise ValueError("one disorder amplitude per site is required")
-    rows, cols = block or (np.arange(2 ** length),) * 2
     eps = sd.eigenvalues[mu]
-    l = sd.left[:, mu].reshape(rows.size, cols.size)
-    r = sd.right[:, mu].reshape(rows.size, cols.size)
     elements = np.empty(length, dtype=complex)
     for site in range(length):
         z = np.diag(site_operator("Z", site, length)).real
-        weight = z[rows][:, None] - z[cols][None, :]
-        elements[site] = np.vdot(l, weight * r)
+        commutator = _Terms([(z, None), (None, -z)]).restrict(block)
+        elements[site] = np.vdot(sd.left[:, mu],
+                                 commutator.columns(sd.right[:, mu:mu + 1]))
     single = 0.5 * abs(eps) * abs(elements[0]) * float(np.sum(deltas))
     full = 0.5 * abs(eps) * abs(np.sum(deltas * elements))
     return DisorderSusceptibility(single_site=float(single),

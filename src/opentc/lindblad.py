@@ -21,34 +21,39 @@ class Generator(Protocol):
     Implemented by LindbladModel and xy.NumericGenerator. matrix() acts on
     row-major vectorized states, its conjugate transpose is the adjoint
     action, and trace() equals np.trace(matrix()) without building it.
-    matrix(block) is the generator on one block (rows, cols) of rho, built
-    from restricted factors (see _Terms.restrict).
+    Each method also takes a block (rows, cols) of isometries and is then
+    the generator on r = rows^dag rho cols, built from restricted factors
+    (see _Terms.restrict); the actions take and return that r.
     """
 
-    def action(self, rho: np.ndarray) -> np.ndarray: ...
-    def adjoint_action(self, a: np.ndarray) -> np.ndarray: ...
+    def action(self, rho: np.ndarray, block=None) -> np.ndarray: ...
+    def adjoint_action(self, a: np.ndarray, block=None) -> np.ndarray: ...
     def matrix(self, block=None) -> np.ndarray: ...
-    def trace(self) -> complex: ...
+    def trace(self, block=None) -> complex: ...
 
 
 class _Terms:
     """A superoperator as a sum of sandwiches, L(rho) = sum_k A_k rho B_k.
 
-    A factor is a d x d matrix, its length-d diagonal as a 1-D array when it
-    is diagonal, or None for the identity, which the actions skip.
-    Generators, kicks and the other superoperators only build their factor
-    pairs; the action, adjoint, matrix and trace are written once here. The
-    actions also take a stack of operators, shape (..., d, d).
+    A factor is a square matrix, its diagonal as a 1-D array when it is
+    diagonal, or None for the identity, which the actions skip. Generators,
+    kicks and the other superoperators only build their factor pairs; the
+    action, adjoint, matrix and trace are written once here. `shape` is
+    that of the operators it acts on, (d, d) unless it is restricted to a
+    rectangular block. The actions also take a stack of operators, shape
+    (..., *shape).
     """
 
-    def __init__(self, pairs):
+    def __init__(self, pairs, shape=None):
         self.pairs = tuple((_factor(a), _factor(b)) for a, b in pairs)
-        self.dim = next(f.shape[0] for pair in self.pairs for f in pair
-                        if f is not None)
+        d = next(f.shape[0] for pair in self.pairs for f in pair
+                 if f is not None)
+        self.shape = shape or (d, d)
+        self._restricted = (None, None)
 
     def _apply(self, pairs, x) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
-        if x.shape[-2:] != (self.dim, self.dim):
+        if x.shape[-2:] != self.shape:
             raise ValueError("operator dimension differs from superoperator "
                              "dimension")
         out = np.zeros_like(x)
@@ -68,37 +73,52 @@ class _Terms:
 
     def columns(self, m) -> np.ndarray:
         """matrix() @ m, reading each column of m as a vectorized operator."""
-        d = self.dim
         m = np.asarray(m, dtype=complex)
-        return self.action(m.T.reshape(-1, d, d)).reshape(-1, d * d).T
+        return self.action(m.T.reshape(-1, *self.shape)).reshape(
+            -1, m.shape[0]).T
 
     def matrix(self) -> np.ndarray:
-        full = lambda f: (np.eye(self.dim) if f is None
-                          else np.diag(f) if f.ndim == 1 else f)
-        out = np.zeros((self.dim ** 2,) * 2, dtype=complex)
+        rows, cols = self.shape
+        full = lambda f, n: (np.eye(n) if f is None
+                             else np.diag(f) if f.ndim == 1 else f)
+        # sandwich takes the factors of a square rho only
+        kron = (sandwich if rows == cols
+                else lambda a, b: np.kron(a, b.T))
+        out = np.zeros((rows * cols,) * 2, dtype=complex)
         for a, b in self.pairs:
-            out += sandwich(full(a), full(b))
+            out += kron(full(a, rows), full(b, cols))
         return out
 
     def trace(self) -> complex:
         """sum_k tr(A_k) tr(B_k), the trace of matrix()."""
-        tr = lambda f: (self.dim if f is None
-                        else np.sum(f) if f.ndim == 1 else np.trace(f))
-        return complex(sum(tr(a) * tr(b) for a, b in self.pairs))
+        tr = lambda f, n: (n if f is None
+                           else np.sum(f) if f.ndim == 1 else np.trace(f))
+        rows, cols = self.shape
+        return complex(sum(tr(a, rows) * tr(b, cols) for a, b in self.pairs))
 
     def restrict(self, block) -> _Terms:
-        """The superoperator on the block rho[rows][:, cols], block = (rows, cols).
+        """The superoperator on r = rows^dag rho cols, block = (rows, cols).
 
-        Each left factor becomes A[rows, rows] and each right factor
-        B[cols, cols]. That is exact when every factor keeps rows, and cols,
-        apart from the other indices; a dropped entry above SECTOR_TOL
-        raises ValueError. None is the whole of rho.
+        rows and cols are isometries (d x n matrices with orthonormal
+        columns). Each left factor becomes rows^dag A rows and each right
+        factor cols^dag B cols; a diagonal factor stays 1-D when its
+        restriction is diagonal. That is exact when every factor keeps the
+        span of rows, and of cols: an entry above SECTOR_TOL in
+        A rows - rows (rows^dag A rows) or rows^dag A - (rows^dag A rows)
+        rows^dag (and the same for B and cols) raises ValueError. None is
+        the whole of rho. The last block is remembered by identity, so a
+        caller that passes one block object many times restricts once.
         """
         if block is None:
             return self
-        rows, cols = block
-        return _Terms([(_restrict(a, rows), _restrict(b, cols))
-                       for a, b in self.pairs])
+        last, terms = self._restricted
+        if block is not last:
+            rows, cols = block
+            terms = _Terms([(_restrict(a, rows), _restrict(b, cols))
+                            for a, b in self.pairs],
+                           shape=(rows.shape[1], cols.shape[1]))
+            self._restricted = (block, terms)
+        return terms
 
 
 def _factor(f):
@@ -109,20 +129,23 @@ def _transpose(f):
     return None if f is None else f.T
 
 
-def _restrict(f, idx: np.ndarray):
-    """f on the indices idx; checks the entries that couple them to the rest."""
+def _restrict(f, v: np.ndarray):
+    """v^dag f v for the isometry v; checks that f keeps the span of v."""
     if f is None:
         return None
-    if f.ndim == 1:
-        return f[idx]
-    rest = np.ones(f.shape[0], dtype=bool)
-    rest[idx] = False
-    leak = max(np.abs(f[np.ix_(idx, rest)]).max(initial=0.0),
-               np.abs(f[np.ix_(rest, idx)]).max(initial=0.0))
+    v_dag = v.conj().T
+    fv = f[:, None] * v if f.ndim == 1 else f @ v
+    vf = v_dag * f if f.ndim == 1 else v_dag @ f
+    out = v_dag @ fv
+    leak = max(np.abs(fv - v @ out).max(initial=0.0),
+               np.abs(vf - out @ v_dag).max(initial=0.0))
     if leak > SECTOR_TOL:
         raise ValueError(f"a factor couples the sector to its complement "
                          f"(entry {leak:.2e} > SECTOR_TOL)")
-    return f[np.ix_(idx, idx)]
+    if f.ndim == 1 and np.count_nonzero(out) == np.count_nonzero(
+            np.diagonal(out)):
+        return np.diagonal(out).copy()
+    return out
 
 
 @dataclass(frozen=True)
@@ -175,36 +198,41 @@ class LindbladModel:
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
 
-    def action(self, rho: np.ndarray) -> np.ndarray:
-        return liouvillian_action(self, rho)
+    def action(self, rho: np.ndarray, block=None) -> np.ndarray:
+        return liouvillian_action(self, rho, block)
 
-    def adjoint_action(self, a: np.ndarray) -> np.ndarray:
-        return adjoint_liouvillian_action(self, a)
+    def adjoint_action(self, a: np.ndarray, block=None) -> np.ndarray:
+        return adjoint_liouvillian_action(self, a, block)
 
     def matrix(self, block=None) -> np.ndarray:
         return liouvillian_matrix(self, block)
 
-    def trace(self) -> complex:
-        """Trace of matrix(), without building it."""
-        return self._terms.trace()
+    def trace(self, block=None) -> complex:
+        """Trace of matrix(block), without building it."""
+        return self._terms.restrict(block).trace()
 
 
-def liouvillian_action(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
-    """-i[H, rho] + sum_a k_a (L rho L^dag - {L^dag L, rho}/2), in operator space."""
-    return model._terms.action(rho)
+def liouvillian_action(model: LindbladModel, rho: np.ndarray,
+                       block=None) -> np.ndarray:
+    """-i[H, rho] + sum_a k_a (L rho L^dag - {L^dag L, rho}/2), in operator space.
+
+    With block = (rows, cols), rho is the block rows^dag rho cols.
+    """
+    return model._terms.restrict(block).action(rho)
 
 
 def liouvillian_matrix(model: LindbladModel, block=None) -> np.ndarray:
     """Vectorized generator matrix acting on row-major vectorized states.
 
-    With block = (rows, cols), the generator on rho[rows][:, cols] only.
+    With block = (rows, cols), the generator on rows^dag rho cols only.
     """
     return model._terms.restrict(block).matrix()
 
 
-def adjoint_liouvillian_action(model: LindbladModel, a: np.ndarray) -> np.ndarray:
+def adjoint_liouvillian_action(model: LindbladModel, a: np.ndarray,
+                               block=None) -> np.ndarray:
     """Heisenberg-picture action i[H, A] + sum_a k_a (L^dag A L - {L^dag L, A}/2)."""
-    return model._terms.adjoint_action(a)
+    return model._terms.restrict(block).adjoint_action(a)
 
 
 def check_state(rho: np.ndarray) -> None:

@@ -63,13 +63,17 @@ class BathSpec:
         if self.kappa0 < 0:
             raise ValueError("kappa0 must be non-negative")
 
-    def rate(self, omega: float) -> float:
-        if omega == 0.0:
-            return self.kappa0 / self.beta
+    def rate(self, omega):
+        """kappa(omega) for a float or, elementwise, an array of them."""
+        omega = np.asarray(omega, dtype=float)
+        zero = omega == 0.0
+        # 1 in place of omega = 0 keeps inf * 0 and 0 / 0 out of the formula
+        o = np.where(zero, 1.0, omega)
+        w = np.abs(o)
         # kappa0 |w| e^(-beta |w|) / (1 - e^(-beta |w|)) for w < 0: no overflow
-        w = abs(omega)
-        return (self.kappa0 * w * np.exp(min(self.beta * omega, 0.0))
+        rate = (self.kappa0 * w * np.exp(np.minimum(self.beta * o, 0.0))
                 / -np.expm1(-self.beta * w))
+        return np.where(zero, self.kappa0 / self.beta, rate)[()]
 
 
 @dataclass(frozen=True)
@@ -247,8 +251,7 @@ def numerical_dissipator(p: XYParams, bath: BathSpec) -> np.ndarray:
     m = vecs.conj().T @ (mz_diag[:, None] * vecs)
     omega = evals[:, None] - evals[None, :]
     omega[np.abs(omega) < BOHR_CLUSTER_TOL * abs(p.j)] = 0.0
-    rates = np.vectorize(bath.rate)(omega)
-    d_eig = 0.5 * rates * m
+    d_eig = 0.5 * bath.rate(omega) * m
     return vecs @ d_eig @ vecs.conj().T
 
 
@@ -260,7 +263,8 @@ class NumericGenerator:
     sandwiches (-iH - M_z D^dag, 1), (1, iH - D M_z), (M_z, D) and
     (D^dag, M_z), with M_z kept as its diagonal, so the action costs four
     dense matrix products plus diagonal scalings; matrix() expands the
-    superoperator, or one block of it, for small chains.
+    superoperator, or one block of it, for small chains. Every method takes
+    a block of rho as lindblad.Generator describes.
     """
 
     def __init__(self, p: XYParams, bath: BathSpec):
@@ -278,18 +282,18 @@ class NumericGenerator:
     def dim(self) -> int:
         return self.params.dim
 
-    def action(self, rho: np.ndarray) -> np.ndarray:
-        return self._terms.action(rho)
+    def action(self, rho: np.ndarray, block=None) -> np.ndarray:
+        return self._terms.restrict(block).action(rho)
 
-    def adjoint_action(self, a: np.ndarray) -> np.ndarray:
-        return self._terms.adjoint_action(a)
+    def adjoint_action(self, a: np.ndarray, block=None) -> np.ndarray:
+        return self._terms.restrict(block).adjoint_action(a)
 
     def matrix(self, block=None) -> np.ndarray:
         return self._terms.restrict(block).matrix()
 
-    def trace(self) -> complex:
-        """Trace of matrix(), without building it."""
-        return self._terms.trace()
+    def trace(self, block=None) -> complex:
+        """Trace of matrix(block), without building it."""
+        return self._terms.restrict(block).trace()
 
 
 def secular_liouvillian(p: XYParams, bath: BathSpec,

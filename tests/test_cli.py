@@ -80,11 +80,11 @@ def test_bad_grid_entry_or_seed_exit_code(tmp_path, capsys, command, values):
 def test_failed_grid_point_exit_code(tmp_path, capsys, monkeypatch, command):
     protocol = experiments._protocol
 
-    def failing(cfg, h, eta, length):
+    def failing(cfg, h, eta, length, *sectors):
         # fails the sweep point at eta = 0.1 and the scaling point at L = 4
         if eta > 0 or length == 4:
             raise FloatingPointError("injected")
-        return protocol(cfg, h, eta, length)
+        return protocol(cfg, h, eta, length, *sectors)
 
     monkeypatch.setattr(experiments, "_protocol", failing)
     cfg = write_config(tmp_path, l_grid=[2, 4])

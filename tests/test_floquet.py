@@ -52,18 +52,18 @@ def random_state(rng, d):
 class UniformDecay:
     """L(rho) = -rho on a qubit: the generator interface, not trace preserving."""
 
-    def action(self, rho):
+    def action(self, rho, block=None):
         return -rho
 
-    def adjoint_action(self, a):
+    def adjoint_action(self, a, block=None):
         return -a
 
     def matrix(self, block=None):
-        n = 2 if block is None else len(block[0])
+        n = 2 if block is None else block[0].shape[1]
         return -np.eye(n * n, dtype=complex)
 
-    def trace(self):
-        return -4.0
+    def trace(self, block=None):
+        return -self.matrix(block).shape[0]
 
 
 def test_protocol_validation():

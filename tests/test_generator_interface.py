@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opentc.floquet import momentum_sectors
 from opentc.lindblad import JumpChannel, LindbladModel, _Terms
 from opentc.operators import devectorize, vectorize
 from opentc.xy import BathSpec, NumericGenerator, XYParams, secular_liouvillian
@@ -174,7 +175,7 @@ def sandwich_sums(draw):
 @given(sandwich_sums(), st.integers(1, 5))
 def test_sandwich_sum_columns_stacks_and_adjoint(terms_and_rng, n):
     terms, rng = terms_and_rng
-    d = terms.dim
+    d, _ = terms.shape
     mat = terms.matrix()
     m = rng.normal(size=(d * d, n)) + 1j * rng.normal(size=(d * d, n))
     expected = mat @ m
@@ -193,10 +194,10 @@ def former_action(terms, x):
     """The evaluator before identity factors were skipped: each identity
     factor was multiplied in as the diagonal ones(d)."""
     out = np.zeros_like(x)
-    one = np.ones(terms.dim, dtype=complex)
+    rows, cols = (np.ones(n, dtype=complex) for n in terms.shape)
     for a, b in terms.pairs:
-        a = one if a is None else a
-        b = one if b is None else b
+        a = rows if a is None else a
+        b = cols if b is None else b
         ax = a[:, None] * x if a.ndim == 1 else a @ x
         out += ax * b if b.ndim == 1 else ax @ b
     return out
@@ -206,11 +207,11 @@ def former_action(terms, x):
 def test_skipped_identity_factors_are_bitwise_unchanged(name):
     gen = GENERATORS[name]()
     par = np.array([bin(i).count("1") % 2 for i in range(gen.dim)])
-    even, odd = np.flatnonzero(par == 0), np.flatnonzero(par == 1)
+    even, odd = (np.eye(gen.dim)[:, par == p] for p in (0, 1))
     rng = np.random.default_rng(8)
     for terms in (gen._terms, gen._terms.restrict((even, odd))):
         assert any(f is None for pair in terms.pairs for f in pair)
-        x = random_operator(rng, terms.dim)
+        x = random_operator(rng, terms.shape[0])
         assert np.array_equal(terms.action(x), former_action(terms, x))
 
 
@@ -220,7 +221,22 @@ def test_restricted_block_matches_full_matrix():
     rows, cols = np.flatnonzero(par == 0), np.flatnonzero(par == 1)
     full = gen.matrix()
     keep = (rows[:, None] * 16 + cols[None, :]).reshape(-1)
+    rows, cols = np.eye(16)[:, rows], np.eye(16)[:, cols]
     block = gen.matrix((rows, cols))
     assert np.max(np.abs(block - full[np.ix_(keep, keep)])) < 1e-14
-    assert abs(gen._terms.restrict((rows, cols)).trace()
-               - np.trace(block)) < 1e-12
+    assert abs(gen.trace((rows, cols)) - np.trace(block)) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["numeric-L4", "secular-independent-L4"])
+def test_block_methods_match_block_matrix(name):
+    gen = GENERATORS[name]()
+    sectors = momentum_sectors(4)
+    rng = np.random.default_rng(9)
+    for rows, cols in ((sectors[0], sectors[1]), (sectors[2], sectors[2])):
+        mat = gen.matrix((rows, cols))
+        x = rng.normal(size=(rows.shape[1], cols.shape[1])) + 0j
+        for got, want in ((gen.action(x, (rows, cols)), mat @ x.reshape(-1)),
+                          (gen.adjoint_action(x, (rows, cols)),
+                           mat.conj().T @ x.reshape(-1))):
+            assert np.max(np.abs(got.reshape(-1) - want)) < 1e-12
+        assert abs(gen.trace((rows, cols)) - np.trace(mat)) < 1e-12

@@ -1,21 +1,27 @@
-"""Parity blocks of the Floquet map against the full map and the stepper.
+"""Parity and momentum blocks of the Floquet map and of the stepper.
 
-The XY generators and the M_z kick keep the parity of each side of rho, so
-the runners build, exponentiate and decompose the map one block (p, q) at a
-time. Here the blocks are checked against the full map, which is the
-one-sector case of the same builder, and against the matrix-free stepper.
+The XY generators and the M_z kick keep the parity of each side of rho, and
+commute with the translation T, so the runners build, exponentiate and
+decompose the map one parity block (p, q) at a time, and the stepper
+evolves only the momentum sectors its state occupies. Here the blocks are
+checked against the full map, which is the one-sector case of the same
+builder, and the sector stepper against the whole-space stepper.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from opentc.experiments import ExperimentConfig, _protocol
+from opentc.experiments import ExperimentConfig, _initial_state, _protocol
 from opentc.floquet import (KickedProtocol, find_star, floquet_propagator,
-                            stroboscopic_evolve)
+                            momentum_sectors, stroboscopic_evolve,
+                            translation_operator)
 from opentc.lindblad import LindbladModel
 from opentc.operators import pauli
 from opentc.spectral import decompose
+from opentc.xy import factorized_states
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -66,10 +72,10 @@ def test_block_maps_match_stepper_at_length_6():
     next(states)
     stepped = next(states)
     for rows, cols in proto.blocks:
-        got = floquet_propagator(proto, (rows, cols)) @ rho[
-            np.ix_(rows, cols)].reshape(-1)
-        assert np.max(np.abs(got - stepped[np.ix_(rows, cols)].reshape(-1))) \
-            < 1e-11
+        got = floquet_propagator(proto, (rows, cols)) @ (
+            rows.conj().T @ rho @ cols).reshape(-1)
+        want = (rows.conj().T @ stepped @ cols).reshape(-1)
+        assert np.max(np.abs(got - want)) < 1e-11
 
 
 QUBIT_SECTORS = (np.array([0]), np.array([1]))
@@ -90,21 +96,34 @@ def test_protocol_that_mixes_sectors_raises(model, kick):
     assert floquet_propagator(proto).shape == (4, 4)
 
 
+def four_level_protocol(sectors):
+    return KickedProtocol(model=LindbladModel(hamiltonian=np.zeros((4, 4))),
+                          period=1.0, kick_generator=np.zeros(4),
+                          sectors=sectors)
+
+
+# overlapping, incomplete, and columns that are not orthonormal
 @pytest.mark.parametrize("sectors", [
-    (np.array([0, 1, 2]), np.array([3])), (np.array([0, 1]), np.array([1, 2])),
-    (np.array([0, 1]),)])
+    (np.array([0, 1]), np.array([1, 2])), (np.array([0, 1]),),
+    (np.eye(4)[:, :2], np.eye(4)[:, 2:] + np.eye(4)[:, :2])])
 def test_sectors_must_split_the_basis_evenly(sectors):
     with pytest.raises(ValueError):
-        KickedProtocol(model=LindbladModel(hamiltonian=np.zeros((4, 4))),
-                       period=1.0, kick_generator=np.zeros(4),
-                       sectors=sectors)
+        four_level_protocol(sectors)
+
+
+def test_sectors_may_differ_in_size_and_be_isometries():
+    proto = four_level_protocol((np.array([0, 1, 2]), np.array([3])))
+    assert np.array_equal(proto.sectors[0], np.eye(4)[:, :3])
+    assert np.array_equal(proto.sectors[1], np.eye(4)[:, 3:])
+    rotation = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    four_level_protocol((np.eye(4)[:, :2] @ rotation, np.eye(4)[:, 2:]))
 
 
 def test_default_sector_is_the_whole_map():
     proto = KickedProtocol(model=LindbladModel(hamiltonian=pauli("X")),
                            period=0.4, kick_generator=0.5 * pauli("Y"))
     (block,) = proto.blocks
-    assert np.array_equal(block[0], np.arange(2))
+    assert np.array_equal(block[0], np.eye(2))
     assert np.array_equal(floquet_propagator(proto, block),
                           floquet_propagator(proto))
 
@@ -120,3 +139,113 @@ def test_find_star_searches_the_union_of_spectra():
     assert (star.block, star.star_eigenvalue) == (0, -0.9 + 0.01j)
     with pytest.raises(ValueError):
         find_star(order=2)
+
+
+@pytest.mark.parametrize("length", range(2, 11))
+def test_momentum_sectors_are_translation_eigenspaces(length):
+    sectors = momentum_sectors(length)
+    assert len(sectors) == length
+    basis = np.hstack(sectors)
+    assert np.max(np.abs(basis.conj().T @ basis - np.eye(2 ** length))) \
+        < 1e-12
+    t = translation_operator(length)
+    for k, v in enumerate(sectors):
+        assert np.max(np.abs(t @ v - np.exp(2j * np.pi * k / length) * v)) \
+            < 1e-12
+
+
+@pytest.mark.parametrize("mode, h, eta", [
+    ("numeric", 0.5, np.pi / 20), ("numeric", _SQ2, 0.0),
+    ("independent", 0.9, np.pi / 40)])
+def test_momentum_block_spectra_match_full_map(mode, h, eta):
+    cfg = ExperimentConfig(length=4, dissipator_mode=mode)
+    _, proto = _protocol(cfg, h, eta, 4, momentum_sectors(4))
+    assert len({rows.shape[1] for rows, _ in proto.blocks}) > 1
+    full = decompose(floquet_propagator(proto), kind="map")
+    blocks = [decompose(floquet_propagator(proto, b), kind="map")
+              for b in proto.blocks]
+    union = np.concatenate([sd.eigenvalues for sd in blocks])
+    assert multiset_distance(union, full.eigenvalues) < 1e-10
+
+
+class RecordingGenerator:
+    """Forwards to a generator and records the operand shapes it is given."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.shapes = set()
+
+    def action(self, rho, block=None):
+        self.shapes.add(rho.shape)
+        return self.gen.action(rho, block)
+
+    def adjoint_action(self, a, block=None):
+        self.shapes.add(a.shape)
+        return self.gen.adjoint_action(a, block)
+
+    def trace(self, block=None):
+        return self.gen.trace(block)
+
+
+@pytest.mark.parametrize("initial_state", ["gs_superposition",
+                                           "local_plus_x"])
+@pytest.mark.parametrize("mode", ["numeric", "independent", "collective"])
+@pytest.mark.parametrize("length", [4, 6])
+def test_momentum_stepper_matches_whole_space(length, mode, initial_state):
+    cfg = ExperimentConfig(length=length, dissipator_mode=mode,
+                           initial_state=initial_state)
+    params, proto = _protocol(cfg, 0.9, np.pi / 40, length,
+                              momentum_sectors(length))
+    rho0 = _initial_state(cfg, params)
+    k0 = proto.sectors[0].shape[1]
+    model = RecordingGenerator(proto.model)
+    proto = replace(proto, model=model)
+    got = list(stroboscopic_evolve(proto, rho0, 3))
+    assert model.shapes == {(k0, k0)}
+    want = stroboscopic_evolve(replace(proto, sectors=None), rho0, 3)
+    for a, b in zip(got, want, strict=True):
+        assert np.max(np.abs(a - b)) < 1e-12
+
+
+def test_state_touching_every_sector_evolves_whole():
+    cfg = ExperimentConfig(length=4)
+    _, proto = _protocol(cfg, _SQ2, np.pi / 20, 4)
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho)
+    for sectors in (proto.sectors, momentum_sectors(4)):
+        got = stroboscopic_evolve(replace(proto, sectors=sectors), rho, 2)
+        want = stroboscopic_evolve(replace(proto, sectors=None), rho, 2)
+        for x, y in zip(got, want, strict=True):
+            assert np.array_equal(x, y)
+
+
+def test_parity_definite_state_evolves_one_block():
+    cfg = ExperimentConfig(length=4)
+    params, proto = _protocol(cfg, _SQ2, np.pi / 20, 4)
+    plus = factorized_states(params).parity_states[0]
+    rho = np.outer(plus, plus.conj())
+    model = RecordingGenerator(proto.model)
+    got = stroboscopic_evolve(replace(proto, model=model), rho, 3)
+    want = stroboscopic_evolve(replace(proto, sectors=None), rho, 3)
+    for x, y in zip(got, want, strict=True):
+        assert np.max(np.abs(x - y)) < 1e-12
+    assert model.shapes == {(8, 8)}
+
+
+def test_state_in_two_momentum_sectors_evolves_their_union():
+    cfg = ExperimentConfig(length=4, dissipator_mode="independent")
+    _, proto = _protocol(cfg, 0.9, np.pi / 40, 4, momentum_sectors(4))
+    v0, v1 = proto.sectors[:2]
+    rng = np.random.default_rng(6)
+    psi = (v0 @ rng.normal(size=v0.shape[1])
+           + v1 @ (rng.normal(size=v1.shape[1]) * 1j))
+    rho = np.outer(psi, psi.conj()) / np.vdot(psi, psi)
+    model = RecordingGenerator(proto.model)
+    got = stroboscopic_evolve(replace(proto, model=model), rho, 3)
+    want = stroboscopic_evolve(replace(proto, sectors=None), rho, 3)
+    for x, y in zip(got, want, strict=True):
+        assert np.max(np.abs(x - y)) < 1e-12
+    n = v0.shape[1] + v1.shape[1]
+    assert model.shapes == {(n, n)}

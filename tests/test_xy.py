@@ -1,5 +1,7 @@
 """Tests for the XY chain, free-fermion oracles and bath dissipators."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -235,6 +237,31 @@ def test_bath_rates():
     assert BathSpec(kappa0=0.02, beta=1e3).rate(-1.0) == 0.0
     with pytest.raises(ValueError):
         BathSpec(kappa0=-0.1)
+
+
+def scalar_rate(bath, omega):
+    """The bath rate of one frequency, written with math."""
+    if omega == 0.0:
+        return bath.kappa0 / bath.beta
+    w = abs(omega)
+    return (bath.kappa0 * w * math.exp(min(bath.beta * omega, 0.0))
+            / -math.expm1(-bath.beta * w))
+
+
+@pytest.mark.parametrize("beta", [np.inf, 2.0, 1e3])
+def test_bath_rate_on_arrays(beta):
+    bath = BathSpec(kappa0=0.02, beta=beta)
+    w = np.concatenate([[0.0], np.logspace(-17, 3, 41)])
+    omega = np.stack([w, -w])
+    rates = bath.rate(omega)
+    assert rates.shape == omega.shape
+    want = np.vectorize(lambda x: scalar_rate(bath, x))(omega)
+    assert np.allclose(rates, want, rtol=1e-14, atol=0.0)
+    # detailed balance, kappa(-w) = exp(-beta w) kappa(w); at w = 0 the
+    # rate is kappa0 / beta on both sides
+    assert rates[0, 0] == rates[1, 0] == bath.kappa0 / beta
+    assert np.allclose(rates[1, 1:], np.exp(-beta * w[1:]) * rates[0, 1:],
+                       rtol=1e-14, atol=0.0)
 
 
 def test_numeric_generator_matrix_matches_action():
