@@ -21,9 +21,8 @@ import numpy as np
 from . import __version__, floquet, models, spectral, xy
 from .lindblad import (LindbladModel, liouvillian_matrix, rk4_evolve,
                        trace_distance)
-from .operators import (devectorize, hs_inner, magnetization,
-                        magnetization_per_spin, pauli, trace_functional,
-                        vectorize)
+from .operators import (devectorize, hs_inner, magnetization_per_spin, pauli,
+                        trace_functional, vectorize, z_signs)
 
 MAX_LENGTH = 10
 # spectrum, sweep and disorder build the 4^L x 4^L map as four parity
@@ -89,8 +88,8 @@ class ExperimentConfig:
             raise ConfigError("beta must be positive, or inf")
         if self.length % 2 != 0 or not 2 <= self.length <= MAX_LENGTH:
             raise ConfigError(f"length must be even and in [2, {MAX_LENGTH}]")
-        if not 0.0 <= self.h <= 1.0:
-            raise ConfigError("h must lie in [0, 1]")
+        if not all(0.0 <= h <= 1.0 for h in (self.h, *self.h_grid)):
+            raise ConfigError("h and every h_grid entry must lie in [0, 1]")
         if self.order < 2:
             raise ConfigError("subharmonic order must be >= 2")
         if self.n_periods < 1 or self.n_samples < 1:
@@ -119,7 +118,7 @@ class ExperimentConfig:
         if self.gamma is not None:
             return self.gamma
         hval = self.h if h is None else h
-        return float(np.sqrt(max(0.0, 1.0 - hval ** 2)))
+        return float(np.sqrt(1.0 - hval ** 2))
 
     def resolved(self) -> dict:
         out = asdict(self)
@@ -207,13 +206,12 @@ def _protocol(cfg: ExperimentConfig, h: float, eta: float, length: int,
         gen = xy.NumericGenerator(params, bath)
     else:
         gen = xy.secular_liouvillian(params, bath, cfg.dissipator_mode)
+    z = z_signs(length)
     if sectors is None:
-        parity = np.diag(xy.parity_operator(length)).real
-        sectors = tuple(np.flatnonzero(parity == sign)
+        sectors = tuple(np.flatnonzero(z.prod(0) == sign)
                         for sign in (1.0, -1.0))
     return params, floquet.KickedProtocol(
-        model=gen, period=cfg.period,
-        kick_generator=np.diag(magnetization("Z", length)).real / 2,
+        model=gen, period=cfg.period, kick_generator=z.sum(0) / 2,
         error=eta, sectors=sectors)
 
 
@@ -256,6 +254,17 @@ def _require_matrix_path(cfg: ExperimentConfig, command: str) -> None:
                           f"(length <= {MATRIX_PATH_MAX})")
 
 
+def _require_initial_state(cfg: ExperimentConfig, command: str) -> None:
+    """gs_superposition needs the factorized pair: h^2 + gamma^2 = 1, h < 1."""
+    if cfg.initial_state != "gs_superposition":
+        return
+    try:
+        xy.factorized_states(xy.XYParams(gamma=cfg.resolved_gamma(), h=cfg.h,
+                                         length=2))
+    except ValueError as exc:
+        raise ConfigError(f"{command} from gs_superposition: {exc}") from exc
+
+
 def _sweep_point(task):
     cfg, h, eta, length = task
     try:
@@ -291,6 +300,7 @@ def run_sweep(cfg: ExperimentConfig) -> ResultTable:
 
 def run_trace(cfg: ExperimentConfig) -> ResultTable:
     """Stroboscopic magnetization m_x(nT) for one parameter point."""
+    _require_initial_state(cfg, "trace")
     values = _trace_mx(cfg, cfg.length, cfg.n_periods)
     table = ResultTable(columns=["n", "time", "m_x"],
                         metadata=_metadata(cfg, "trace"))
@@ -301,6 +311,7 @@ def run_trace(cfg: ExperimentConfig) -> ResultTable:
 
 def run_scaling(cfg: ExperimentConfig) -> ResultTable:
     """|m_x(10T)| against chain length at fixed kick error."""
+    _require_initial_state(cfg, "scaling")
     table = ResultTable(columns=["length", "amplitude", "status"],
                         metadata=_metadata(cfg, "scaling"))
     amps = {}
@@ -409,7 +420,7 @@ def _conserved_err(model: LindbladModel, expected: list) -> float:
 
 def _sector_err(params: xy.XYParams, ham: np.ndarray) -> float:
     """Exact parity-sector spectra of ham against the free-fermion oracle."""
-    par = np.diag(xy.parity_operator(params.length)).real
+    par = z_signs(params.length).prod(0)
     return max(_max_err(
         np.sort(np.linalg.eigvalsh(ham[np.ix_(par == sign, par == sign)])),
         xy.free_fermion_sector_energies(params, sector))
@@ -453,7 +464,7 @@ def _decoherence_free_checks() -> list:
                     for (a, b), c, p in zip(_PAIRS, psi, phi)]
         proto = floquet.KickedProtocol(
             model=model, period=1.0,
-            kick_generator=np.diag(magnetization("Z", 2)).real / 2)
+            kick_generator=z_signs(2).sum(0) / 2)
         ef = floquet.floquet_propagator(proto)
         kick_err = max(_max_err(ef @ vectorize(c),
                                 (-1.0) ** (a + b) * vectorize(c))

@@ -13,7 +13,7 @@ import scipy.sparse.linalg
 from .lindblad import (HERMITICITY_TOL, SECTOR_TOL, TRACE_TOL, Generator,
                        _Terms, check_state)
 from .operators import (UNITARITY_TOL, devectorize, hermitize, is_unitary,
-                        site_operator, trace_functional, vectorize)
+                        trace_functional, vectorize, z_signs)
 from .spectral import SpectralData
 
 PROPAGATOR_TRACE_TOL = 1e-9   # times the dimension d; README "Tolerances"
@@ -24,7 +24,7 @@ ROOT_OF_UNITY_TOL = 1e-6
 class KickedProtocol:
     """Dissipative evolution for a period, interrupted by a unitary kick.
 
-    The kick unitary is exp(-i (kick_angle + error) * kick_generator). A
+    The kick unitary is exp(-i (pi + error) * kick_generator). A
     1-D kick generator is a diagonal, and its kick unitary is 1-D too. The
     model is a generator (lindblad.LindbladModel or xy.NumericGenerator);
     floquet_propagator uses its matrix, stroboscopic_evolve its actions.
@@ -38,7 +38,6 @@ class KickedProtocol:
     model: Generator
     period: float
     kick_generator: np.ndarray
-    kick_angle: float = np.pi
     error: float = 0.0
     sectors: tuple | None = None
 
@@ -68,7 +67,7 @@ class KickedProtocol:
 
     @property
     def kick_unitary(self) -> np.ndarray:
-        angle = self.kick_angle + self.error
+        angle = np.pi + self.error
         g = self.kick_generator
         if g.ndim == 1:
             return np.exp(-1j * angle * g.real)
@@ -182,7 +181,7 @@ def find_star(*spectra: SpectralData, order: int = 2,
 def rotation_error_map(p: KickedProtocol) -> np.ndarray:
     """First-order deformation of the propagator under a kick-angle error.
 
-    For U_K(error) = exp(-i (theta + error) G) the propagator expands as
+    For U_K(error) = exp(-i (pi + error) G) the propagator expands as
     E_F(error) = E_F + error * V + O(error^2) with V = -i [G, E_F(.)].
     """
     ef = floquet_propagator(dataclasses.replace(p, error=0.0))
@@ -397,8 +396,7 @@ def disorder_susceptibility(sd: SpectralData, deltas, length: int, mu: int,
         raise ValueError("one disorder amplitude per site is required")
     eps = sd.eigenvalues[mu]
     elements = np.empty(length, dtype=complex)
-    for site in range(length):
-        z = np.diag(site_operator("Z", site, length)).real
+    for site, z in enumerate(z_signs(length)):
         commutator = _Terms([(z, None), (None, -z)]).restrict(block)
         elements[site] = np.vdot(sd.left[:, mu],
                                  commutator.columns(sd.right[:, mu:mu + 1]))

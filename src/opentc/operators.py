@@ -113,6 +113,14 @@ def site_operator(kind: str, site: int, length: int) -> np.ndarray:
     return np.kron(np.kron(left, p), right)
 
 
+def z_signs(length: int) -> np.ndarray:
+    """(L, 2^L) array of +-1 whose row r is the diagonal of Z_r."""
+    if length < 1:
+        raise ValueError("chain length must be >= 1")
+    bits = np.arange(2 ** length) >> np.arange(length)[::-1, None] & 1
+    return 1.0 - 2.0 * bits
+
+
 def magnetization(kind: str, length: int) -> np.ndarray:
     """Total magnetization, the sum of one Pauli over every site."""
     if length < 1:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lindblad import JumpChannel, LindbladModel, _Terms
-from .operators import magnetization, site_operator
+from .operators import z_signs
 
 BOHR_CLUSTER_TOL = 1e-6       # times |J|; README "Tolerances" has them all
 ENERGY_CLUSTER_TOL = 1e-8     # times max(1, max |E|)
@@ -87,22 +87,17 @@ class FactorizationState:
 
 def xy_hamiltonian(p: XYParams) -> np.ndarray:
     """-J sum_r [(1+g)/2 X_r X_{r+1} + (1-g)/2 Y_r Y_{r+1} + h Z_r], periodic."""
+    z = z_signs(p.length)
+    idx = np.arange(p.dim)
     ham = np.zeros((p.dim, p.dim), dtype=complex)
     for r in range(p.length):
-        # P_a P_b as a kron of two site operators: no d x d matmul
-        a, b = sorted((r, (r + 1) % p.length))
-        xx, yy = (np.kron(site_operator(k, a, b),
-                          site_operator(k, 0, p.length - b)) for k in "XY")
-        ham += 0.5 * (1.0 + p.gamma) * xx + 0.5 * (1.0 - p.gamma) * yy
-        ham += p.h * site_operator("Z", r, p.length)
+        # X_r X_s flips bits r and s of the index; Y_r Y_s = -Z_r Z_s X_r X_s
+        s = (r + 1) % p.length
+        flip = idx ^ (1 << (p.length - 1 - r)) ^ (1 << (p.length - 1 - s))
+        ham[flip, idx] += (0.5 * (1.0 + p.gamma)
+                           - 0.5 * (1.0 - p.gamma) * z[r] * z[s])
+    ham[idx, idx] = (p.h * z).sum(0)
     return -p.j * ham
-
-
-def parity_operator(length: int) -> np.ndarray:
-    """P = prod_r Z_r, diagonal with entries (-1)^popcount."""
-    idx = np.arange(2 ** length)
-    signs = 1.0 - 2.0 * (np.array([bin(i).count("1") for i in idx]) % 2)
-    return np.diag(signs.astype(complex))
 
 
 def brillouin_zone(length: int, sector: str) -> np.ndarray:
@@ -176,7 +171,7 @@ def ground_state_pair(p: XYParams):
     the largest-magnitude amplitude real and positive.
     """
     ham = xy_hamiltonian(p)
-    par = np.diag(parity_operator(p.length)).real
+    par = z_signs(p.length).prod(0)
     comm = ham * (par[None, :] - par[:, None])   # [H, P] for diagonal P
     if np.max(np.abs(comm)) > PARITY_TOL:
         raise RuntimeError("Hamiltonian does not commute with parity")
@@ -198,19 +193,18 @@ def factorized_states(p: XYParams) -> FactorizationState:
 
     |k,GS> = prod_r (cos(zeta)|0> + (-)^k sin(zeta)|1>) with
     cos^2(2 zeta) = (1 - gamma)/(1 + gamma); parity maps one onto the other.
+    They need gamma > 0: at gamma = 0 (h = 1) both are |0...0>.
     """
     if abs(p.h ** 2 + p.gamma ** 2 - 1.0) > FACTORIZATION_TOL:
         raise ValueError("parameters are off the factorization line")
+    if not p.gamma > 0.0:
+        raise ValueError("the factorized states need gamma > 0; at gamma = 0 "
+                         "(h = 1) they coincide")
     c2 = np.sqrt((1.0 - p.gamma) / (1.0 + p.gamma))
     zeta = 0.5 * np.arccos(c2)
-    states = []
-    for k in (0, 1):
-        local = np.array([np.cos(zeta), (-1.0) ** k * np.sin(zeta)],
-                         dtype=complex)
-        vec = np.array([1.0], dtype=complex)
-        for _ in range(p.length):
-            vec = np.kron(vec, local)
-        states.append(vec)
+    z = z_signs(p.length)
+    states = [np.where(z > 0, np.cos(zeta), sign * np.sin(zeta)).prod(0)
+              .astype(complex) for sign in (1.0, -1.0)]
     parity_states = []
     for sign in (1.0, -1.0):
         combo = states[0] + sign * states[1]
@@ -233,7 +227,7 @@ def energy_eigenbasis(p: XYParams):
     """
     ham = xy_hamiltonian(p)
     evals, vecs = np.linalg.eigh(ham)
-    mz_diag = np.diag(magnetization("Z", p.length)).real
+    mz_diag = z_signs(p.length).sum(0)
     scale = max(1.0, float(np.max(np.abs(evals))))
     for run in _runs(np.diff(evals) < ENERGY_CLUSTER_TOL * scale):
         if run.stop - run.start > 1:
@@ -247,7 +241,7 @@ def energy_eigenbasis(p: XYParams):
 def numerical_dissipator(p: XYParams, bath: BathSpec) -> np.ndarray:
     """Operator D = 1/2 sum_kl kappa(E_k - E_l) m_kl |k><l|, in the spin basis."""
     evals, vecs = energy_eigenbasis(p)
-    mz_diag = np.diag(magnetization("Z", p.length)).real
+    mz_diag = z_signs(p.length).sum(0)
     m = vecs.conj().T @ (mz_diag[:, None] * vecs)
     omega = evals[:, None] - evals[None, :]
     omega[np.abs(omega) < BOHR_CLUSTER_TOL * abs(p.j)] = 0.0
@@ -272,7 +266,7 @@ class NumericGenerator:
         self.bath = bath
         self.hamiltonian = h = xy_hamiltonian(p)
         self.dissipator = d = numerical_dissipator(p, bath)
-        self.mz_diag = z = np.diag(magnetization("Z", p.length)).real
+        self.mz_diag = z = z_signs(p.length).sum(0)
         d_dag = d.conj().T
         self._terms = _Terms([(-1j * h - z[:, None] * d_dag, None),
                               (None, 1j * h - d * z[None, :]),
@@ -308,7 +302,7 @@ def secular_liouvillian(p: XYParams, bath: BathSpec,
     if mode not in ("independent", "collective"):
         raise ValueError(f"mode must be 'independent' or 'collective', got {mode!r}")
     evals, vecs = energy_eigenbasis(p)
-    mz_diag = np.diag(magnetization("Z", p.length)).real
+    mz_diag = z_signs(p.length).sum(0)
     m = vecs.conj().T @ (mz_diag[:, None] * vecs)
     tol = BOHR_CLUSTER_TOL * abs(p.j)
     omega = evals[None, :] - evals[:, None]      # E_l - E_k at [k, l]

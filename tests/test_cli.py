@@ -147,11 +147,31 @@ def test_spectrum_length_guard_exit_code(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_numeric_failure_exit_code(tmp_path, capsys):
-    # gamma fixed off the factorization line breaks the initial product state
-    cfg = write_config(tmp_path, gamma=0.5, h=0.0)
-    assert main(["trace", "--config", cfg]) == 2
-    assert "numeric failure" in capsys.readouterr().err
+def test_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):
+    def failing(*args):
+        raise FloatingPointError("injected")
+
+    monkeypatch.setattr(experiments, "_protocol", failing)
+    out = tmp_path / "trace.csv"
+    assert main(["trace", "--config", write_config(tmp_path),
+                 "--out", str(out)]) == 2
+    assert "numeric failure: injected" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["trace", "scaling"])
+@pytest.mark.parametrize("values", [
+    {"gamma": 0.5, "h": 0.5}, {"h": 1.0}, {"h_grid": [1.5]},
+    {"h_grid": [-0.5]}], ids=["off-line", "h-one", "h-grid-high",
+                              "h-grid-low"])
+def test_initial_state_and_h_grid_config_errors(tmp_path, capsys, command,
+                                                values):
+    # the factorized pair needs h^2 + gamma^2 = 1 and h < 1; h lies in [0, 1]
+    cfg = write_config(tmp_path, **values)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_seed_override(tmp_path):

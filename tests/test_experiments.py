@@ -42,7 +42,9 @@ def test_config_validation():
                 dict(eta="x"), dict(beta="abc"), dict(gamma="x"),
                 dict(j=True), dict(beta=-1.0), dict(beta=0.0),
                 dict(beta=float("nan")), dict(beta=-np.inf),
-                dict(h_grid=()), dict(eta_grid=()), dict(l_grid=())):
+                dict(h_grid=()), dict(eta_grid=()), dict(l_grid=()),
+                dict(h_grid=(1.5,)), dict(h_grid=(0.5, -0.5)),
+                dict(h_grid=(float("nan"),))):
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad)
 

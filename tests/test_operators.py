@@ -6,7 +6,7 @@ import pytest
 from opentc.operators import (devectorize, hs_inner, identity, is_unitary,
                               kron, magnetization, magnetization_per_spin,
                               pauli, sandwich, site_operator, trace_functional,
-                              unitary_conjugation, vectorize)
+                              unitary_conjugation, vectorize, z_signs)
 
 
 def random_matrix(rng, d):
@@ -136,3 +136,18 @@ def test_unitary_conjugation_preserves_trace_functional():
         tr = trace_functional(3)
         resid = tr.conj() @ unitary_conjugation(q) - tr.conj()
         assert np.max(np.abs(resid)) < 1e-12
+
+
+def test_z_signs_match_dense_operators():
+    for length in range(1, 9):
+        z = z_signs(length)
+        assert z.shape == (length, 2 ** length)
+        for r in range(length):
+            assert np.array_equal(z[r], np.diag(site_operator("Z", r, length)))
+        assert np.array_equal(z.sum(0), np.diag(magnetization("Z", length)))
+        # reference: the parity (-1)^popcount from a loop over basis indices
+        idx = np.arange(2 ** length)
+        popcount = np.array([bin(i).count("1") for i in idx])
+        assert np.array_equal(z.prod(0), 1.0 - 2.0 * (popcount % 2))
+    with pytest.raises(ValueError):
+        z_signs(0)

@@ -7,14 +7,13 @@ import pytest
 import scipy.linalg
 
 from opentc.lindblad import liouvillian_matrix, rk4_evolve
-from opentc.operators import magnetization, pauli, site_operator
+from opentc.operators import magnetization, pauli, site_operator, z_signs
 from opentc.xy import (BOHR_CLUSTER_TOL, BathSpec, NumericGenerator,
                        XYParams, bogoliubov_angle, brillouin_zone, dispersion,
                        energy_eigenbasis, factorized_states,
                        free_fermion_sector_energies, ground_state_pair,
-                       numerical_dissipator, parity_operator,
-                       secular_liouvillian, theoretical_amplitude,
-                       xy_hamiltonian)
+                       numerical_dissipator, secular_liouvillian,
+                       theoretical_amplitude, xy_hamiltonian)
 
 
 def test_params_validation():
@@ -33,18 +32,21 @@ def test_hamiltonian_two_sites_ising():
     assert np.max(np.abs(ham + 2.0 * xx)) < 1e-12
 
 
-@pytest.mark.parametrize("length", [2, 4, 6])
+@pytest.mark.parametrize("length", [2, 4, 6, 8])
 def test_hamiltonian_matches_site_operator_products(length):
     # reference: every bond as a product of two site operators
-    p = XYParams(j=0.8, gamma=0.35, h=0.6, length=length)
-    ref = np.zeros((p.dim, p.dim), dtype=complex)
-    for r in range(length):
-        s = (r + 1) % length
-        xx = site_operator("X", r, length) @ site_operator("X", s, length)
-        yy = site_operator("Y", r, length) @ site_operator("Y", s, length)
-        ref += 0.5 * (1.0 + p.gamma) * xx + 0.5 * (1.0 - p.gamma) * yy
-        ref += p.h * site_operator("Z", r, length)
-    assert np.array_equal(xy_hamiltonian(p), -p.j * ref)
+    bonds = [(site_operator("X", r, length)
+              @ site_operator("X", (r + 1) % length, length),
+              site_operator("Y", r, length)
+              @ site_operator("Y", (r + 1) % length, length),
+              site_operator("Z", r, length)) for r in range(length)]
+    for gamma in (0.0, 0.35, 1.0):
+        p = XYParams(j=0.8, gamma=gamma, h=0.6, length=length)
+        ref = np.zeros((p.dim, p.dim), dtype=complex)
+        for xx, yy, z in bonds:
+            ref += 0.5 * (1.0 + p.gamma) * xx + 0.5 * (1.0 - p.gamma) * yy
+            ref += p.h * z
+        assert np.array_equal(xy_hamiltonian(p), -p.j * ref)
 
 
 def test_hamiltonian_field_term():
@@ -62,14 +64,8 @@ def test_hamiltonian_hermitian_and_parity():
                      h=float(rng.uniform(0.0, 1.5)), length=4)
         ham = xy_hamiltonian(p)
         assert np.max(np.abs(ham - ham.conj().T)) < 1e-12
-        par = parity_operator(4)
+        par = np.diag(z_signs(4).prod(0))
         assert np.max(np.abs(ham @ par - par @ ham)) < 1e-12
-
-
-def test_parity_operator():
-    par = parity_operator(2)
-    assert np.allclose(np.diag(par), [1, -1, -1, 1])
-    assert np.allclose(par @ par, np.eye(4))
 
 
 def test_brillouin_zone():
@@ -113,7 +109,7 @@ def test_free_fermion_matches_exact_diagonalization(length):
                      gamma=float(rng.uniform(0.1, 1.0)),
                      h=float(rng.uniform(0.0, 1.5)), length=length)
         ham = xy_hamiltonian(p)
-        par = np.diag(parity_operator(length)).real
+        par = z_signs(length).prod(0)
         exact = np.linalg.eigvalsh(ham)
         merged = np.sort(np.concatenate([
             free_fermion_sector_energies(p, "even"),
@@ -131,7 +127,7 @@ def test_ground_state_pair_properties():
     p = XYParams(j=1.0, gamma=0.8, h=0.4, length=4)
     sp, sm, ep, em = ground_state_pair(p)
     ham = xy_hamiltonian(p)
-    par = parity_operator(4)
+    par = np.diag(z_signs(4).prod(0))
     assert np.linalg.norm(ham @ sp - ep * sp) < 1e-10
     assert np.linalg.norm(ham @ sm - em * sm) < 1e-10
     assert np.vdot(sp, par @ sp).real == pytest.approx(1.0)
@@ -151,10 +147,29 @@ def test_factorization_line_degeneracy():
         for vec in fs.states:
             assert np.linalg.norm(ham @ vec - ep * vec) < 1e-8
         # parity exchanges the two product states
-        par = parity_operator(6)
+        par = np.diag(z_signs(6).prod(0))
         assert np.linalg.norm(par @ fs.states[0] - fs.states[1]) < 1e-12
     with pytest.raises(ValueError):
         factorized_states(XYParams(gamma=0.5, h=0.5, length=4))
+    # at gamma = 0 both product states are |0...0>, so |-,GS> would be 0/0
+    for gamma, h in ((0.0, 1.0), (-0.6, 0.8)):
+        with pytest.raises(ValueError, match="gamma > 0"):
+            factorized_states(XYParams(gamma=gamma, h=h, length=4))
+
+
+@pytest.mark.parametrize("length", [2, 4, 6, 8])
+def test_factorized_states_match_kron_products(length):
+    # reference: the L-fold kron of the single-site state
+    for h in (0.0, 0.3, 1.0 / np.sqrt(2.0), 0.9, 0.999):
+        p = XYParams(gamma=np.sqrt(1.0 - h ** 2), h=h, length=length)
+        fs = factorized_states(p)
+        for k, state in enumerate(fs.states):
+            local = np.array([np.cos(fs.zeta), (-1.0) ** k * np.sin(fs.zeta)],
+                             dtype=complex)
+            vec = np.array([1.0], dtype=complex)
+            for _ in range(length):
+                vec = np.kron(vec, local)
+            assert np.array_equal(state, vec)
 
 
 def test_factorized_magnetization_amplitude():
