@@ -98,6 +98,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown initial state {self.initial_state!r}")
         if self.dissipator_mode not in ("numeric", "independent", "collective"):
             raise ConfigError(f"unknown dissipator mode {self.dissipator_mode!r}")
+        if self.dissipator_mode != "numeric" and any(
+                self.resolved_gamma(h) == 0 for h in (self.h, *self.h_grid)):
+            raise ConfigError(
+                f"dissipator_mode {self.dissipator_mode!r} needs gamma != 0 "
+                "at h and every h_grid entry: at gamma = 0 H conserves M_z, "
+                "so no Bohr frequency couples to it")
         if self.threads < 1 or self.seed < 0:
             raise ConfigError("threads must be >= 1 and seed >= 0")
         if not all(len(g) for g in (self.h_grid, self.eta_grid, self.l_grid)):

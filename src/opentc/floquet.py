@@ -8,12 +8,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg
 
 from .lindblad import (HERMITICITY_TOL, SECTOR_TOL, TRACE_TOL, Generator,
                        _Terms, check_state)
-from .operators import (UNITARITY_TOL, devectorize, hermitize, is_unitary,
-                        trace_functional, vectorize, z_signs)
+from .operators import (UNITARITY_TOL, _serial_blas, devectorize, hermitize,
+                        is_unitary, trace_functional, vectorize, z_signs)
 from .spectral import SpectralData
 
 PROPAGATOR_TRACE_TOL = 1e-9   # times the dimension d; README "Tolerances"
@@ -50,15 +51,14 @@ class KickedProtocol:
             raise ValueError("kick generator must be Hermitian")
         object.__setattr__(self, "kick_generator", g)
         d = g.shape[0]
-        sectors = tuple(
-            np.eye(d, dtype=complex)[:, np.asarray(s, dtype=int)]
-            if np.ndim(s) == 1 else np.asarray(s, dtype=complex)
-            for s in (self.sectors or (np.arange(d),)))
-        basis = np.hstack(sectors)
-        if basis.shape != (d, d) or not is_unitary(basis):
+        given = [np.asarray(s, dtype=int if np.ndim(s) == 1 else complex)
+                 for s in (self.sectors or (np.arange(d),))]
+        if not _orthonormal_basis(given, d):
             raise ValueError("sectors must be isometries whose columns "
                              "together form an orthonormal basis")
-        object.__setattr__(self, "sectors", sectors)
+        object.__setattr__(self, "sectors", tuple(
+            np.eye(d, dtype=complex)[:, s] if s.ndim == 1 else s
+            for s in given))
 
     @property
     def blocks(self) -> list:
@@ -73,6 +73,24 @@ class KickedProtocol:
             return np.exp(-1j * angle * g.real)
         evals, vecs = np.linalg.eigh(g)
         return (vecs * np.exp(-1j * angle * evals)) @ vecs.conj().T
+
+
+def _orthonormal_basis(sectors: list, d: int) -> bool:
+    """Whether the sectors' columns together form an orthonormal basis of C^d.
+
+    Index sectors must be a permutation of 0..d-1. Otherwise the Gram
+    matrix of all columns is formed sparse: a momentum sector has at most L
+    nonzeros in a row, so no dense d x d product is needed.
+    """
+    if all(s.ndim == 1 for s in sectors):
+        return np.array_equal(np.sort(np.concatenate(sectors)), np.arange(d))
+    basis = np.hstack([np.eye(d)[:, s] if s.ndim == 1 else s
+                       for s in sectors])
+    if basis.shape != (d, d):
+        return False
+    basis = scipy.sparse.csc_array(basis)
+    gram = basis.conj().T @ basis - scipy.sparse.eye_array(d)
+    return bool(abs(gram).max() < UNITARITY_TOL)
 
 
 @dataclass(frozen=True)
@@ -111,9 +129,10 @@ class DisorderSusceptibility:
 
 
 def matrix_exp(s: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """exp(s t) via Pade scaling-and-squaring."""
+    """exp(s t) via Pade scaling-and-squaring, on one BLAS thread if small."""
     s = np.asarray(s, dtype=complex)
-    out = scipy.linalg.expm(s * t)
+    with _serial_blas(s.shape[-1]):
+        out = scipy.linalg.expm(s * t)
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("matrix exponential overflowed")
     return out

@@ -11,9 +11,17 @@ Conventions used everywhere in this package:
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+
 import numpy as np
 
 UNITARITY_TOL = 1e-10         # absolute; README "Tolerances"
+# Dense kernels on matrices up to this dimension run on one BLAS thread;
+# README "BLAS threads" has the timings that chose it.
+SERIAL_BLAS_DIM = 256
+
+_openblas = None              # [(get, set)] per loaded OpenBLAS, looked up once
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -89,6 +97,63 @@ def is_unitary(u: np.ndarray) -> bool:
     u = np.asarray(u)
     return bool(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
                 < UNITARITY_TOL)
+
+
+def _openblas_threads() -> list:
+    """(get, set) thread-count functions of each OpenBLAS in the process.
+
+    numpy and scipy each bundle their own, with prefixed symbols
+    (scipy_openblas, suffix 64_ for numpy's 64-bit-integer build); a system
+    build has the bare openblas names. Found through /proc/self/maps on the
+    first call and cached; [] where there is none (another OS or BLAS).
+    """
+    global _openblas
+    if _openblas is None:
+        try:
+            with open("/proc/self/maps") as fh:
+                paths = sorted({line.split()[-1] for line in fh
+                                if "openblas" in line.lower()
+                                and line.split()[-1].startswith("/")})
+        except OSError:
+            paths = []
+        found = []
+        for path in paths:
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:
+                continue
+            for name in ("scipy_openblas{}64_", "scipy_openblas{}",
+                         "openblas{}64_", "openblas{}"):
+                get = getattr(lib, name.format("_get_num_threads"), None)
+                put = getattr(lib, name.format("_set_num_threads"), None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = (), ctypes.c_int
+                    put.argtypes, put.restype = (ctypes.c_int,), None
+                    found.append((get, put))
+                    break
+        _openblas = found
+    return _openblas
+
+
+@contextlib.contextmanager
+def _serial_blas(dim: int):
+    """Run the body on one BLAS thread when dim <= SERIAL_BLAS_DIM.
+
+    numpy and scipy each keep an OpenBLAS pool of nproc threads, and on
+    small matrices the two pools stall each other; large matrices gain from
+    the threads, so they keep them. Each library's previous count is
+    restored on exit, also from a nested use or an exception. The counts
+    are per process, so threads must not use this concurrently.
+    """
+    libs = _openblas_threads() if dim <= SERIAL_BLAS_DIM else []
+    saved = [get() for get, _ in libs]
+    for _, put in libs:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(libs, saved):
+            put(count)
 
 
 def unitary_conjugation(u: np.ndarray) -> np.ndarray:

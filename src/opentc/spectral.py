@@ -14,7 +14,7 @@ import scipy.linalg
 import scipy.sparse
 from scipy.sparse.csgraph import connected_components
 
-from .operators import devectorize, hs_inner, vectorize
+from .operators import _serial_blas, devectorize, hs_inner, vectorize
 
 SPECTRAL_TOL = 1e-8           # clusters and peripheral modes; README table
 DEFECTIVE_COND = 1e10         # a condition number
@@ -81,33 +81,52 @@ def decompose(s: np.ndarray, kind: str = "generator") -> SpectralData:
     to right vectors by index. Degenerate clusters (eigenvalues joined by
     steps < SPECTRAL_TOL) are re-mixed so the cross-Gram matrix is the
     identity; clusters whose cross-Gram is numerically singular are flagged
-    defective.
+    defective. Runs on one BLAS thread up to operators.SERIAL_BLAS_DIM.
     """
     if kind not in ("generator", "map"):
         raise ValueError(f"kind must be 'generator' or 'map', got {kind!r}")
     s = np.asarray(s, dtype=complex)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError("superoperator must be square")
-    w, vl, vr = scipy.linalg.eig(s, left=True, right=True)
-    tol = SPECTRAL_TOL
-    # keys rounded to tol first, so rounding noise cannot swap rows
-    order = np.lexsort((-w.imag, -w.real, -np.round(w.imag / tol),
-                        -np.round(w.real / tol)))
-    w, vl, vr = w[order], vl[:, order], vr[:, order]
-    defective = np.zeros(w.size, dtype=bool)
-    n_clusters, clusters = _clusters(w)
-    for label in range(n_clusters):
-        idx = np.nonzero(clusters == label)[0]
+    with _serial_blas(s.shape[0]):
+        w, vl, vr = scipy.linalg.eig(s, left=True, right=True)
+        tol = SPECTRAL_TOL
+        # keys rounded to tol first, so rounding noise cannot swap rows
+        order = np.lexsort((-w.imag, -w.real, -np.round(w.imag / tol),
+                            -np.round(w.real / tol)))
+        w, vl, vr = w[order], vl[:, order], vr[:, order]
+        clusters = _clusters(w)[1]
+        defective = _biorthonormalize(vl, vr, clusters)
+    return SpectralData(eigenvalues=w, right=vr, left=vl, kind=kind,
+                        defective=defective, clusters=clusters)
+
+
+def _biorthonormalize(vl: np.ndarray, vr: np.ndarray,
+                      clusters: np.ndarray) -> np.ndarray:
+    """Mix vl within each cluster so vl^dag vr = 1 there; return the defective.
+
+    A cluster is defective when its Gram matrix vl^dag vr has a condition
+    number above DEFECTIVE_COND; its columns are left as they are. vl is
+    changed in place. Singletons, whose Gram is one number, go in one step.
+    """
+    sizes = np.bincount(clusters)
+    defective = np.zeros(clusters.size, dtype=bool)
+    single = np.flatnonzero(sizes[clusters] == 1)
+    # columns are unit norm, so a healthy cluster has an O(1) Gram
+    gram = np.einsum("ij,ij->j", vl[:, single].conj(), vr[:, single])
+    bad = np.abs(gram) < np.maximum(1.0, np.abs(gram)) / DEFECTIVE_COND
+    defective[single[bad]] = True
+    vl[:, single[~bad]] /= gram[~bad].conj()
+    for label in np.flatnonzero(sizes > 1):
+        idx = np.flatnonzero(clusters == label)
         gram = vl[:, idx].conj().T @ vr[:, idx]
-        # columns are unit norm, so a healthy cluster has an O(1) Gram
         svals = np.linalg.svd(gram, compute_uv=False)
         if svals.min() < max(1.0, svals.max()) / DEFECTIVE_COND:
             defective[idx] = True
             continue
         # L_new = L @ inv(gram)^dag gives L_new^dag R = identity
         vl[:, idx] = vl[:, idx] @ np.linalg.inv(gram).conj().T
-    return SpectralData(eigenvalues=w, right=vr, left=vl, kind=kind,
-                        defective=defective, clusters=clusters)
+    return defective
 
 
 def _clusters(w: np.ndarray) -> tuple:

@@ -174,6 +174,24 @@ def test_initial_state_and_h_grid_config_errors(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["spectrum", "disorder", "sweep",
+                                     "trace", "scaling"])
+@pytest.mark.parametrize("values", [
+    {"h": 1.0, "dissipator_mode": "independent"},
+    {"h": 0.5, "h_grid": [0.5, 1.0], "dissipator_mode": "collective"},
+    {"h": 0.5, "gamma": 0.0, "dissipator_mode": "independent",
+     "initial_state": "local_plus_x"}],
+    ids=["h-one", "h-grid-one", "gamma-zero"])
+def test_secular_mode_without_channel_is_config_error(tmp_path, capsys,
+                                                      command, values):
+    # at gamma = 0 H conserves M_z: the secular dissipators have no channel
+    cfg = write_config(tmp_path, **values)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_override(tmp_path):
     cfg = write_config(tmp_path, n_samples=2)
     out = tmp_path / "dis.csv"

@@ -44,7 +44,10 @@ def test_config_validation():
                 dict(beta=float("nan")), dict(beta=-np.inf),
                 dict(h_grid=()), dict(eta_grid=()), dict(l_grid=()),
                 dict(h_grid=(1.5,)), dict(h_grid=(0.5, -0.5)),
-                dict(h_grid=(float("nan"),))):
+                dict(h_grid=(float("nan"),)),
+                dict(h=1.0, dissipator_mode="independent"),
+                dict(h_grid=(0.5, 1.0), dissipator_mode="collective"),
+                dict(gamma=0.0, dissipator_mode="independent")):
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad)
 

@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from opentc.operators import (devectorize, hs_inner, identity, is_unitary,
-                              kron, magnetization, magnetization_per_spin,
-                              pauli, sandwich, site_operator, trace_functional,
+from opentc import operators
+from opentc.floquet import matrix_exp
+from opentc.operators import (SERIAL_BLAS_DIM, devectorize, hs_inner,
+                              identity, is_unitary, kron, magnetization,
+                              magnetization_per_spin, pauli, sandwich,
+                              site_operator, trace_functional,
                               unitary_conjugation, vectorize, z_signs)
+from opentc.spectral import decompose
 
 
 def random_matrix(rng, d):
@@ -151,3 +156,78 @@ def test_z_signs_match_dense_operators():
         assert np.array_equal(z.prod(0), 1.0 - 2.0 * (popcount % 2))
     with pytest.raises(ValueError):
         z_signs(0)
+
+
+@pytest.fixture
+def blas():
+    """Every loaded OpenBLAS, at counts 2, 3, ... so each is told apart."""
+    libs = operators._openblas_threads()
+    if not libs:
+        pytest.skip("no OpenBLAS loaded")
+    before = [get() for get, _ in libs]
+    for k, (_, put) in enumerate(libs):
+        put(k + 2)
+    yield libs
+    for (_, put), count in zip(libs, before):
+        put(count)
+
+
+def counts(libs):
+    return [get() for get, _ in libs]
+
+
+def test_serial_blas_restores_each_count(blas):
+    default = counts(blas)
+    assert len(set(default)) == len(blas)
+    with operators._serial_blas(SERIAL_BLAS_DIM):
+        assert counts(blas) == [1] * len(blas)
+        with operators._serial_blas(1):
+            assert counts(blas) == [1] * len(blas)
+        assert counts(blas) == [1] * len(blas)
+        with operators._serial_blas(SERIAL_BLAS_DIM + 1):
+            assert counts(blas) == [1] * len(blas)
+    assert counts(blas) == default
+    with pytest.raises(RuntimeError, match="body"):
+        with operators._serial_blas(2):
+            raise RuntimeError("body")
+    assert counts(blas) == default
+    with operators._serial_blas(SERIAL_BLAS_DIM + 1):
+        assert counts(blas) == default
+
+
+@pytest.mark.parametrize("offset", [0, 1], ids=["at-limit", "above"])
+def test_kernels_run_serial_up_to_the_limit(blas, monkeypatch, offset):
+    n = SERIAL_BLAS_DIM + offset
+    expected = [1] * len(blas) if offset == 0 else counts(blas)
+    seen = {}
+
+    def probe(name, kernel):
+        def wrapped(*args, **kwargs):
+            seen[name] = counts(blas)
+            return kernel(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(scipy.linalg, "expm",
+                        probe("expm", lambda s: np.eye(s.shape[0])))
+    monkeypatch.setattr(scipy.linalg, "eig", probe("eig", scipy.linalg.eig))
+    s = np.diag(np.arange(n, dtype=complex))
+    matrix_exp(s)
+    decompose(s, kind="map")
+    assert seen == {"expm": expected, "eig": expected}
+
+
+def test_serial_blas_without_openblas(monkeypatch):
+    def no_maps(*args, **kwargs):
+        raise FileNotFoundError("/proc/self/maps")
+
+    libs = operators._openblas_threads()
+    before = counts(libs)
+    # another OS: no maps file, so the lookup finds nothing
+    monkeypatch.setattr(operators, "_openblas", None)
+    monkeypatch.setattr(operators, "open", no_maps, raising=False)
+    assert operators._openblas_threads() == []
+    with operators._serial_blas(1):
+        assert counts(libs) == before
+    s = np.diag([0.5, -1.0 + 0j])
+    assert np.allclose(matrix_exp(s), np.diag(np.exp([0.5, -1.0])))
+    assert np.allclose(decompose(s, kind="map").eigenvalues, [0.5, -1.0])

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from opentc.experiments import ExperimentConfig, _protocol
+from opentc.floquet import floquet_propagator
 from opentc.lindblad import JumpChannel, LindbladModel, liouvillian_matrix
 from opentc.operators import devectorize, pauli, vectorize
-from opentc.spectral import (SPECTRAL_TOL, _clusters, asymptotic_state,
-                             asymptotic_subspace, decompose, dissipative_gap,
-                             dual_basis)
+from opentc.spectral import (DEFECTIVE_COND, SPECTRAL_TOL, _biorthonormalize,
+                             _clusters, asymptotic_state, asymptotic_subspace,
+                             decompose, dissipative_gap, dual_basis)
 
 
 def dephasing_generator(h=0.0, kappa=0.5):
@@ -228,3 +230,54 @@ def test_clusters_with_shared_real_parts_match_breadth_first_reference():
         count, labels = _clusters(w)
         assert np.array_equal(labels, breadth_first_clusters(w, SPECTRAL_TOL))
         assert count == labels.max() + 1
+
+
+def per_cluster_biorthonormalize(vl, vr, clusters):
+    """decompose's former loop: one svd and one inv per cluster, also 1 x 1."""
+    vl = vl.copy()
+    defective = np.zeros(clusters.size, dtype=bool)
+    for label in range(clusters.max() + 1):
+        idx = np.nonzero(clusters == label)[0]
+        gram = vl[:, idx].conj().T @ vr[:, idx]
+        svals = np.linalg.svd(gram, compute_uv=False)
+        if svals.min() < max(1.0, svals.max()) / DEFECTIVE_COND:
+            defective[idx] = True
+            continue
+        vl[:, idx] = vl[:, idx] @ np.linalg.inv(gram).conj().T
+    return vl, defective
+
+
+def l4_map_block():
+    cfg = ExperimentConfig()
+    _, proto = _protocol(cfg, 1.0 / np.sqrt(2.0), np.pi / 20, 4)
+    return floquet_propagator(proto, proto.blocks[1])
+
+
+def test_singleton_step_matches_per_cluster_loop():
+    rng = np.random.default_rng(21)
+    v = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    repeated = v @ np.diag([0.5, 0.5, 0.5, -0.2, -0.2, 1.0, 0.3j, -0.3j,
+                            0.7, 0.1, -0.9, 0.2]) @ np.linalg.inv(v)
+    # a 4 x 4 Jordan block: exact, one defective cluster; in a random
+    # basis, rounding splits it into four defective singletons
+    jordan = np.diag(np.full(4, 0.3 + 0.2j)) + np.diag(np.ones(3), 1)
+    jordan = scipy.linalg.block_diag(jordan, np.diag(rng.normal(size=3)))
+    v = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+    cases = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+             for n in (2, 7, 40)]
+    cases += [rng.normal(size=(30, 30)), repeated, jordan,
+              v @ jordan @ np.linalg.inv(v), l4_map_block()]
+    seen = set()
+    for s in cases:
+        w, vl, vr = scipy.linalg.eig(s, left=True, right=True)
+        clusters = _clusters(w)[1]
+        ref_vl, ref_defective = per_cluster_biorthonormalize(vl, vr, clusters)
+        got_vl = vl.copy()
+        got_defective = _biorthonormalize(got_vl, vr, clusters)
+        assert np.array_equal(got_defective, ref_defective)
+        assert (np.max(np.abs(got_vl - ref_vl))
+                <= 1e-14 * np.max(np.abs(ref_vl)))
+        single = np.bincount(clusters)[clusters] == 1
+        seen |= set(zip(single, got_defective))
+    # healthy and defective, singletons and larger clusters
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
