@@ -25,8 +25,8 @@ from .operators import (devectorize, hs_inner, magnetization_per_spin, pauli,
                         trace_functional, vectorize, z_signs)
 
 MAX_LENGTH = 10
-# spectrum, sweep and disorder build the 4^L x 4^L map as four parity
-# blocks of (4^L / 4)^2 entries: 4 GiB each at L = 8
+# spectrum, sweep and disorder build the 4^L x 4^L map as three parity
+# blocks of (4^L / 4)^2 entries, (-, +) mirrored: 4 GiB each at L = 8
 MATRIX_PATH_MAX = 6
 TREND_SLACK = 1e-12           # absolute; README "Tolerances"
 
@@ -222,11 +222,25 @@ def _protocol(cfg: ExperimentConfig, h: float, eta: float, length: int,
 
 
 def _block_spectra(proto: floquet.KickedProtocol, kind: str = "map") -> list:
-    """Spectra of the Floquet map, or of the generator, one per block."""
+    """Spectra of the Floquet map, or of the generator, one per block.
+
+    The generators and the kick preserve Hermiticity, so block (b, a) is
+    block (a, b) under r -> r^dag: only the blocks with a <= b are built
+    and decomposed, and each other one is their spectral.mirror.
+    """
     build = (proto.model.matrix if kind == "generator"
              else functools.partial(floquet.floquet_propagator, proto))
-    return [spectral.decompose(build(block), kind=kind)
-            for block in proto.blocks]
+    n = len(proto.sectors)
+    spectra = {}
+    for k, block in enumerate(proto.blocks):
+        a, b = divmod(k, n)
+        if a <= b:
+            spectra[a, b] = spectral.decompose(build(block), kind=kind)
+        else:
+            rows, cols = block      # its partner (b, a) acts on n_b x n_a
+            spectra[a, b] = spectral.mirror(
+                spectra[b, a], (cols.shape[1], rows.shape[1]))
+    return list(spectra.values())
 
 
 def _initial_state(cfg: ExperimentConfig, params: xy.XYParams) -> np.ndarray:

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-from scipy.sparse.csgraph import connected_components
 
 from .operators import _serial_blas, devectorize, hs_inner, vectorize
 
@@ -90,15 +88,46 @@ def decompose(s: np.ndarray, kind: str = "generator") -> SpectralData:
         raise ValueError("superoperator must be square")
     with _serial_blas(s.shape[0]):
         w, vl, vr = scipy.linalg.eig(s, left=True, right=True)
-        tol = SPECTRAL_TOL
-        # keys rounded to tol first, so rounding noise cannot swap rows
-        order = np.lexsort((-w.imag, -w.real, -np.round(w.imag / tol),
-                            -np.round(w.real / tol)))
+        order = _order(w)
         w, vl, vr = w[order], vl[:, order], vr[:, order]
         clusters = _clusters(w)[1]
         defective = _biorthonormalize(vl, vr, clusters)
     return SpectralData(eigenvalues=w, right=vr, left=vl, kind=kind,
                         defective=defective, clusters=clusters)
+
+
+def mirror(sd: SpectralData, shape: tuple) -> SpectralData:
+    """The spectrum of block (b, a) from sd, that of block (a, b).
+
+    For a superoperator S that preserves Hermiticity, S(r^dag) = S(r)^dag,
+    the block on r^dag (shape (n_b, n_a)) is the block on r (shape
+    (n_a, n_b) = `shape`) conjugated by r -> r^dag. So its eigenvalues are
+    the conjugates of sd's, and each right and left eigenvector is the
+    vectorized conjugate transpose of one of sd's. The result keeps every
+    invariant of decompose: its order rule, cluster labels in first-member
+    order, biorthonormal pairs and defective flags.
+    """
+    # entry (j, i) of a vector of block (b, a) is entry (i, j) of one of sd's
+    rows = np.arange(sd.size).reshape(shape).T.reshape(-1)
+    w = sd.eigenvalues.conj()
+    order = _order(w)
+    w = w[order]
+    return SpectralData(eigenvalues=w,
+                        right=sd.right[np.ix_(rows, order)].conj(),
+                        left=sd.left[np.ix_(rows, order)].conj(),
+                        kind=sd.kind, defective=sd.defective[order],
+                        clusters=_clusters(w)[1])
+
+
+def _order(w: np.ndarray) -> np.ndarray:
+    """decompose's order: by real part, then imaginary part, descending.
+
+    The keys are rounded to SPECTRAL_TOL first, so rounding noise cannot
+    swap rows.
+    """
+    tol = SPECTRAL_TOL
+    return np.lexsort((-w.imag, -w.real, -np.round(w.imag / tol),
+                       -np.round(w.real / tol)))
 
 
 def _biorthonormalize(vl: np.ndarray, vr: np.ndarray,
@@ -107,25 +136,25 @@ def _biorthonormalize(vl: np.ndarray, vr: np.ndarray,
 
     A cluster is defective when its Gram matrix vl^dag vr has a condition
     number above DEFECTIVE_COND; its columns are left as they are. vl is
-    changed in place. Singletons, whose Gram is one number, go in one step.
+    changed in place. All clusters of one size, singletons included, go in
+    one stacked Gram, svd and inverse.
     """
     sizes = np.bincount(clusters)
     defective = np.zeros(clusters.size, dtype=bool)
-    single = np.flatnonzero(sizes[clusters] == 1)
-    # columns are unit norm, so a healthy cluster has an O(1) Gram
-    gram = np.einsum("ij,ij->j", vl[:, single].conj(), vr[:, single])
-    bad = np.abs(gram) < np.maximum(1.0, np.abs(gram)) / DEFECTIVE_COND
-    defective[single[bad]] = True
-    vl[:, single[~bad]] /= gram[~bad].conj()
-    for label in np.flatnonzero(sizes > 1):
-        idx = np.flatnonzero(clusters == label)
-        gram = vl[:, idx].conj().T @ vr[:, idx]
+    by_cluster = np.argsort(clusters, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    for size in np.unique(sizes):
+        # idx[c]: the members of the c-th cluster of this size
+        idx = by_cluster[starts[sizes == size, None] + np.arange(size)]
+        left, right = vl[:, idx], vr[:, idx]
+        gram = np.einsum("nci,ncj->cij", left.conj(), right)
         svals = np.linalg.svd(gram, compute_uv=False)
-        if svals.min() < max(1.0, svals.max()) / DEFECTIVE_COND:
-            defective[idx] = True
-            continue
+        # columns are unit norm, so a healthy cluster has an O(1) Gram
+        bad = svals[:, -1] < np.maximum(1.0, svals[:, 0]) / DEFECTIVE_COND
+        defective[idx[bad]] = True
         # L_new = L @ inv(gram)^dag gives L_new^dag R = identity
-        vl[:, idx] = vl[:, idx] @ np.linalg.inv(gram).conj().T
+        vl[:, idx[~bad]] = np.einsum("nci,cji->ncj", left[:, ~bad],
+                                     np.linalg.inv(gram[~bad]).conj())
     return defective
 
 
@@ -133,24 +162,29 @@ def _clusters(w: np.ndarray) -> tuple:
     """Connected components of |w_i - w_j| < SPECTRAL_TOL: (count, labels).
 
     Labels are in order of each cluster's first member. Neighbours are
-    looked for after a sort by real part, offset by offset, until no pair
-    at an offset has real parts within the tolerance, so no n x n array
-    is formed.
+    looked for after a sort by real part, among the values whose real
+    parts lie within 2 SPECTRAL_TOL (room for rounding), so no n x n array
+    is formed. Each component is then labelled by its smallest index: the
+    larger root of every pair with two roots is hooked onto the smaller,
+    then every index jumps to the root of its root until it points at one.
     """
     order = np.argsort(w.real, kind="stable")
     ws = w[order]
-    pairs = [np.empty((2, 0), dtype=int)]
-    for k in range(1, w.size):
-        # real gaps grow with the offset; 2 tol leaves room for rounding
-        near = np.flatnonzero(ws[k:].real - ws[:-k].real <= 2 * SPECTRAL_TOL)
-        if near.size == 0:
-            break
-        near = near[np.abs(ws[near + k] - ws[near]) < SPECTRAL_TOL]
-        pairs.append(order[np.stack((near, near + k))])
-    i, j = np.concatenate(pairs, axis=1)
-    graph = scipy.sparse.csr_array((np.ones(i.size, dtype=bool), (i, j)),
-                                   shape=(w.size, w.size))
-    return connected_components(graph, directed=False)
+    # pair each i with every j > i in the sorted order up to end[i]
+    end = np.searchsorted(ws.real, ws.real + 2 * SPECTRAL_TOL, side="right")
+    count = end - np.arange(w.size) - 1
+    i = np.repeat(np.arange(w.size), count)
+    j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(count) - count, count)
+    near = np.abs(ws[j] - ws[i]) < SPECTRAL_TOL
+    i, j = order[i[near]], order[j[near]]
+    root = np.arange(w.size)        # root[x] <= x, in the component of x
+    while not np.array_equal(root[i], root[j]):
+        np.minimum.at(root, np.maximum(root[i], root[j]),
+                      np.minimum(root[i], root[j]))
+        while not np.array_equal(root, root[root]):
+            root = root[root]
+    roots, labels = np.unique(root, return_inverse=True)
+    return roots.size, labels
 
 
 def asymptotic_subspace(sd: SpectralData) -> AsymptoticSubspace:

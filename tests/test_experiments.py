@@ -1,13 +1,14 @@
 """Tests for the configuration-driven experiment runners."""
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import opentc
-from opentc import spectral
+from opentc import floquet, operators, spectral
 from opentc.experiments import (ConfigError, ExperimentConfig, ResultTable,
                                 _initial_state, _protocol, _sweep_point,
                                 load_config, run_disorder, run_scaling,
@@ -176,20 +177,38 @@ def test_default_sweep_stars_have_nonnegative_imaginary_part():
     assert min(table.column("star_im")) >= 0.0
 
 
+def spy(monkeypatch, fn):
+    """Record the arguments of every call of fn, from each opentc module
+    that holds it, as the traced benchmark does."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "opentc" or name.startswith("opentc."):
+            for attr, obj in list(vars(mod).items()):
+                if obj is fn:
+                    monkeypatch.setattr(mod, attr, recording)
+    return calls
+
+
 def test_default_dense_runners_decompose_parity_blocks(monkeypatch):
-    # the default L=4 runners never fall back to the full 256 x 256 map
-    decompose = spectral.decompose
-    shapes = []
-
-    def recording(s, kind="generator"):
-        shapes.append(np.shape(s))
-        return decompose(s, kind=kind)
-
-    monkeypatch.setattr(spectral, "decompose", recording)
-    for run in (run_sweep, run_spectrum, run_disorder):
-        shapes.clear()
+    # the default L=4 runners never fall back to the full 256 x 256 map,
+    # and decompose three of the four parity blocks: (-, +) is mirrored
+    decomposed = spy(monkeypatch, spectral.decompose)
+    exponentiated = spy(monkeypatch, floquet.matrix_exp)
+    sandwiched = spy(monkeypatch, operators.sandwich)
+    for run, calls in ((run_sweep, 75), (run_spectrum, 6), (run_disorder, 3)):
+        decomposed.clear()
         run(ExperimentConfig())
-        assert shapes and max(max(shape) for shape in shapes) == 64, run
+        assert len(decomposed) == calls, run
+        assert max(max(np.shape(s)) for s, *_ in decomposed) == 64, run
+        if run is run_sweep:
+            # functions the traced benchmark requires on the sweep path
+            assert len(exponentiated) == 75
+            assert sandwiched
 
 
 def test_sweep_point_flags_failures():

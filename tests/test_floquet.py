@@ -322,6 +322,17 @@ def test_trace_loss_is_reported():
                            kick_generator=0.5 * pauli("X"))
     with pytest.raises(RuntimeError):
         floquet_propagator(proto)
+    # the diagonal blocks are checked, the off-diagonal ones have no trace
+    blocked = KickedProtocol(model=UniformDecay(), period=1.0,
+                             kick_generator=np.array([0.5, -0.5]),
+                             sectors=(np.array([0]), np.array([1])))
+    for rows, cols in blocked.blocks:
+        if rows is cols:
+            with pytest.raises(RuntimeError):
+                floquet_propagator(blocked, (rows, cols))
+        else:
+            assert abs(floquet_propagator(blocked, (rows, cols))[0, 0]) \
+                == pytest.approx(np.exp(-1.0))
     states = stroboscopic_evolve(proto, np.diag([0.8, 0.2]), 2)
     next(states)
     with pytest.raises(RuntimeError):

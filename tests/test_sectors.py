@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from opentc.experiments import ExperimentConfig, _initial_state, _protocol
+from opentc.experiments import (ExperimentConfig, _block_spectra,
+                                _initial_state, _protocol)
 from opentc.floquet import (KickedProtocol, find_star, floquet_propagator,
                             momentum_sectors, stroboscopic_evolve,
                             translation_operator)
 from opentc.lindblad import LindbladModel
 from opentc.operators import pauli
-from opentc.spectral import decompose
+from opentc.spectral import _clusters, _order, decompose, mirror
 from opentc.xy import factorized_states
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -59,6 +60,60 @@ def test_block_spectra_match_full_map(mode, length, h, eta, tol):
     assert star.star_eigenvalue.imag >= 0.0
     assert (blocks[star.block].eigenvalues[star.index]
             == star.star_eigenvalue)
+
+
+@pytest.mark.parametrize("kind", ["map", "generator"])
+@pytest.mark.parametrize("mode", ["numeric", "independent", "collective"])
+@pytest.mark.parametrize("length", [2, 4])
+def test_mirrored_block_matches_direct_block(length, mode, kind):
+    cfg = ExperimentConfig(length=length, dissipator_mode=mode)
+    _, proto = _protocol(cfg, 0.5, np.pi / 20, length)
+    mirrored = _block_spectra(proto, kind)[2]
+    block = proto.blocks[2]
+    assert np.array_equal(block[0], proto.sectors[1])
+    s = (floquet_propagator(proto, block) if kind == "map"
+         else proto.model.matrix(block))
+    direct = decompose(s, kind=kind)
+    w = mirrored.eigenvalues
+    assert multiset_distance(w, direct.eigenvalues) < 1e-12
+    scale = max(1.0, np.max(np.abs(s)))
+    assert np.max(np.abs(s @ mirrored.right - mirrored.right * w)) \
+        < 1e-12 * scale
+    assert np.max(np.abs(mirrored.left.conj().T @ s
+                         - w[:, None] * mirrored.left.conj().T)) \
+        < 1e-12 * scale
+    healthy = ~mirrored.defective
+    gram = mirrored.left[:, healthy].conj().T @ mirrored.right[:, healthy]
+    assert np.max(np.abs(gram - np.eye(healthy.sum()))) < 1e-12
+    # decompose's order rule and first-member cluster labels
+    assert np.array_equal(_order(w), np.arange(w.size))
+    assert np.array_equal(mirrored.clusters, _clusters(w)[1])
+    first = np.unique(mirrored.clusters, return_index=True)[1]
+    assert np.all(np.diff(first) > 0)
+
+
+def test_mirror_of_rectangular_momentum_blocks():
+    # momentum sectors differ in size, so blocks (a, b) and (b, a) are
+    # rectangular and differently shaped
+    cfg = ExperimentConfig(length=4)
+    _, proto = _protocol(cfg, 0.9, np.pi / 40, 4, momentum_sectors(4))
+    n = len(proto.sectors)
+    spectra = _block_spectra(proto)
+    mirrored = 0
+    for k, (rows, cols) in enumerate(proto.blocks):
+        a, b = divmod(k, n)
+        if a <= b:
+            continue
+        mirrored += rows.shape[1] != cols.shape[1]
+        s = floquet_propagator(proto, (rows, cols))
+        sd = spectra[k]
+        assert multiset_distance(sd.eigenvalues,
+                                 decompose(s, kind="map").eigenvalues) < 1e-12
+        assert np.max(np.abs(s @ sd.right - sd.right * sd.eigenvalues)) \
+            < 1e-12
+    assert mirrored > 0
+    with pytest.raises(ValueError):     # a shape of another size
+        mirror(spectra[1], (spectra[1].size, 2))
 
 
 def test_block_maps_match_stepper_at_length_6():

@@ -3,6 +3,10 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from opentc.experiments import ExperimentConfig, _protocol
 from opentc.floquet import floquet_propagator
@@ -232,6 +236,43 @@ def test_clusters_with_shared_real_parts_match_breadth_first_reference():
         assert count == labels.max() + 1
 
 
+def graph_components(w):
+    """scipy's connected components of |w_i - w_j| < SPECTRAL_TOL."""
+    close = np.abs(w[:, None] - w[None, :]) < SPECTRAL_TOL
+    return connected_components(scipy.sparse.csr_array(close),
+                                directed=False)
+
+
+# a cluster: its first value, then steps of a chain (fractions of the
+# tolerance, below 1 joins, above 1 may not), then near-duplicates
+CLUSTER = st.tuples(
+    st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                       allow_infinity=False),
+    st.lists(st.tuples(st.floats(0.05, 1.5), st.floats(0.0, 2 * np.pi)),
+             max_size=5),
+    st.integers(0, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(CLUSTER, min_size=1, max_size=12), st.randoms())
+def test_clusters_match_graph_components(clusters, rnd):
+    w = []
+    for start, steps, duplicates in clusters:
+        chain = start + np.cumsum([0.0] + [
+            frac * SPECTRAL_TOL * np.exp(1j * angle) for frac, angle in steps])
+        w += list(chain)
+        w += [chain[-1] + 1e-15 * (k + 1) * (1 - 1j) for k in range(duplicates)]
+    w = np.array(w, dtype=complex)
+    rnd.shuffle(w)
+    count, labels = _clusters(w)
+    want_count, want = graph_components(w)
+    assert count == want_count
+    assert np.array_equal(labels, want)
+    # labels count up in the order of each cluster's first member
+    first = np.unique(labels, return_index=True)[1]
+    assert np.array_equal(labels[np.sort(first)], np.arange(count))
+
+
 def per_cluster_biorthonormalize(vl, vr, clusters):
     """decompose's former loop: one svd and one inv per cluster, also 1 x 1."""
     vl = vl.copy()
@@ -265,8 +306,16 @@ def test_singleton_step_matches_per_cluster_loop():
     v = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
     cases = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
              for n in (2, 7, 40)]
+    # clusters of size 2: two Jordan blocks among healthy pairs
+    pairs = [np.array([[0.3 + 0.1j, 1.0], [0.0, 0.3 + 0.1j]]),
+             np.array([[-0.4, 1.0], [0.0, -0.4]])]
+    for value in (0.5, -0.7j):
+        basis = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        pairs.append(basis @ np.diag([value, value, value + 0.2])
+                     @ np.linalg.inv(basis))
     cases += [rng.normal(size=(30, 30)), repeated, jordan,
-              v @ jordan @ np.linalg.inv(v), l4_map_block()]
+              v @ jordan @ np.linalg.inv(v), l4_map_block(),
+              scipy.linalg.block_diag(*pairs)]
     seen = set()
     for s in cases:
         w, vl, vr = scipy.linalg.eig(s, left=True, right=True)
@@ -277,7 +326,8 @@ def test_singleton_step_matches_per_cluster_loop():
         assert np.array_equal(got_defective, ref_defective)
         assert (np.max(np.abs(got_vl - ref_vl))
                 <= 1e-14 * np.max(np.abs(ref_vl)))
-        single = np.bincount(clusters)[clusters] == 1
-        seen |= set(zip(single, got_defective))
-    # healthy and defective, singletons and larger clusters
-    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+        seen |= set(zip(np.bincount(clusters)[clusters], got_defective))
+    # healthy and defective clusters of several sizes, both kinds of
+    # size 2 in the last case
+    assert {(1, True), (1, False), (2, True), (2, False), (3, False),
+            (4, True)} <= seen
