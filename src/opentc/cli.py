@@ -47,8 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help="output CSV path (default <command>.csv)")
         p.add_argument("--seed", type=int, default=None, help="RNG seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker processes for grid sweeps")
     return parser
 
 
@@ -62,7 +60,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
     try:
-        cfg = load_config(args.config, seed=args.seed, threads=args.threads)
+        cfg = load_config(args.config, seed=args.seed)
         table = _RUNNERS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,8 +1,8 @@
 """Configuration-driven experiments: sweeps, traces, scaling, disorder, validation.
 
 Each run_* function takes an ExperimentConfig and returns a ResultTable that
-serializes to CSV with a JSON metadata header. Grid experiments parallelize
-over points; rows always come out in grid order.
+serializes to CSV with a JSON metadata header. Grid rows come out in grid
+order.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ import functools
 import io
 import json
 import numbers
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -75,11 +75,16 @@ class ExperimentConfig:
         for name, value in ints:
             if type(value) is bool or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        reals = [self.j, self.jt, self.kappa0, self.beta, self.h, self.eta,
-                 0.0 if self.gamma is None else self.gamma,
-                 *self.h_grid, *self.eta_grid]
-        if any(type(x) is bool or not isinstance(x, numbers.Real) for x in reals):
+        finite = [self.j, self.jt, self.kappa0, self.h, self.eta,
+                  0.0 if self.gamma is None else self.gamma,
+                  *self.h_grid, *self.eta_grid]
+        if any(type(x) is bool or not isinstance(x, numbers.Real)
+               for x in (*finite, self.beta)):
             raise ConfigError("real fields and grid entries must be numbers")
+        # also false for NaN, and for JSON integers too large for a float
+        if not all(abs(x) <= sys.float_info.max for x in finite):
+            raise ConfigError("j, jt, kappa0, h, gamma, eta and every h_grid "
+                              "and eta_grid entry must be finite")
         if self.j <= 0 or self.jt <= 0:
             raise ConfigError("j and jt must be positive")
         if self.kappa0 < 0:
@@ -104,8 +109,9 @@ class ExperimentConfig:
                 f"dissipator_mode {self.dissipator_mode!r} needs gamma != 0 "
                 "at h and every h_grid entry: at gamma = 0 H conserves M_z, "
                 "so no Bohr frequency couples to it")
-        if self.threads < 1 or self.seed < 0:
-            raise ConfigError("threads must be >= 1 and seed >= 0")
+        if self.threads != 1 or self.seed < 0:
+            raise ConfigError("seed must be >= 0, and threads must be 1: "
+                              "grid points run one after another")
         if not all(len(g) for g in (self.h_grid, self.eta_grid, self.l_grid)):
             raise ConfigError("h_grid, eta_grid and l_grid must not be empty")
         if any(l % 2 != 0 or not 2 <= l <= MAX_LENGTH for l in self.l_grid):
@@ -285,8 +291,8 @@ def _require_initial_state(cfg: ExperimentConfig, command: str) -> None:
         raise ConfigError(f"{command} from gs_superposition: {exc}") from exc
 
 
-def _sweep_point(task):
-    cfg, h, eta, length = task
+def _sweep_point(cfg: ExperimentConfig, h: float, eta: float,
+                 length: int) -> list:
     try:
         spectra = _block_spectra(_protocol(cfg, h, eta, length)[1])
         diag = floquet.find_star(*spectra, order=cfg.order,
@@ -300,20 +306,14 @@ def _sweep_point(task):
 def run_sweep(cfg: ExperimentConfig) -> ResultTable:
     """Floquet diagnostics over the (h, eta) grid along the factorization line."""
     _require_matrix_path(cfg, "sweep")
-    tasks = [(cfg, h, eta, cfg.length)
-             for h in cfg.h_grid for eta in cfg.eta_grid]
-    if cfg.threads > 1:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(_sweep_point, tasks))
-    else:
-        results = [_sweep_point(t) for t in tasks]
     table = ResultTable(
         columns=["h", "eta", "floquet_gap", "tc_distance",
                  "star_re", "star_im", "status"],
         metadata=_metadata(cfg, "sweep"))
     table.metadata["length"] = cfg.length
-    for row in results:
-        table.add(*row)
+    for h in cfg.h_grid:
+        for eta in cfg.eta_grid:
+            table.add(*_sweep_point(cfg, h, eta, cfg.length))
     table.metadata["failures"] = sum(s != "ok" for s in table.column("status"))
     return table
 

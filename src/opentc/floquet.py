@@ -141,7 +141,7 @@ def matrix_exp(s: np.ndarray, t: float = 1.0) -> np.ndarray:
 def _conjugation(u: np.ndarray) -> _Terms:
     """rho -> U rho U^dag as one sandwich; a 1-D u is a diagonal."""
     u = np.asarray(u, dtype=complex)
-    if not is_unitary(np.diag(u) if u.ndim == 1 else u):
+    if not is_unitary(u):
         raise ValueError("input is not unitary within tolerance "
                          f"{UNITARITY_TOL:g}")
     return _Terms([(u, u.conj() if u.ndim == 1 else u.conj().T)])

@@ -94,7 +94,11 @@ def trace_functional(dim: int) -> np.ndarray:
 
 
 def is_unitary(u: np.ndarray) -> bool:
+    """U^dag U = I entrywise within UNITARITY_TOL; a 1-D u is a diagonal,
+    whose U^dag U - I is diag(|u_i|^2 - 1), so no d x d product is formed."""
     u = np.asarray(u)
+    if u.ndim == 1:
+        return bool(np.max(np.abs((u.conj() * u).real - 1.0)) < UNITARITY_TOL)
     return bool(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
                 < UNITARITY_TOL)
 
@@ -159,7 +163,7 @@ def _serial_blas(dim: int):
 def unitary_conjugation(u: np.ndarray) -> np.ndarray:
     """Superoperator matrix of rho -> U rho U^dag, i.e. kron(U, conj(U))."""
     u = np.asarray(u, dtype=complex)
-    if not is_unitary(u):
+    if u.ndim != 2 or not is_unitary(u):
         raise ValueError("input is not unitary within tolerance "
                          f"{UNITARITY_TOL:g}")
     return np.kron(u, u.conj())

@@ -76,6 +76,33 @@ def test_bad_grid_entry_or_seed_exit_code(tmp_path, capsys, command, values):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, values, message", [
+    ("trace", {"eta": float("nan")}, "must be finite"),
+    ("sweep", {"kappa0": float("inf")}, "must be finite"),
+    ("trace", {"h": 0.5, "gamma": float("nan")}, "must be finite"),
+    ("trace", {"jt": 10 ** 400}, "must be finite"),
+    ("sweep", {"threads": 2}, "threads must be 1")],
+    ids=["nan-eta", "inf-kappa0", "nan-gamma", "huge-jt", "threads-2"])
+def test_non_finite_value_or_threads_is_config_error(tmp_path, capsys,
+                                                     command, values, message):
+    # json writes and reads NaN, Infinity and integers beyond a float's
+    # range; only beta may be infinite
+    cfg = write_config(tmp_path, **values)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not out.exists()
+
+
+def test_threads_one_still_runs(tmp_path):
+    cfg = write_config(tmp_path, threads=1)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    meta = json.loads(out.read_text().splitlines()[0][1:])
+    assert meta["config"]["threads"] == 1
+
+
 @pytest.mark.parametrize("command", ["sweep", "scaling"])
 def test_failed_grid_point_exit_code(tmp_path, capsys, monkeypatch, command):
     protocol = experiments._protocol
@@ -222,8 +249,10 @@ def test_missing_command_is_usage_error():
     (["sweep", "--seed", "abc"], "invalid int value"),
     (["sweep", "--bogus"], "unrecognized arguments"),
     (["scaling", "--big"], "unrecognized arguments"),
+    (["sweep", "--threads", "2"], "unrecognized arguments"),
     (["banana"], "invalid choice")],
-    ids=["bad-seed", "unknown-flag", "big-flag", "unknown-command"])
+    ids=["bad-seed", "unknown-flag", "big-flag", "threads-flag",
+         "unknown-command"])
 def test_usage_error_exit_code(capsys, argv, message):
     # 2 is reserved for numeric failure, so argparse must not use it
     with pytest.raises(SystemExit) as exc:

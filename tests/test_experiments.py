@@ -6,9 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import opentc
-from opentc import floquet, operators, spectral
+from opentc import floquet, lindblad, models, operators, spectral, xy
 from opentc.experiments import (ConfigError, ExperimentConfig, ResultTable,
                                 _initial_state, _protocol, _sweep_point,
                                 load_config, run_disorder, run_scaling,
@@ -48,7 +49,13 @@ def test_config_validation():
                 dict(h_grid=(float("nan"),)),
                 dict(h=1.0, dissipator_mode="independent"),
                 dict(h_grid=(0.5, 1.0), dissipator_mode="collective"),
-                dict(gamma=0.0, dissipator_mode="independent")):
+                dict(gamma=0.0, dissipator_mode="independent"),
+                dict(threads=2), dict(eta=float("nan")),
+                dict(kappa0=np.inf), dict(h=0.5, gamma=float("nan")),
+                dict(j=np.inf), dict(jt=float("nan")), dict(eta=-np.inf),
+                dict(gamma=np.inf), dict(h_grid=(np.inf,)),
+                dict(eta_grid=(0.0, float("nan"))),
+                dict(eta_grid=(np.inf,)), dict(jt=10 ** 400)):
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad)
 
@@ -177,15 +184,26 @@ def test_default_sweep_stars_have_nonnegative_imaginary_part():
     assert min(table.column("star_im")) >= 0.0
 
 
-def spy(monkeypatch, fn):
-    """Record the arguments of every call of fn, from each opentc module
-    that holds it, as the traced benchmark does."""
+_RUNNING = []      # the spied functions whose calls are in progress
+
+
+def spy(monkeypatch, fn, owner=None):
+    """Record every call of fn as (arguments, spied functions it ran
+    inside), as the traced benchmark does. fn is rebound in each opentc
+    module that holds it, and set on `owner` if given: the class of a
+    method, or the module its callers look it up in."""
     calls = []
 
     def recording(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
+        calls.append((args, tuple(_RUNNING)))
+        _RUNNING.append(fn)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _RUNNING.pop()
 
+    if owner is not None:
+        monkeypatch.setattr(owner, fn.__name__, recording)
     for name, mod in list(sys.modules.items()):
         if name == "opentc" or name.startswith("opentc."):
             for attr, obj in list(vars(mod).items()):
@@ -199,20 +217,72 @@ def test_default_dense_runners_decompose_parity_blocks(monkeypatch):
     # and decompose three of the four parity blocks: (-, +) is mirrored
     decomposed = spy(monkeypatch, spectral.decompose)
     exponentiated = spy(monkeypatch, floquet.matrix_exp)
-    sandwiched = spy(monkeypatch, operators.sandwich)
     for run, calls in ((run_sweep, 75), (run_spectrum, 6), (run_disorder, 3)):
         decomposed.clear()
         run(ExperimentConfig())
         assert len(decomposed) == calls, run
-        assert max(max(np.shape(s)) for s, *_ in decomposed) == 64, run
+        assert max(max(np.shape(s)) for (s, *_), _ in decomposed) == 64, run
         if run is run_sweep:
-            # functions the traced benchmark requires on the sweep path
-            assert len(exponentiated) == 75
-            assert sandwiched
+            assert len(exponentiated) == 75     # one per decomposed block
+
+
+# perfbench's EXERCISED and BYPASSED lists for its four workloads, on
+# small runs: (runner, config, functions called, functions called only
+# inside expm_multiply, functions never called)
+_TRACE = dict(length=4, h=0.9, eta=np.pi / 40, n_periods=1)
+_CALL_GRAPHS = {
+    "sweep": (run_sweep, ExperimentConfig(h_grid=(0.9,), eta_grid=(0.1,)),
+              ["NumericGenerator.__init__", "NumericGenerator.matrix",
+               "decompose", "matrix_exp", "find_star", "sandwich"], [],
+              ["NumericGenerator.action", "NumericGenerator.adjoint_action",
+               "liouvillian_action", "adjoint_liouvillian_action",
+               "liouvillian_matrix", "expm_multiply"]),
+    "trace": (run_trace, ExperimentConfig(**_TRACE), ["expm_multiply"],
+              ["NumericGenerator.action", "NumericGenerator.adjoint_action"],
+              ["decompose", "matrix_exp", "sandwich", "liouvillian_action",
+               "adjoint_liouvillian_action", "liouvillian_matrix"]),
+    "trace-secular": (
+        run_trace, ExperimentConfig(**_TRACE, dissipator_mode="independent"),
+        ["expm_multiply", "secular_liouvillian"],
+        ["liouvillian_action", "adjoint_liouvillian_action"],
+        ["decompose", "matrix_exp", "sandwich", "NumericGenerator.action",
+         "NumericGenerator.adjoint_action"]),
+    "validate": (
+        run_validate, None,
+        ["dephasing_model", "liouvillian_matrix", "floquet_propagator",
+         "susceptibility", "translation_refine", "disorder_susceptibility",
+         "decompose", "sandwich"], [],
+        ["expm_multiply", "NumericGenerator.adjoint_action"]),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(_CALL_GRAPHS))
+def test_runners_keep_the_benchmarked_call_graph(monkeypatch, workload):
+    run, cfg, called, in_stepper, bypassed = _CALL_GRAPHS[workload]
+    expm = scipy.sparse.linalg.expm_multiply
+    gen = xy.NumericGenerator
+    spied = {fn.__qualname__: spy(monkeypatch, fn, owner) for fn, owner in (
+        (expm, scipy.sparse.linalg), (gen.__init__, gen), (gen.matrix, gen),
+        (gen.action, gen), (gen.adjoint_action, gen),
+        (xy.secular_liouvillian, None), (lindblad.liouvillian_action, None),
+        (lindblad.adjoint_liouvillian_action, None),
+        (lindblad.liouvillian_matrix, None), (spectral.decompose, None),
+        (floquet.matrix_exp, None), (floquet.find_star, None),
+        (operators.sandwich, None), (models.dephasing_model, None),
+        (floquet.floquet_propagator, None), (floquet.susceptibility, None),
+        (floquet.translation_refine, None),
+        (floquet.disorder_susceptibility, None))}
+    run(cfg)
+    for name in called + in_stepper:
+        assert spied[name], name
+    for name in in_stepper:
+        assert all(expm in outer for _, outer in spied[name]), name
+    for name in bypassed:
+        assert not spied[name], name
 
 
 def test_sweep_point_flags_failures():
-    row = _sweep_point((small_config(), 0.0, 0.0, 3))
+    row = _sweep_point(small_config(), 0.0, 0.0, 3)
     assert row[-1].startswith("error:")
     assert np.isnan(row[2])
 

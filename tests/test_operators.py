@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from opentc import operators
+from opentc import floquet, operators
 from opentc.floquet import matrix_exp
 from opentc.operators import (SERIAL_BLAS_DIM, devectorize, hs_inner,
                               identity, is_unitary, kron, magnetization,
@@ -131,6 +131,23 @@ def test_unitary_conjugation():
     assert np.allclose(devectorize(v), np.diag([0.0, 1.0]))
     with pytest.raises(ValueError):
         unitary_conjugation(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def test_diagonal_unitarity_check_matches_dense_check():
+    # a 1-D u is a diagonal: its verdict is the dense diag(u)'s, and the
+    # kick conjugation accepts or rejects it accordingly
+    phases = np.exp(1j * np.linspace(0.0, 6.0, 64))
+    for off, unitary in ((0.0, True), (1e-9, False), (1e-11, True)):
+        u = phases.copy()
+        u[5] *= 1.0 + off
+        assert is_unitary(u) is is_unitary(np.diag(u)) is unitary
+        if unitary:
+            floquet._conjugation(u)
+        else:
+            with pytest.raises(ValueError):
+                floquet._conjugation(u)
+    with pytest.raises(ValueError):      # a superoperator needs a matrix
+        unitary_conjugation(phases)
 
 
 def test_unitary_conjugation_preserves_trace_functional():
