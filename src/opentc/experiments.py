@@ -8,13 +8,12 @@ order.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import numbers
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -227,26 +226,40 @@ def _protocol(cfg: ExperimentConfig, h: float, eta: float, length: int,
         error=eta, sectors=sectors)
 
 
-def _block_spectra(proto: floquet.KickedProtocol, kind: str = "map") -> list:
+def _block_spectra(proto: floquet.KickedProtocol, kind: str = "map",
+                   evolved: dict | None = None) -> list:
     """Spectra of the Floquet map, or of the generator, one per block.
 
     The generators and the kick preserve Hermiticity, so block (b, a) is
     block (a, b) under r -> r^dag: only the blocks with a <= b are built
-    and decomposed, and each other one is their spectral.mirror.
+    and decomposed, and each other one is their spectral.mirror. A map
+    block is floquet_propagator's, or the kick applied to evolved[a, b]
+    when `evolved` (from _block_evolutions) is given.
     """
-    build = (proto.model.matrix if kind == "generator"
-             else functools.partial(floquet.floquet_propagator, proto))
     n = len(proto.sectors)
     spectra = {}
     for k, block in enumerate(proto.blocks):
         a, b = divmod(k, n)
-        if a <= b:
-            spectra[a, b] = spectral.decompose(build(block), kind=kind)
-        else:
+        if a > b:
             rows, cols = block      # its partner (b, a) acts on n_b x n_a
             spectra[a, b] = spectral.mirror(
                 spectra[b, a], (cols.shape[1], rows.shape[1]))
+            continue
+        if kind == "generator":
+            matrix = proto.model.matrix(block)
+        elif evolved is None:
+            matrix = floquet.floquet_propagator(proto, block)
+        else:
+            matrix = floquet.kicked(proto, evolved[a, b], block)
+        spectra[a, b] = spectral.decompose(matrix, kind=kind)
     return list(spectra.values())
+
+
+def _block_evolutions(proto: floquet.KickedProtocol) -> dict:
+    """floquet.evolution of each block (a, b) that _block_spectra builds."""
+    n = len(proto.sectors)
+    return {divmod(k, n): floquet.evolution(proto, block)
+            for k, block in enumerate(proto.blocks) if k // n <= k % n}
 
 
 def _initial_state(cfg: ExperimentConfig, params: xy.XYParams) -> np.ndarray:
@@ -291,16 +304,37 @@ def _require_initial_state(cfg: ExperimentConfig, command: str) -> None:
         raise ConfigError(f"{command} from gs_superposition: {exc}") from exc
 
 
-def _sweep_point(cfg: ExperimentConfig, h: float, eta: float,
-                 length: int) -> list:
+def _sweep_row(cfg: ExperimentConfig, h: float, length: int) -> list:
+    """The sweep rows at field h, one per eta of cfg.eta_grid.
+
+    exp(L T) does not depend on eta, so each block's is built once and
+    every eta only applies its own kick. A failure to build the generator
+    or an exponential flags the whole row; any later one only its point.
+    """
     try:
-        spectra = _block_spectra(_protocol(cfg, h, eta, length)[1])
+        _, proto = _protocol(cfg, h, 0.0, length)
+        evolved = _block_evolutions(proto)
+    except Exception as exc:   # row failures flagged, run continues
+        return [_failed_point(h, eta, exc) for eta in cfg.eta_grid]
+    return [_sweep_point(cfg, proto, evolved, h, eta)
+            for eta in cfg.eta_grid]
+
+
+def _sweep_point(cfg: ExperimentConfig, proto: floquet.KickedProtocol,
+                 evolved: dict, h: float, eta: float) -> list:
+    """The sweep row at (h, eta) from the blocks' evolutions at h."""
+    try:
+        spectra = _block_spectra(replace(proto, error=eta), evolved=evolved)
         diag = floquet.find_star(*spectra, order=cfg.order,
                                  period=cfg.period)
         return [h, eta, diag.floquet_gap, diag.tc_distance,
                 diag.star_eigenvalue.real, diag.star_eigenvalue.imag, "ok"]
     except Exception as exc:   # per-point failures flagged, run continues
-        return [h, eta, np.nan, np.nan, np.nan, np.nan, f"error: {exc}"]
+        return _failed_point(h, eta, exc)
+
+
+def _failed_point(h: float, eta: float, exc: Exception) -> list:
+    return [h, eta, np.nan, np.nan, np.nan, np.nan, f"error: {exc}"]
 
 
 def run_sweep(cfg: ExperimentConfig) -> ResultTable:
@@ -312,8 +346,8 @@ def run_sweep(cfg: ExperimentConfig) -> ResultTable:
         metadata=_metadata(cfg, "sweep"))
     table.metadata["length"] = cfg.length
     for h in cfg.h_grid:
-        for eta in cfg.eta_grid:
-            table.add(*_sweep_point(cfg, h, eta, cfg.length))
+        for row in _sweep_row(cfg, h, cfg.length):
+            table.add(*row)
     table.metadata["failures"] = sum(s != "ok" for s in table.column("status"))
     return table
 

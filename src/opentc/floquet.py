@@ -150,13 +150,31 @@ def _conjugation(u: np.ndarray) -> _Terms:
 def floquet_propagator(p: KickedProtocol, block=None) -> np.ndarray:
     """(U_K o U_K^*) exp(L T) on the block rows^dag rho cols; None is all.
 
-    The generator block is exponentiated and the kick, restricted the same
-    way, applied to it; a block of p.blocks is exact, and a model or kick
-    that couples the sectors raises ValueError. The trace functional is a
-    left fixed point of the whole map and of every diagonal block.
+    kicked(p, evolution(p, block), block): the generator block is
+    exponentiated and the kick, restricted the same way, applied to it; a
+    block of p.blocks is exact, and a model or kick that couples the
+    sectors raises ValueError. A caller that varies only the kick error
+    can keep the evolution and call kicked for each error itself.
     """
-    prop = _conjugation(p.kick_unitary).restrict(block).columns(
-        matrix_exp(p.model.matrix(block), p.period))
+    return kicked(p, evolution(p, block), block)
+
+
+def evolution(p: KickedProtocol, block=None) -> np.ndarray:
+    """exp(L T) on the block rows^dag rho cols; None is all.
+
+    It does not depend on the kick, so not on p.error either.
+    """
+    return matrix_exp(p.model.matrix(block), p.period)
+
+
+def kicked(p: KickedProtocol, evolved: np.ndarray, block=None) -> np.ndarray:
+    """The kick (U_K o U_K^*), restricted to the block, applied to `evolved`.
+
+    `evolved` is the block's evolution(p, block). The trace functional is
+    a left fixed point of the whole map and of every diagonal block: a
+    residual above PROPAGATOR_TRACE_TOL * d raises RuntimeError.
+    """
+    prop = _conjugation(p.kick_unitary).restrict(block).columns(evolved)
     if block is None or np.array_equal(*block):
         d = int(round(np.sqrt(prop.shape[0])))
         # <<1| prop sums the d rows of the diagonal entries: no BLAS call
@@ -241,7 +259,8 @@ def susceptibility(sd: SpectralData, v: np.ndarray, mu: int,
             eps[l] * np.vdot(l0, rvecs[k - l]) for l in range(1, k))
         if k < order:
             rhs = vr - sum(eps[l] * rvecs[k - l] for l in range(1, k + 1))
-            coeff = (sd.left[:, others].conj().T @ rhs) / (w[others] - eps0)
+            # (S - eps0) r_k = -rhs, projected on each other left vector
+            coeff = (sd.left[:, others].conj().T @ rhs) / (eps0 - w[others])
             rvecs[k] = sd.right[:, others] @ coeff
     return complex(eps[order])
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .lindblad import HERMITICITY_TOL
 from .operators import _serial_blas, devectorize, hs_inner, vectorize
 
 SPECTRAL_TOL = 1e-8           # clusters and peripheral modes; README table
@@ -79,7 +80,11 @@ def decompose(s: np.ndarray, kind: str = "generator") -> SpectralData:
     to right vectors by index. Degenerate clusters (eigenvalues joined by
     steps < SPECTRAL_TOL) are re-mixed so the cross-Gram matrix is the
     identity; clusters whose cross-Gram is numerically singular are flagged
-    defective. Runs on one BLAS thread up to operators.SERIAL_BLAS_DIM.
+    defective. A superoperator that preserves Hermiticity is decomposed in
+    real arithmetic (see _real_eig), and again on complex eig should that
+    leave a defective cluster: real eig can return dependent vectors for
+    exactly equal eigenvalues, such as a generator's zeros. Runs on one
+    BLAS thread up to operators.SERIAL_BLAS_DIM.
     """
     if kind not in ("generator", "map"):
         raise ValueError(f"kind must be 'generator' or 'map', got {kind!r}")
@@ -87,11 +92,12 @@ def decompose(s: np.ndarray, kind: str = "generator") -> SpectralData:
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError("superoperator must be square")
     with _serial_blas(s.shape[0]):
-        w, vl, vr = scipy.linalg.eig(s, left=True, right=True)
-        order = _order(w)
-        w, vl, vr = w[order], vl[:, order], vr[:, order]
-        clusters = _clusters(w)[1]
-        defective = _biorthonormalize(vl, vr, clusters)
+        real = _real_eig(s)
+        parts = None if real is None else _biorthonormal(*real)
+        if parts is None or parts[-1].any():
+            parts = _biorthonormal(*scipy.linalg.eig(s, left=True,
+                                                     right=True))
+    w, vl, vr, clusters, defective = parts
     return SpectralData(eigenvalues=w, right=vr, left=vl, kind=kind,
                         defective=defective, clusters=clusters)
 
@@ -130,20 +136,81 @@ def _order(w: np.ndarray) -> np.ndarray:
                        -np.round(w.real / tol)))
 
 
+def _biorthonormal(w: np.ndarray, vl: np.ndarray, vr: np.ndarray) -> tuple:
+    """scipy eig's output in decompose's order, biorthonormalized:
+    (w, vl, vr, clusters, defective)."""
+    order = _order(w)
+    w, vl, vr = w[order], vl[:, order], vr[:, order]
+    clusters = _clusters(w)[1]
+    return w, vl, vr, clusters, _biorthonormalize(vl, vr, clusters)
+
+
+def _real_eig(s: np.ndarray) -> tuple | None:
+    """scipy's eig of s in real arithmetic, (w, vl, vr); None if it can't be.
+
+    An n x n superoperator on d x d operators (n = d^2) that preserves
+    Hermiticity, S(r^dag) = S(r)^dag, equals its conjugate with rows and
+    columns permuted by the transpose r -> r^T. Within HERMITICITY_TOL of
+    that, S is real in the orthonormal Hermitian operator basis
+    {|i><i|, (|i><j| + |j><i|)/sqrt(2), i(|i><j| - |j><i|)/sqrt(2)},
+    i < j, the columns of a unitary T. T^dag S T then goes to real eig
+    (dgeev), whose conjugate pairs are exactly conjugate, and T maps its
+    left and right vectors back. T has at most two entries in a row or
+    column, so both changes of basis are index arithmetic.
+    """
+    n = s.shape[0]
+    d = int(round(np.sqrt(n)))
+    if d * d != n:
+        return None
+    perm = np.arange(n).reshape(d, d).T.reshape(-1)
+    if np.max(np.abs(s - s[np.ix_(perm, perm)].conj())) > HERMITICITY_TOL:
+        return None
+    alpha, beta = _hermitian_basis(d)
+    # T[p, p] = alpha[p] and T[perm[p], p] = beta[p]
+    st = s * alpha + s[:, perm] * beta
+    m = (alpha.conj()[:, None] * st + beta.conj()[:, None] * st[perm]).real
+    w, vl, vr = scipy.linalg.eig(m, left=True, right=True)
+    # (T v)[p] = alpha[p] v[p] + beta[perm[p]] v[perm[p]]
+    back = lambda v: alpha[:, None] * v + beta[perm, None] * v[perm]
+    return w, back(vl), back(vr)
+
+
+def _hermitian_basis(d: int) -> tuple:
+    """The entries (alpha, beta) of _real_eig's T for operators on C^d.
+
+    Column p = (i, j) of T is |i><i| for i = j, (|i><j| + |j><i|)/sqrt(2)
+    for i < j and i(|j><i| - |i><j|)/sqrt(2) for i > j; alpha[p] is its
+    entry at p and beta[p] at the transposed index. A diagonal p splits
+    its 1 as 1/2 + 1/2, so the formulas need no case for it.
+    """
+    i, j = np.divmod(np.arange(d * d), d)
+    r = np.sqrt(0.5)
+    alpha = np.where(i < j, r, np.where(i > j, -1j * r, 0.5))
+    beta = np.where(i < j, r, np.where(i > j, 1j * r, 0.5))
+    return alpha, beta
+
+
 def _biorthonormalize(vl: np.ndarray, vr: np.ndarray,
                       clusters: np.ndarray) -> np.ndarray:
     """Mix vl within each cluster so vl^dag vr = 1 there; return the defective.
 
     A cluster is defective when its Gram matrix vl^dag vr has a condition
     number above DEFECTIVE_COND; its columns are left as they are. vl is
-    changed in place. All clusters of one size, singletons included, go in
-    one stacked Gram, svd and inverse.
+    changed in place. A singleton's Gram is the number g = <l|r>, with the
+    one singular value |g| and the inverse 1/g, so it is done in closed
+    form; all larger clusters of one size go in one stacked Gram, svd and
+    inverse.
     """
     sizes = np.bincount(clusters)
     defective = np.zeros(clusters.size, dtype=bool)
+    single = np.flatnonzero(sizes[clusters] == 1)
+    g = np.einsum("ni,ni->i", vl[:, single].conj(), vr[:, single])
+    bad = np.abs(g) < np.maximum(1.0, np.abs(g)) / DEFECTIVE_COND
+    defective[single[bad]] = True
+    vl[:, single[~bad]] /= g[~bad].conj()
     by_cluster = np.argsort(clusters, kind="stable")
     starts = np.cumsum(sizes) - sizes
-    for size in np.unique(sizes):
+    for size in np.unique(sizes[sizes > 1]):
         # idx[c]: the members of the c-th cluster of this size
         idx = by_cluster[starts[sizes == size, None] + np.arange(size)]
         left, right = vl[:, idx], vr[:, idx]

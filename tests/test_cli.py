@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from opentc import cli, experiments
+from opentc import cli, experiments, floquet
 from opentc.cli import main
 
 
@@ -105,15 +105,23 @@ def test_threads_one_still_runs(tmp_path):
 
 @pytest.mark.parametrize("command", ["sweep", "scaling"])
 def test_failed_grid_point_exit_code(tmp_path, capsys, monkeypatch, command):
-    protocol = experiments._protocol
+    protocol, kicked = experiments._protocol, floquet.kicked
 
-    def failing(cfg, h, eta, length, *sectors):
-        # fails the sweep point at eta = 0.1 and the scaling point at L = 4
-        if eta > 0 or length == 4:
+    def failing_protocol(cfg, h, eta, length, *sectors):
+        # fails the scaling point at L = 4
+        if length == 4:
             raise FloatingPointError("injected")
         return protocol(cfg, h, eta, length, *sectors)
 
-    monkeypatch.setattr(experiments, "_protocol", failing)
+    def failing_kick(p, *args):
+        # fails the sweep point at eta = 0.1, whose row builds its protocol
+        # at eta = 0 and only kicks at 0.1
+        if p.error > 0:
+            raise FloatingPointError("injected")
+        return kicked(p, *args)
+
+    monkeypatch.setattr(experiments, "_protocol", failing_protocol)
+    monkeypatch.setattr(floquet, "kicked", failing_kick)
     cfg = write_config(tmp_path, l_grid=[2, 4])
     out = tmp_path / "out.csv"
     assert main([command, "--config", cfg, "--out", str(out)]) == 3

@@ -11,10 +11,10 @@ import scipy.sparse.linalg
 import opentc
 from opentc import floquet, lindblad, models, operators, spectral, xy
 from opentc.experiments import (ConfigError, ExperimentConfig, ResultTable,
-                                _initial_state, _protocol, _sweep_point,
-                                load_config, run_disorder, run_scaling,
-                                run_spectrum, run_sweep, run_trace,
-                                run_validate)
+                                _block_spectra, _initial_state, _protocol,
+                                _sweep_row, load_config, run_disorder,
+                                run_scaling, run_spectrum, run_sweep,
+                                run_trace, run_validate)
 from opentc.floquet import floquet_propagator
 from opentc.operators import (devectorize, hs_inner, magnetization_per_spin,
                               vectorize)
@@ -217,13 +217,34 @@ def test_default_dense_runners_decompose_parity_blocks(monkeypatch):
     # and decompose three of the four parity blocks: (-, +) is mirrored
     decomposed = spy(monkeypatch, spectral.decompose)
     exponentiated = spy(monkeypatch, floquet.matrix_exp)
+    gen = xy.NumericGenerator
+    built = spy(monkeypatch, gen.__init__, gen)
     for run, calls in ((run_sweep, 75), (run_spectrum, 6), (run_disorder, 3)):
         decomposed.clear()
         run(ExperimentConfig())
         assert len(decomposed) == calls, run
         assert max(max(np.shape(s)) for (s, *_), _ in decomposed) == 64, run
         if run is run_sweep:
-            assert len(exponentiated) == 75     # one per decomposed block
+            # one generator per h, one exp(L T) per h and built block
+            assert len(built) == 5
+            assert len(exponentiated) == 15
+
+
+def test_sweep_rows_match_the_map_builder_at_each_point():
+    # the sweep kicks one exp(L T) per h and block; building every point's
+    # map with floquet_propagator from the same inputs gives the same bits
+    cfg = ExperimentConfig(h_grid=(0.25, 1.0 / np.sqrt(2.0)),
+                           eta_grid=(0.0, np.pi / 40, np.pi / 10))
+    table = run_sweep(cfg)
+    points = [(h, eta) for h in cfg.h_grid for eta in cfg.eta_grid]
+    assert len(table.rows) == len(points)
+    for row, (h, eta) in zip(table.rows, points):
+        spectra = _block_spectra(_protocol(cfg, h, eta, cfg.length)[1])
+        diag = floquet.find_star(*spectra, order=cfg.order,
+                                 period=cfg.period)
+        assert row == [h, eta, diag.floquet_gap, diag.tc_distance,
+                       diag.star_eigenvalue.real, diag.star_eigenvalue.imag,
+                       "ok"]
 
 
 # perfbench's EXERCISED and BYPASSED lists for its four workloads, on
@@ -281,10 +302,27 @@ def test_runners_keep_the_benchmarked_call_graph(monkeypatch, workload):
         assert not spied[name], name
 
 
-def test_sweep_point_flags_failures():
-    row = _sweep_point(small_config(), 0.0, 0.0, 3)
-    assert row[-1].startswith("error:")
-    assert np.isnan(row[2])
+def test_sweep_point_flags_failures(monkeypatch):
+    cfg = small_config()
+    # no generator at odd length: every eta of the row fails
+    rows = _sweep_row(cfg, 0.0, 3)
+    assert [row[:2] for row in rows] == [[0.0, eta] for eta in cfg.eta_grid]
+    for row in rows:
+        assert row[-1] == "error: chain length must be even and >= 2"
+        assert np.all(np.isnan(row[2:6]))
+    # a failing kick fails its own point only
+    kicked = floquet.kicked
+
+    def failing(p, *args):
+        if p.error > 0:
+            raise FloatingPointError("injected")
+        return kicked(p, *args)
+
+    monkeypatch.setattr(floquet, "kicked", failing)
+    ok, failed = _sweep_row(cfg, 0.0, 2)
+    assert ok[:2] == [0.0, 0.0] and ok[-1] == "ok"
+    assert failed[:2] == [0.0, 0.1] and failed[-1] == "error: injected"
+    assert np.all(np.isnan(failed[2:6]))
 
 
 def test_run_scaling_rows_and_trend():

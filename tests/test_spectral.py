@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,10 +11,12 @@ from scipy.sparse.csgraph import connected_components
 
 from opentc.experiments import ExperimentConfig, _protocol
 from opentc.floquet import floquet_propagator
-from opentc.lindblad import JumpChannel, LindbladModel, liouvillian_matrix
+from opentc.lindblad import (HERMITICITY_TOL, JumpChannel, LindbladModel,
+                             liouvillian_matrix)
 from opentc.operators import devectorize, pauli, vectorize
-from opentc.spectral import (DEFECTIVE_COND, SPECTRAL_TOL, _biorthonormalize,
-                             _clusters, asymptotic_state, asymptotic_subspace,
+from opentc.spectral import (DEFECTIVE_COND, SPECTRAL_TOL, _biorthonormal,
+                             _biorthonormalize, _clusters, _hermitian_basis,
+                             _real_eig, asymptotic_state, asymptotic_subspace,
                              decompose, dissipative_gap, dual_basis)
 
 
@@ -331,3 +334,101 @@ def test_singleton_step_matches_per_cluster_loop():
     # size 2 in the last case
     assert {(1, True), (1, False), (2, True), (2, False), (3, False),
             (4, True)} <= seen
+
+
+def _matched_distance(a, b) -> float:
+    """Largest distance between two multisets of eigenvalues, best matched."""
+    rows, cols = scipy.optimize.linear_sum_assignment(
+        np.abs(a[:, None] - b[None, :]))
+    return float(np.max(np.abs(a[rows] - b[cols])))
+
+
+def _residual(vl, vr) -> float:
+    return float(np.max(np.abs(vl.conj().T @ vr - np.eye(vr.shape[1]))))
+
+
+@pytest.mark.parametrize("length", [2, 4])
+@pytest.mark.parametrize("mode", ["numeric", "independent", "collective"])
+def test_real_path_matches_complex_path_on_parity_blocks(length, mode):
+    cfg = ExperimentConfig(dissipator_mode=mode)
+    _, proto = _protocol(cfg, 0.5, np.pi / 20, length)
+    n = len(proto.sectors)
+    for kind in ("generator", "map"):
+        for k, block in enumerate(proto.blocks):
+            a, b = divmod(k, n)
+            if a > b:
+                continue
+            s = (proto.model.matrix(block) if kind == "generator"
+                 else floquet_propagator(proto, block))
+            real = _real_eig(s)
+            # only the diagonal blocks preserve Hermiticity
+            assert (real is not None) == (a == b), (kind, a, b)
+            if real is None:
+                continue
+            w, vl, vr, _, defective = _biorthonormal(*real)
+            cw, cvl, cvr, _, cdefective = _biorthonormal(
+                *scipy.linalg.eig(s, left=True, right=True))
+            assert _matched_distance(w, cw) < 1e-12, (kind, a)
+            assert np.array_equal(defective, cdefective), (kind, a)
+            assert not defective.any(), (kind, a)
+            # the vectors mapped back are eigenvectors of s itself
+            scale = np.max(np.abs(s))
+            assert np.max(np.abs(s @ vr - vr * w)) < 1e-12 * scale
+            assert (np.max(np.abs(vl.conj().T @ s - w[:, None] * vl.conj().T))
+                    < 1e-12 * scale * np.max(np.abs(vl)))
+            # no worse than the complex path's; at L = 2 that reaches 2e-9
+            # on the generator's (-, -) block, with left vectors of norm 1e7
+            assert (_residual(vl, vr)
+                    < max(1e-12, _residual(cvl, cvr))), (kind, a)
+            # decompose takes the real path on these blocks
+            sd = decompose(s, kind=kind)
+            assert np.array_equal(sd.eigenvalues, w), (kind, a)
+            assert np.array_equal(sd.right, vr), (kind, a)
+
+
+def test_real_path_needs_hermiticity_preservation(monkeypatch):
+    cfg = ExperimentConfig()
+    _, proto = _protocol(cfg, 1.0 / np.sqrt(2.0), np.pi / 20, 4)
+    s = floquet_propagator(proto, proto.blocks[0])        # (+, +)
+    # entry (1, 2) is rho_01 -> rho_02; its partner is rho_10 -> rho_20
+    kick = np.zeros_like(s)
+    kick[1, 2] = 1j * HERMITICITY_TOL
+    rng = np.random.default_rng(5)
+    random = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    eig = scipy.linalg.eig
+    seen = []
+
+    def recording(m, *args, **kwargs):
+        seen.append(m.dtype)
+        return eig(m, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eig", recording)
+    for m in (s, s + 0.5 * kick, s + 10 * kick, random):
+        sd = decompose(m, kind="map")
+        assert _residual(sd.left, sd.right) < 1e-10
+    assert seen == [np.float64, np.float64, np.complex128, np.complex128]
+
+
+def test_real_path_gives_exact_conjugate_pairs():
+    cfg = ExperimentConfig()
+    _, proto = _protocol(cfg, 1.0 / np.sqrt(2.0), np.pi / 20, 4)
+    w = decompose(floquet_propagator(proto, proto.blocks[0]),
+                  kind="map").eigenvalues                  # (+, +)
+    pairs = w[w.imag != 0]
+    assert pairs.size >= 2
+    assert np.all(np.isin(pairs.conj(), w))
+
+
+def test_hermitian_basis_is_unitary_and_hermitian():
+    d = 3
+    alpha, beta = _hermitian_basis(d)
+    perm = np.arange(d * d).reshape(d, d).T.reshape(-1)
+    t = np.zeros((d * d, d * d), dtype=complex)
+    t[np.arange(d * d), np.arange(d * d)] += alpha
+    t[perm, np.arange(d * d)] += beta
+    assert np.max(np.abs(t.conj().T @ t - np.eye(d * d))) < 1e-15
+    for col in t.T:
+        op = devectorize(col)
+        assert np.array_equal(op, op.conj().T)
+    s = random_generator(np.random.default_rng(2), d)
+    assert np.max(np.abs((t.conj().T @ s @ t).imag)) < 1e-12
