@@ -273,8 +273,10 @@ def stroboscopic_evolve(p: KickedProtocol, rho0: np.ndarray,
     of those whose s^dag rho0 has an entry above SECTOR_TOL, the stepper
     evolves r = U^dag rho U and yields U r U^dag. When rho0 touches every
     sector, r is rho itself. Each period is one scipy expm_multiply on the
-    generator's action and adjoint action on r, with traceA from its
-    trace(), followed by the kick; r is hermitized after every period.
+    generator's action and adjoint action on r, scaled by the period, with
+    traceA from its trace(), followed by the kick; r is hermitized after
+    every period. A block of columns, such as the norm estimator's probes,
+    reaches the generator as one stack of operators in one call.
     Arguments are checked when called; a non-finite trace, or one drifting
     from 1 by more than TRACE_TOL, raises RuntimeError.
     """
@@ -297,12 +299,7 @@ def _stroboscopic_states(p: KickedProtocol, rho: np.ndarray,
         block = (u, u)
         rho = u.conj().T @ rho @ u
     gen = p.model
-    d = rho.shape[0]
-    op = p.period * scipy.sparse.linalg.LinearOperator(
-        shape=(d * d, d * d), dtype=complex,
-        matvec=lambda v: gen.action(v.reshape(d, d), block).reshape(-1),
-        rmatvec=lambda v: gen.adjoint_action(v.reshape(d, d),
-                                             block).reshape(-1))
+    op = _period_operator(gen, p.period, block, rho.shape[0])
     tra = complex(gen.trace(block)) * p.period
     kick = _conjugation(p.kick_unitary).restrict(block)
     vec = vectorize(rho)
@@ -315,6 +312,27 @@ def _stroboscopic_states(p: KickedProtocol, rho: np.ndarray,
                                f"evolution")
         yield rho if block is None else u @ rho @ u.conj().T
         vec = vectorize(rho)
+
+
+def _period_operator(gen: Generator, t: float, block,
+                     d: int) -> scipy.sparse.linalg.LinearOperator:
+    """t L on row-major vectorized d x d operators, L the generator's block.
+
+    rmatvec is t times the adjoint action. matmat and rmatmat hand the
+    columns to the generator as one stack of d x d operators, one call.
+    """
+
+    def columns(apply, m):
+        out = apply(m.T.reshape(-1, d, d), block)
+        return t * out.reshape(-1, d * d).T
+
+    return scipy.sparse.linalg.LinearOperator(
+        shape=(d * d, d * d), dtype=complex,
+        matvec=lambda v: t * gen.action(v.reshape(d, d), block).reshape(-1),
+        rmatvec=lambda v: t * gen.adjoint_action(v.reshape(d, d),
+                                                 block).reshape(-1),
+        matmat=lambda m: columns(gen.action, m),
+        rmatmat=lambda m: columns(gen.adjoint_action, m))
 
 
 def check_observation6(map_sd: SpectralData, u_kick: np.ndarray,

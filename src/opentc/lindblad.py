@@ -23,7 +23,8 @@ class Generator(Protocol):
     action, and trace() equals np.trace(matrix()) without building it.
     Each method also takes a block (rows, cols) of isometries and is then
     the generator on r = rows^dag rho cols, built from restricted factors
-    (see _Terms.restrict); the actions take and return that r.
+    (see _Terms.restrict); the actions take and return that r, or a stack
+    of them, shape (..., *r.shape), in one call.
     """
 
     def action(self, rho: np.ndarray, block=None) -> np.ndarray: ...
@@ -42,6 +43,14 @@ class _Terms:
     that of the operators it acts on, (d, d) unless it is restricted to a
     rectangular block. The actions also take a stack of operators, shape
     (..., *shape).
+
+    Two or more pairs whose factors are both dense are applied together as
+    two matrix products: Z = x [B_1 ... B_K], read without a copy as the
+    (r K) x c matrix with row (j, k), and then A_hat Z with
+    A_hat[i, j K + k] = A_k[i, j]. The other pairs follow one at a time.
+    The two stacked factors are built on the first action (the transposed
+    ones on the first adjoint action) and kept; matrix, trace and restrict
+    never build them.
     """
 
     def __init__(self, pairs, shape=None):
@@ -50,25 +59,53 @@ class _Terms:
                  if f is not None)
         self.shape = shape or (d, d)
         self._restricted = (None, None)
+        self._plans = {}
 
-    def _apply(self, pairs, x) -> np.ndarray:
+    def _plan(self, transposed: bool):
+        """(stack, pairs) for _apply, of the transposed factors if asked.
+
+        stack is (A_hat, [B_1 ... B_K]) of the dense pairs, or None when
+        there are fewer than two; pairs are the ones applied one at a time.
+        """
+        plan = self._plans.get(transposed)
+        if plan is None:
+            pairs = [(_transpose(a), _transpose(b)) if transposed else (a, b)
+                     for a, b in self.pairs]
+            dense = [all(f is not None and f.ndim == 2 for f in pair)
+                     for pair in pairs]
+            stack = None
+            if sum(dense) >= 2:
+                left, right = zip(*(p for p, s in zip(pairs, dense) if s))
+                stack = (np.stack(left, axis=-1).reshape(self.shape[0], -1),
+                         np.concatenate(right, axis=1))
+                pairs = [p for p, s in zip(pairs, dense) if not s]
+            plan = self._plans[transposed] = (stack, pairs)
+        return plan
+
+    def _apply(self, x, transposed: bool) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
         if x.shape[-2:] != self.shape:
             raise ValueError("operator dimension differs from superoperator "
                              "dimension")
-        out = np.zeros_like(x)
+        stack, pairs = self._plan(transposed)
+        if stack is None:
+            out = np.zeros_like(x)
+        else:
+            a_hat, b_cat = stack
+            cols = self.shape[1]
+            z = x.reshape(-1, cols) @ b_cat
+            out = a_hat @ z.reshape(*x.shape[:-2], a_hat.shape[1], cols)
         for a, b in pairs:
             ax = x if a is None else a[:, None] * x if a.ndim == 1 else a @ x
             out += ax if b is None else ax * b if b.ndim == 1 else ax @ b
         return out
 
     def action(self, rho) -> np.ndarray:
-        return self._apply(self.pairs, rho)
+        return self._apply(rho, False)
 
     def adjoint_action(self, a) -> np.ndarray:
         """sum_k A_k^dag a B_k^dag, as conj(sum_k A_k^T conj(a) B_k^T)."""
-        out = self._apply(((_transpose(l), _transpose(r))
-                           for l, r in self.pairs), np.conj(a))
+        out = self._apply(np.conj(a), True)
         return np.conj(out, out=out)
 
     def columns(self, m) -> np.ndarray:
@@ -103,11 +140,12 @@ class _Terms:
         columns). Each left factor becomes rows^dag A rows and each right
         factor cols^dag B cols; a diagonal factor stays 1-D when its
         restriction is diagonal. That is exact when every factor keeps the
-        span of rows, and of cols: an entry above SECTOR_TOL in
-        A rows - rows (rows^dag A rows) or rows^dag A - (rows^dag A rows)
-        rows^dag (and the same for B and cols) raises ValueError. None is
-        the whole of rho. The last block is remembered by identity, so a
-        caller that passes one block object many times restricts once.
+        span of rows, and of cols: an entry above
+        SECTOR_TOL * max(1, max|A|) in A rows - rows (rows^dag A rows) or
+        rows^dag A - (rows^dag A rows) rows^dag (and the same for B and
+        cols) raises ValueError. None is the whole of rho. The last block
+        is remembered by identity, so a caller that passes one block
+        object many times restricts once.
         """
         if block is None:
             return self
@@ -139,9 +177,11 @@ def _restrict(f, v: np.ndarray):
     out = v_dag @ fv
     leak = max(np.abs(fv - v @ out).max(initial=0.0),
                np.abs(vf - out @ v_dag).max(initial=0.0))
-    if leak > SECTOR_TOL:
+    bound = SECTOR_TOL * max(1.0, np.abs(f).max(initial=0.0))
+    if leak > bound:
         raise ValueError(f"a factor couples the sector to its complement "
-                         f"(entry {leak:.2e} > SECTOR_TOL)")
+                         f"(entry {leak:.2e} > SECTOR_TOL * max(1, max|f|)"
+                         f" = {bound:.2e})")
     if f.ndim == 1 and np.count_nonzero(out) == np.count_nonzero(
             np.diagonal(out)):
         return np.diagonal(out).copy()
@@ -171,7 +211,9 @@ class LindbladModel:
     Implements the generator interface shared with xy.NumericGenerator:
     action, adjoint_action, matrix and trace. The generator is built once as
     the sandwiches (K, 1), (1, K^dag) and (k_a L_a, L_a^dag) with
-    K = -iH - 1/2 sum_a k_a L_a^dag L_a.
+    K = -iH - 1/2 sum_a k_a L_a^dag L_a. With two or more jumps their
+    sandwiches are applied as two stacked matrix products (see _Terms), so
+    an action costs the same few BLAS calls for any number of jumps.
     """
 
     hamiltonian: np.ndarray

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from opentc.floquet import (KickedProtocol, check_observation6,
+from opentc.floquet import (KickedProtocol, _period_operator,
+                            check_observation6,
                             disorder_susceptibility, find_star,
                             floquet_propagator, matrix_exp,
                             rotation_error_map, stroboscopic_evolve,
@@ -18,7 +19,8 @@ from opentc.models import bell_basis, dfs_collective_model
 from opentc.operators import (devectorize, magnetization, pauli, sandwich,
                               site_operator, unitary_conjugation, vectorize)
 from opentc.spectral import decompose
-from opentc.xy import BathSpec, NumericGenerator, XYParams
+from opentc.xy import (BathSpec, NumericGenerator, XYParams,
+                       secular_liouvillian)
 
 
 def dephasing(h=0.0, kappa=0.5):
@@ -325,6 +327,32 @@ def test_stepper_matches_dense_map_numeric_generator():
                            kick_generator=magnetization("Z", 2) / 2, error=0.1)
     assert_stepper_matches_dense_map(
         proto, random_state(np.random.default_rng(30), 4))
+
+
+@pytest.mark.parametrize("mode", ["secular", "numeric"])
+def test_period_operator_blocks_match_columns(mode):
+    rng = np.random.default_rng(31)
+    params = XYParams(j=1.0, gamma=0.6, h=0.8, length=4)
+    bath = BathSpec(0.05, np.inf)
+    if mode == "secular":   # many jumps, on the even parity block
+        gen = secular_liouvillian(params, bath, "independent")
+        even = np.eye(16)[:, [bin(i).count("1") % 2 == 0 for i in range(16)]]
+        block, d = (even, even), 8
+    else:
+        gen, block, d = NumericGenerator(params, bath), None, 16
+    t = 0.7
+    op = _period_operator(gen, t, block, d)
+    m = rng.normal(size=(d * d, 3)) + 1j * rng.normal(size=(d * d, 3))
+    for stacked, column, apply in ((op.matmat, op.matvec, gen.action),
+                                   (op.rmatmat, op.rmatvec,
+                                    gen.adjoint_action)):
+        got = stacked(m)
+        want = np.stack([column(v) for v in m.T], axis=1)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-14 * scale
+        direct = t * apply(devectorize(m[:, 0]), block)
+        assert np.max(np.abs(want[:, 0] - vectorize(direct))) \
+            <= 1e-14 * scale
 
 
 def test_stroboscopic_checks_arguments_when_called():

@@ -192,12 +192,24 @@ def test_sandwich_sum_columns_stacks_and_adjoint(terms_and_rng, n):
 
 def former_action(terms, x):
     """The evaluator before identity factors were skipped: each identity
-    factor was multiplied in as the diagonal ones(d)."""
-    out = np.zeros_like(x)
-    rows, cols = (np.ones(n, dtype=complex) for n in terms.shape)
-    for a, b in terms.pairs:
-        a = rows if a is None else a
-        b = cols if b is None else b
+    factor was multiplied in as the diagonal ones(d). Two or more pairs of
+    dense factors are first summed as the two stacked products, as the
+    evaluator does; the identity-bearing pairs then follow in order."""
+    rows, cols = terms.shape
+    is_dense = [a is not None and b is not None and a.ndim == b.ndim == 2
+                for a, b in terms.pairs]
+    dense = [pair for pair, s in zip(terms.pairs, is_dense) if s]
+    others = [pair for pair, s in zip(terms.pairs, is_dense) if not s]
+    if len(dense) < 2:
+        out, others = np.zeros_like(x), terms.pairs
+    else:
+        a_hat = np.stack([a for a, _ in dense], axis=-1).reshape(rows, -1)
+        b_cat = np.concatenate([b for _, b in dense], axis=1)
+        out = a_hat @ (x @ b_cat).reshape(-1, cols)
+    ones = {n: np.ones(n, dtype=complex) for n in (rows, cols)}
+    for a, b in others:
+        a = ones[rows] if a is None else a
+        b = ones[cols] if b is None else b
         ax = a[:, None] * x if a.ndim == 1 else a @ x
         out += ax * b if b.ndim == 1 else ax @ b
     return out
@@ -240,3 +252,62 @@ def test_block_methods_match_block_matrix(name):
                            mat.conj().T @ x.reshape(-1))):
             assert np.max(np.abs(got.reshape(-1) - want)) < 1e-12
         assert abs(gen.trace((rows, cols)) - np.trace(mat)) < 1e-12
+
+
+def loop_reference(pairs, x, adjoint):
+    """sum_k A_k x B_k (or A_k^dag x B_k^dag), one pair at a time, with
+    every factor written out as a full matrix."""
+    rows, cols = x.shape[-2:]
+
+    def full(f, n):
+        f = np.eye(n) if f is None else np.diag(f) if f.ndim == 1 else f
+        return f.conj().T if adjoint else f
+
+    return sum(full(a, rows) @ x @ full(b, cols) for a, b in pairs)
+
+
+def mixed_pairs(rng, shape, n_dense):
+    """n_dense pairs of dense factors among identity and diagonal ones."""
+    def dense(n):
+        return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+    def diagonal(n):
+        return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+    rows, cols = shape
+    pairs = [(dense(rows), None), (None, dense(cols)),
+             (diagonal(rows), dense(cols)), (dense(rows), diagonal(cols))]
+    for k in range(n_dense):    # interleaved with the others
+        pairs.insert(1 + 2 * k % len(pairs), (dense(rows), dense(cols)))
+    return pairs
+
+
+@pytest.mark.parametrize("n_dense", [0, 1, 2, 7])
+@pytest.mark.parametrize("shape", [(5, 5), (4, 6)])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 2)])
+def test_stacked_dense_pairs_match_pair_loop(n_dense, shape, lead):
+    rng = np.random.default_rng(10 + n_dense)
+    pairs = mixed_pairs(rng, shape, n_dense)
+    terms = _Terms(pairs, shape=shape)
+    x = rng.normal(size=(*lead, *shape)) + 1j * rng.normal(size=(*lead, *shape))
+    for got, adjoint in ((terms.action(x), False),
+                         (terms.adjoint_action(x), True)):
+        want = loop_reference(pairs, x, adjoint)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_stacked_factors_are_built_by_the_actions_only():
+    rng = np.random.default_rng(11)
+    terms = _Terms(mixed_pairs(rng, (4, 4), 3))
+    # a unitary keeps the span of every factor, so any factors restrict
+    q = np.linalg.qr(rng.normal(size=(4, 4)) + 0j)[0]
+    block = (q, q[:, ::-1])
+    terms.matrix(), terms.trace()
+    part = terms.restrict(block)
+    part.matrix(), part.trace()
+    assert not terms._plans and not part._plans
+    terms.action(np.eye(4))
+    assert list(terms._plans) == [False] and not part._plans
+    part.adjoint_action(np.eye(4))
+    assert list(part._plans) == [True]

@@ -151,6 +151,34 @@ def test_protocol_that_mixes_sectors_raises(model, kick):
     assert floquet_propagator(proto).shape == (4, 4)
 
 
+@pytest.mark.parametrize("mode", ["numeric", "independent"])
+def test_large_coupling_keeps_exact_momentum_sectors(mode):
+    # at j = 1e4 the k = 0 restriction of the dissipator's factors leaks
+    # 1.3e-10 (independent) and 5.5e-10 (numeric) by rounding alone, so
+    # the leak is compared with SECTOR_TOL times the factor's largest entry
+    cfg = ExperimentConfig(j=1e4, h=0.9, kappa0=1e-3, length=4,
+                           dissipator_mode=mode)
+    params, proto = _protocol(cfg, cfg.h, cfg.eta, 4, momentum_sectors(4))
+    rho0 = _initial_state(cfg, params)
+    got = stroboscopic_evolve(proto, rho0, 2)
+    want = stroboscopic_evolve(replace(proto, sectors=None), rho0, 2)
+    for a, b in zip(got, want, strict=True):
+        assert np.max(np.abs(a - b)) < 1e-12
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e4])
+def test_scaled_factor_that_mixes_sectors_raises(scale):
+    # a coupling of 1e-9 relative to the factor, above SECTOR_TOL at any scale
+    model = LindbladModel(hamiltonian=scale * (pauli("Z")
+                                               + 1e-9 * pauli("X")))
+    proto = KickedProtocol(model=model, period=1.0,
+                           kick_generator=np.array([0.5, -0.5]),
+                           sectors=QUBIT_SECTORS)
+    for block in proto.blocks:
+        with pytest.raises(ValueError, match="SECTOR_TOL"):
+            floquet_propagator(proto, block)
+
+
 def four_level_protocol(sectors):
     return KickedProtocol(model=LindbladModel(hamiltonian=np.zeros((4, 4))),
                           period=1.0, kick_generator=np.zeros(4),
@@ -224,18 +252,22 @@ def test_momentum_block_spectra_match_full_map(mode, h, eta):
 
 
 class RecordingGenerator:
-    """Forwards to a generator and records the operand shapes it is given."""
+    """Forwards to a generator and records the operator shapes it is given.
+
+    The stepper hands the norm estimator's probes over as one stack
+    (n, r, c), so the shape of each operator in it, (r, c), is recorded.
+    """
 
     def __init__(self, gen):
         self.gen = gen
         self.shapes = set()
 
     def action(self, rho, block=None):
-        self.shapes.add(rho.shape)
+        self.shapes.add(rho.shape[-2:])
         return self.gen.action(rho, block)
 
     def adjoint_action(self, a, block=None):
-        self.shapes.add(a.shape)
+        self.shapes.add(a.shape[-2:])
         return self.gen.adjoint_action(a, block)
 
     def trace(self, block=None):
