@@ -19,6 +19,9 @@ from .spectral import SpectralData
 
 PROPAGATOR_TRACE_TOL = 1e-9   # times the dimension d; README "Tolerances"
 ROOT_OF_UNITY_TOL = 1e-6
+# The stepper refuses a period whose bound on ||L T||_1 is larger: the
+# generator applications of expm_multiply grow with it; README "Tolerances"
+PERIOD_NORM_MAX = 1e5
 
 
 @dataclass(frozen=True)
@@ -299,6 +302,12 @@ def _stroboscopic_states(p: KickedProtocol, rho: np.ndarray,
         block = (u, u)
         rho = u.conj().T @ rho @ u
     gen = p.model
+    norm = p.period * gen.norm_bound(block)
+    if not norm <= PERIOD_NORM_MAX:
+        raise RuntimeError(f"||L T||_1 of the evolved block may reach "
+                           f"{norm:.3g}, above PERIOD_NORM_MAX = "
+                           f"{PERIOD_NORM_MAX:g}: a period would take too "
+                           f"many generator applications")
     op = _period_operator(gen, p.period, block, rho.shape[0])
     tra = complex(gen.trace(block)) * p.period
     kick = _conjugation(p.kick_unitary).restrict(block)

@@ -20,7 +20,8 @@ class Generator(Protocol):
 
     Implemented by LindbladModel and xy.NumericGenerator. matrix() acts on
     row-major vectorized states, its conjugate transpose is the adjoint
-    action, and trace() equals np.trace(matrix()) without building it.
+    action, trace() equals np.trace(matrix()) and norm_bound() bounds the
+    1-norm of matrix() from above, both without building it.
     Each method also takes a block (rows, cols) of isometries and is then
     the generator on r = rows^dag rho cols, built from restricted factors
     (see _Terms.restrict); the actions take and return that r, or a stack
@@ -31,6 +32,7 @@ class Generator(Protocol):
     def adjoint_action(self, a: np.ndarray, block=None) -> np.ndarray: ...
     def matrix(self, block=None) -> np.ndarray: ...
     def trace(self, block=None) -> complex: ...
+    def norm_bound(self, block=None) -> float: ...
 
 
 class _Terms:
@@ -133,6 +135,20 @@ class _Terms:
         rows, cols = self.shape
         return complex(sum(tr(a, rows) * tr(b, cols) for a, b in self.pairs))
 
+    def norm_bound(self) -> float:
+        """sum_k ||A_k||_1 ||B_k||_inf, at least the 1-norm of matrix().
+
+        matrix() is sum_k kron(A_k, B_k^T), and the 1-norm (largest column
+        sum) of a Kronecker product is the product of the factors' 1-norms.
+        """
+        def norm(f, axis):
+            if f is None:
+                return 1.0
+            return float(np.abs(f).max() if f.ndim == 1
+                         else np.abs(f).sum(axis).max())
+
+        return sum(norm(a, 0) * norm(b, 1) for a, b in self.pairs)
+
     def restrict(self, block) -> _Terms:
         """The superoperator on r = rows^dag rho cols, block = (rows, cols).
 
@@ -209,9 +225,9 @@ class LindbladModel:
     """Hamiltonian plus weighted jump channels defining a Markovian generator.
 
     Implements the generator interface shared with xy.NumericGenerator:
-    action, adjoint_action, matrix and trace. The generator is built once as
-    the sandwiches (K, 1), (1, K^dag) and (k_a L_a, L_a^dag) with
-    K = -iH - 1/2 sum_a k_a L_a^dag L_a. With two or more jumps their
+    action, adjoint_action, matrix, trace and norm_bound. The generator is
+    built once as the sandwiches (K, 1), (1, K^dag) and (k_a L_a, L_a^dag)
+    with K = -iH - 1/2 sum_a k_a L_a^dag L_a. With two or more jumps their
     sandwiches are applied as two stacked matrix products (see _Terms), so
     an action costs the same few BLAS calls for any number of jumps.
     """
@@ -253,6 +269,10 @@ class LindbladModel:
         """Trace of matrix(block), without building it."""
         return self._terms.restrict(block).trace()
 
+    def norm_bound(self, block=None) -> float:
+        """Upper bound on the 1-norm of matrix(block), without building it."""
+        return self._terms.restrict(block).norm_bound()
+
 
 def liouvillian_action(model: LindbladModel, rho: np.ndarray,
                        block=None) -> np.ndarray:
@@ -278,14 +298,23 @@ def adjoint_liouvillian_action(model: LindbladModel, a: np.ndarray,
 
 
 def check_state(rho: np.ndarray) -> None:
-    """Raise if rho is not Hermitian, unit trace and PSD within tolerance."""
+    """Raise if rho is not Hermitian, unit trace and PSD within tolerance.
+
+    The smallest eigenvalue lies above -STATE_PSD_TOL exactly when
+    hermitize(rho) + STATE_PSD_TOL * I is positive definite, which a
+    Cholesky factorization tests at a fraction of the eigenvalues' cost.
+    """
     rho = np.asarray(rho)
     if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
         raise ValueError("state is not Hermitian")
     if abs(np.trace(rho) - 1.0) > TRACE_TOL:
         raise ValueError(f"state trace {np.trace(rho)} differs from 1")
-    if np.linalg.eigvalsh(hermitize(rho)).min() < -STATE_PSD_TOL:
-        raise ValueError("state has a negative eigenvalue beyond tolerance")
+    try:
+        np.linalg.cholesky(hermitize(rho)
+                           + STATE_PSD_TOL * np.eye(rho.shape[0]))
+    except np.linalg.LinAlgError:
+        raise ValueError("state has a negative eigenvalue beyond "
+                         "tolerance") from None
 
 
 def rk4_evolve(model: Generator, rho0: np.ndarray, t_total: float,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import JumpChannel, LindbladModel, _Terms
+from .lindblad import JumpChannel, LindbladModel, _restrict, _Terms
 from .operators import z_signs
 
 BOHR_CLUSTER_TOL = 1e-6       # times |J|; README "Tolerances" has them all
@@ -225,26 +225,50 @@ def energy_eigenbasis(p: XYParams):
     Returns (energies, vectors). The cluster rotation removes the gauge
     freedom that would otherwise make the M_z matrix elements ambiguous.
     """
-    ham = xy_hamiltonian(p)
-    evals, vecs = np.linalg.eigh(ham)
-    mz_diag = z_signs(p.length).sum(0)
-    scale = max(1.0, float(np.max(np.abs(evals))))
-    for run in _runs(np.diff(evals) < ENERGY_CLUSTER_TOL * scale):
-        if run.stop - run.start > 1:
-            block = vecs[:, run]
-            mz_block = block.conj().T @ (mz_diag[:, None] * block)
-            _, w = np.linalg.eigh(mz_block)
-            vecs[:, run] = block @ w
-    return evals, vecs
+    return _eigenbasis(xy_hamiltonian(p), z_signs(p.length).sum(0))
 
 
 def numerical_dissipator(p: XYParams, bath: BathSpec) -> np.ndarray:
     """Operator D = 1/2 sum_kl kappa(E_k - E_l) m_kl |k><l|, in the spin basis."""
-    evals, vecs = energy_eigenbasis(p)
-    mz_diag = z_signs(p.length).sum(0)
-    m = vecs.conj().T @ (mz_diag[:, None] * vecs)
+    return _dissipator(xy_hamiltonian(p), z_signs(p.length).sum(0), bath,
+                       p.j)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, where either factor may be a diagonal kept as its 1-D array."""
+    if a.ndim == 1:
+        return a[:, None] * b
+    return a * b if b.ndim == 1 else a @ b
+
+
+def _eigenbasis(ham: np.ndarray, mz: np.ndarray):
+    """energy_eigenbasis of the Hamiltonian ham with magnetization mz.
+
+    mz is a matrix, or its diagonal as a 1-D array; ham and mz may be the
+    restrictions of H and M_z to a sector that both keep.
+    """
+    evals, vecs = np.linalg.eigh(ham)
+    scale = max(1.0, float(np.max(np.abs(evals))))
+    for run in _runs(np.diff(evals) < ENERGY_CLUSTER_TOL * scale):
+        if run.stop - run.start > 1:
+            block = vecs[:, run]
+            _, w = np.linalg.eigh(block.conj().T @ _dot(mz, block))
+            vecs[:, run] = block @ w
+    return evals, vecs
+
+
+def _dissipator(ham: np.ndarray, mz: np.ndarray, bath: BathSpec,
+                j: float) -> np.ndarray:
+    """numerical_dissipator from ham and mz as in _eigenbasis, coupling j.
+
+    For an isometry v onto a subspace that H and M_z both keep (a sector of
+    the translation and the parity), D from v^dag H v and v^dag M_z v is
+    v^dag D v.
+    """
+    evals, vecs = _eigenbasis(ham, mz)
+    m = vecs.conj().T @ _dot(mz, vecs)
     omega = evals[:, None] - evals[None, :]
-    omega[np.abs(omega) < BOHR_CLUSTER_TOL * abs(p.j)] = 0.0
+    omega[np.abs(omega) < BOHR_CLUSTER_TOL * abs(j)] = 0.0
     d_eig = 0.5 * bath.rate(omega) * m
     return vecs @ d_eig @ vecs.conj().T
 
@@ -253,41 +277,85 @@ class NumericGenerator:
     """Generator rho -> -i[H, rho] + [M_z, rho D] + [D^dag rho, M_z].
 
     Implements the generator interface shared with lindblad.LindbladModel:
-    action, adjoint_action, matrix and trace. It is built once as the
-    sandwiches (-iH - M_z D^dag, 1), (1, iH - D M_z), (M_z, D) and
+    action, adjoint_action, matrix, trace and norm_bound. It is the sum of
+    the sandwiches (-iH - M_z D^dag, 1), (1, iH - D M_z), (M_z, D) and
     (D^dag, M_z), with M_z kept as its diagonal, so the action costs four
     dense matrix products plus diagonal scalings; matrix() expands the
     superoperator, or one block of it, for small chains. Every method takes
     a block of rho as lindblad.Generator describes.
+
+    Construction keeps H and the M_z diagonal only. Each side of a block,
+    an isometry v, gets v^dag H v and v^dag M_z v (lindblad._restrict
+    checks that v spans a sector of both) and its own D, built from the
+    eigenbasis of v^dag H v: the d x d D is never formed for a block.
+    Each side is built once per isometry object; None is the whole space,
+    whose D is the `dissipator` property.
     """
 
     def __init__(self, p: XYParams, bath: BathSpec):
         self.params = p
         self.bath = bath
-        self.hamiltonian = h = xy_hamiltonian(p)
-        self.dissipator = d = numerical_dissipator(p, bath)
-        self.mz_diag = z = z_signs(p.length).sum(0)
-        d_dag = d.conj().T
-        self._terms = _Terms([(-1j * h - z[:, None] * d_dag, None),
-                              (None, 1j * h - d * z[None, :]),
-                              (z, d), (d_dag, z)])
+        self.hamiltonian = xy_hamiltonian(p)
+        self.mz_diag = z_signs(p.length).sum(0)
+        # id(v) -> (v, (H, M_z, D) on v); holding v keeps its id unique
+        self._sides = {}
+        self._block = (None, None)      # the last block and its _Terms
 
     @property
     def dim(self) -> int:
         return self.params.dim
 
+    @property
+    def dissipator(self) -> np.ndarray:
+        """The whole-space operator D, built on first use."""
+        return self._side(None)[2]
+
+    @property
+    def _terms(self) -> _Terms:
+        """The whole-space factor pairs."""
+        return self._restricted(None)
+
+    def _side(self, v):
+        """(H, M_z, D) restricted to the isometry v; None is the whole space."""
+        if id(v) not in self._sides:
+            h, z = self.hamiltonian, self.mz_diag
+            if v is not None:
+                h, z = _restrict(h, v), _restrict(z, v)
+            self._sides[id(v)] = (v, (h, z, _dissipator(h, z, self.bath,
+                                                         self.params.j)))
+        return self._sides[id(v)][1]
+
+    def _restricted(self, block) -> _Terms:
+        """The factor pairs on the block (rows, cols); None is all of rho."""
+        last, terms = self._block
+        if terms is None or block is not last:
+            rows, cols = (None, None) if block is None else block
+            h, z, d = self._side(rows)
+            hc, zc, dc = self._side(cols)
+            d_dag = d.conj().T
+            terms = _Terms([(-1j * h - _dot(z, d_dag), None),
+                            (None, 1j * hc - _dot(dc, zc)),
+                            (z, dc), (d_dag, zc)],
+                           shape=(h.shape[0], hc.shape[0]))
+            self._block = (block, terms)
+        return terms
+
     def action(self, rho: np.ndarray, block=None) -> np.ndarray:
-        return self._terms.restrict(block).action(rho)
+        return self._restricted(block).action(rho)
 
     def adjoint_action(self, a: np.ndarray, block=None) -> np.ndarray:
-        return self._terms.restrict(block).adjoint_action(a)
+        return self._restricted(block).adjoint_action(a)
 
     def matrix(self, block=None) -> np.ndarray:
-        return self._terms.restrict(block).matrix()
+        return self._restricted(block).matrix()
 
     def trace(self, block=None) -> complex:
         """Trace of matrix(block), without building it."""
-        return self._terms.restrict(block).trace()
+        return self._restricted(block).trace()
+
+    def norm_bound(self, block=None) -> float:
+        """Upper bound on the 1-norm of matrix(block), without building it."""
+        return self._restricted(block).norm_bound()
 
 
 def secular_liouvillian(p: XYParams, bath: BathSpec,

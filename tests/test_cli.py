@@ -1,6 +1,7 @@
 """Tests for the command-line front end and its exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -180,6 +181,29 @@ def test_spectrum_length_guard_exit_code(tmp_path, capsys):
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
         assert "needs the matrix path" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_huge_generator_norm_exits_before_the_first_period(tmp_path, capsys):
+    # the bound on ||L T||_1 of the k = 0 block is 2.9e7 here: expm_multiply
+    # would run for hours, so the stepper refuses the period from the bound
+    cfg = write_config(tmp_path, kappa0=1e4, length=8)
+    out = tmp_path / "trace.csv"
+    start = time.perf_counter()
+    assert main(["trace", "--config", cfg, "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 30.0
+    assert "PERIOD_NORM_MAX" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("length", [4, 6, 8, 10])
+def test_default_trace_norms_stay_under_the_bound(length):
+    # the default config of trace, and of scaling up to L = 10
+    cfg = experiments.ExperimentConfig(length=length)
+    _, proto = experiments._protocol(cfg, cfg.h, cfg.eta, length,
+                                     floquet.momentum_sectors(length))
+    k0 = proto.sectors[0]
+    bound = proto.period * proto.model.norm_bound((k0, k0))
+    assert bound <= floquet.PERIOD_NORM_MAX
 
 
 def test_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):

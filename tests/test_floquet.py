@@ -67,6 +67,9 @@ class UniformDecay:
     def trace(self, block=None):
         return -self.matrix(block).shape[0]
 
+    def norm_bound(self, block=None):
+        return 1.0
+
 
 def test_protocol_validation():
     with pytest.raises(ValueError):

@@ -190,6 +190,18 @@ def test_sandwich_sum_columns_stacks_and_adjoint(terms_and_rng, n):
             <= 1e-13 * max(1.0, np.max(np.abs(adj)))
 
 
+@settings(max_examples=60, deadline=None)
+@given(sandwich_sums())
+def test_norm_bound_bounds_the_matrix_one_norm(terms_and_rng):
+    # the 1-norm of kron(A, B^T) is ||A||_1 ||B||_inf, so one pair is exact
+    terms, _ = terms_and_rng
+    norm = np.abs(terms.matrix()).sum(0).max()
+    bound = terms.norm_bound()
+    assert norm <= bound * (1.0 + 1e-12)
+    if len(terms.pairs) == 1:
+        assert bound == pytest.approx(norm, rel=1e-12)
+
+
 def former_action(terms, x):
     """The evaluator before identity factors were skipped: each identity
     factor was multiplied in as the diagonal ones(d). Two or more pairs of

@@ -117,6 +117,26 @@ def test_check_state():
         check_state(np.diag([1.5, -0.5]))
 
 
+@pytest.mark.parametrize("d", [4, 256])
+@pytest.mark.parametrize("smallest, accepted", [(-2e-8, False),
+                                                (-0.5e-8, True)])
+def test_check_state_psd_threshold(d, smallest, accepted):
+    # STATE_PSD_TOL = 1e-8: an eigenvalue of -2e-8 is rejected, -0.5e-8 not
+    rng = np.random.default_rng(d)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    u, _ = np.linalg.qr(a)
+    evals = rng.uniform(0.5, 1.0, d)
+    evals[0] = 0.0
+    evals *= (1.0 - smallest) / evals.sum()
+    evals[0] = smallest
+    rho = (u * evals) @ u.conj().T
+    if accepted:
+        check_state(rho)
+    else:
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            check_state(rho)
+
+
 def test_rk4_zero_model_identity():
     model = LindbladModel(hamiltonian=np.zeros((2, 2)))
     rho0 = np.diag([0.3, 0.7]).astype(complex)

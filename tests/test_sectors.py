@@ -14,15 +14,16 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from opentc import xy
 from opentc.experiments import (ExperimentConfig, _block_spectra,
                                 _initial_state, _protocol)
 from opentc.floquet import (KickedProtocol, find_star, floquet_propagator,
                             momentum_sectors, stroboscopic_evolve,
                             translation_operator)
 from opentc.lindblad import LindbladModel
-from opentc.operators import pauli
+from opentc.operators import pauli, z_signs
 from opentc.spectral import _clusters, _order, decompose, mirror
-from opentc.xy import factorized_states
+from opentc.xy import BathSpec, NumericGenerator, XYParams, factorized_states
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -153,9 +154,10 @@ def test_protocol_that_mixes_sectors_raises(model, kick):
 
 @pytest.mark.parametrize("mode", ["numeric", "independent"])
 def test_large_coupling_keeps_exact_momentum_sectors(mode):
-    # at j = 1e4 the k = 0 restriction of the dissipator's factors leaks
-    # 1.3e-10 (independent) and 5.5e-10 (numeric) by rounding alone, so
-    # the leak is compared with SECTOR_TOL times the factor's largest entry
+    # at j = 1e4 the k = 0 restriction of the generator's factors leaks
+    # 1.3e-10 (independent jumps) and 3.6e-12 (numeric: H) by rounding
+    # alone, so the leak is compared with SECTOR_TOL times the factor's
+    # largest entry
     cfg = ExperimentConfig(j=1e4, h=0.9, kappa0=1e-3, length=4,
                            dissipator_mode=mode)
     params, proto = _protocol(cfg, cfg.h, cfg.eta, 4, momentum_sectors(4))
@@ -273,6 +275,9 @@ class RecordingGenerator:
     def trace(self, block=None):
         return self.gen.trace(block)
 
+    def norm_bound(self, block=None):
+        return self.gen.norm_bound(block)
+
 
 @pytest.mark.parametrize("initial_state", ["gs_superposition",
                                            "local_plus_x"])
@@ -336,3 +341,46 @@ def test_state_in_two_momentum_sectors_evolves_their_union():
         assert np.max(np.abs(x - y)) < 1e-12
     n = v0.shape[1] + v1.shape[1]
     assert model.shapes == {(n, n)}
+
+
+# h = 0 and h = 1 have degenerate spectra; at h = 1 (gamma = 0) H conserves
+# M_z, so at beta = inf D is rounding noise, and the tolerance is relative
+# to the bath's rate scale kappa0 |J| where that is larger than max|D|
+@pytest.mark.parametrize("j, beta", [(1.0, np.inf), (1.0, 2.0),
+                                     (1e4, np.inf)],
+                         ids=["zero-temperature", "beta-2", "j-1e4"])
+@pytest.mark.parametrize("h", [0.0, 0.9, 1.0])
+@pytest.mark.parametrize("length", [4, 6, 8])
+def test_sector_dissipator_is_the_restricted_dissipator(length, h, j, beta):
+    p = XYParams(j=j, gamma=np.sqrt(1.0 - h ** 2), h=h, length=length)
+    gen = NumericGenerator(p, BathSpec(0.01 * j, beta))
+    whole = gen.dissipator
+    scale = max(np.abs(whole).max(), gen.bath.kappa0 * j)
+    parity = z_signs(length).prod(0)
+    eye = np.eye(p.dim)
+    for u in (momentum_sectors(length)[0], eye[:, parity > 0],
+              eye[:, parity < 0]):
+        _, _, d = gen._side(u)
+        assert np.abs(d - u.conj().T @ whole @ u).max() <= 1e-13 * scale
+
+
+def test_momentum_block_never_builds_the_whole_space(monkeypatch):
+    # at L = 10 the k = 0 factors come from the 108 x 108 restrictions of
+    # H and M_z: no 1024 x 1024 eigenbasis or dissipator is formed
+    built = []
+
+    def recording(ham, *args):
+        built.append(ham.shape)
+        return dissipator(ham, *args)
+
+    dissipator = xy._dissipator
+    monkeypatch.setattr(xy, "_dissipator", recording)
+    p = XYParams(gamma=np.sqrt(1.0 - 0.81), h=0.9, length=10)
+    gen = NumericGenerator(p, BathSpec())
+    u = momentum_sectors(10)[0]
+    block = (u, u)
+    rho = np.eye(u.shape[1]) / u.shape[1]
+    gen.action(rho, block)
+    gen.adjoint_action(rho, block)
+    gen.trace(block)
+    assert built == [(108, 108)]
