@@ -20,8 +20,8 @@ import numpy as np
 from . import __version__, floquet, models, spectral, xy
 from .lindblad import (LindbladModel, liouvillian_matrix, rk4_evolve,
                        trace_distance)
-from .operators import (devectorize, hs_inner, magnetization_per_spin, pauli,
-                        trace_functional, vectorize, z_signs)
+from .operators import (devectorize, hs_inner, pauli, trace_functional,
+                        vectorize, z_signs)
 
 MAX_LENGTH = 10
 # spectrum, sweep and disorder build the 4^L x 4^L map as three parity
@@ -200,15 +200,12 @@ def _metadata(cfg: ExperimentConfig, kind: str) -> dict:
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
 
 
-def _protocol(cfg: ExperimentConfig, h: float, eta: float, length: int,
-              sectors: tuple | None = None):
+def _protocol(cfg: ExperimentConfig, h: float, eta: float, length: int):
     """XY parameters plus the kicked protocol at one grid point.
 
     Each period runs the chosen dissipative generator, then the
     period-doubling kick exp(-i (pi + eta) M_z / 2). Both keep the parity
     P = prod Z_r of each side of rho and commute with the translation T.
-    The protocol's sectors are `sectors` if given, else the P = +1 and
-    P = -1 basis indices, in that order.
     """
     params = xy.XYParams(j=cfg.j, gamma=cfg.resolved_gamma(h), h=h,
                          length=length)
@@ -217,74 +214,79 @@ def _protocol(cfg: ExperimentConfig, h: float, eta: float, length: int,
         gen = xy.NumericGenerator(params, bath)
     else:
         gen = xy.secular_liouvillian(params, bath, cfg.dissipator_mode)
-    z = z_signs(length)
-    if sectors is None:
-        sectors = tuple(np.flatnonzero(z.prod(0) == sign)
-                        for sign in (1.0, -1.0))
     return params, floquet.KickedProtocol(
-        model=gen, period=cfg.period, kick_generator=z.sum(0) / 2,
-        error=eta, sectors=sectors)
+        model=gen, period=cfg.period,
+        kick_generator=z_signs(length).sum(0) / 2, error=eta)
 
 
-def _block_spectra(proto: floquet.KickedProtocol, kind: str = "map",
-                   evolved: dict | None = None) -> list:
+def _parity_sides(length: int) -> tuple:
+    """The identity columns of P = +1 and of P = -1, in that order."""
+    parity = z_signs(length).prod(0)
+    eye = np.eye(2 ** length, dtype=complex)
+    return tuple(eye[:, parity == sign] for sign in (1.0, -1.0))
+
+
+def _block_spectra(proto: floquet.KickedProtocol, sides: tuple,
+                   kind: str = "map", evolved: dict | None = None) -> list:
     """Spectra of the Floquet map, or of the generator, one per block.
 
-    The generators and the kick preserve Hermiticity, so block (b, a) is
-    block (a, b) under r -> r^dag: only the blocks with a <= b are built
-    and decomposed, and each other one is their spectral.mirror. A map
-    block is floquet_propagator's, or the kick applied to evolved[a, b]
-    when `evolved` (from _block_evolutions) is given.
+    Block (a, b), on sides[a]^dag rho sides[b], in row-major order. The
+    generators and the kick preserve Hermiticity, so block (b, a) is block
+    (a, b) under r -> r^dag: only the blocks with a <= b are built and
+    decomposed, and each other one is their spectral.mirror. A map block
+    is floquet_propagator's, or the kick applied to evolved[a, b] when
+    `evolved` (from _block_evolutions) is given.
     """
-    n = len(proto.sectors)
     spectra = {}
-    for k, block in enumerate(proto.blocks):
-        a, b = divmod(k, n)
-        if a > b:
-            rows, cols = block      # its partner (b, a) acts on n_b x n_a
-            spectra[a, b] = spectral.mirror(
-                spectra[b, a], (cols.shape[1], rows.shape[1]))
-            continue
-        if kind == "generator":
-            matrix = proto.model.matrix(block)
-        elif evolved is None:
-            matrix = floquet.floquet_propagator(proto, block)
-        else:
-            matrix = floquet.kicked(proto, evolved[a, b], block)
-        spectra[a, b] = spectral.decompose(matrix, kind=kind)
+    for a, rows in enumerate(sides):
+        for b, cols in enumerate(sides):
+            if a > b:   # its partner (b, a) acts on n_b x n_a
+                spectra[a, b] = spectral.mirror(
+                    spectra[b, a], (cols.shape[1], rows.shape[1]))
+                continue
+            block = (rows, cols)
+            if kind == "generator":
+                matrix = proto.model.matrix(block)
+            elif evolved is None:
+                matrix = floquet.floquet_propagator(proto, block)
+            else:
+                matrix = floquet.kicked(proto, evolved[a, b], block)
+            spectra[a, b] = spectral.decompose(matrix, kind=kind)
     return list(spectra.values())
 
 
-def _block_evolutions(proto: floquet.KickedProtocol) -> dict:
+def _block_evolutions(proto: floquet.KickedProtocol, sides: tuple) -> dict:
     """floquet.evolution of each block (a, b) that _block_spectra builds."""
-    n = len(proto.sectors)
-    return {divmod(k, n): floquet.evolution(proto, block)
-            for k, block in enumerate(proto.blocks) if k // n <= k % n}
+    return {(a, b): floquet.evolution(proto, (sides[a], sides[b]))
+            for a in range(len(sides)) for b in range(a, len(sides))}
 
 
 def _initial_state(cfg: ExperimentConfig, params: xy.XYParams) -> np.ndarray:
+    """The normalized state vector psi of cfg.initial_state."""
     if cfg.initial_state == "gs_superposition":
         fact = xy.factorized_states(params)
         psi = fact.parity_states[0] + fact.parity_states[1]
     else:
         psi = np.ones(params.dim, dtype=complex)
-    psi = psi / np.linalg.norm(psi)
-    return np.outer(psi, psi.conj())
+    return psi / np.linalg.norm(psi)
 
 
 def _trace_mx(cfg: ExperimentConfig, length: int, n_periods: int) -> list:
     """m_x(nT) for n = 0..n_periods under dissipate-then-kick periods.
 
-    The protocol's sectors are the momentum eigenspaces of T; both initial
-    states are translation invariant, so the stepper evolves their k = 0
-    block only.
+    Both initial states are translation invariant, so the stepper evolves
+    their k = 0 block r = v^dag rho v only, v = momentum_sectors(L)[0], and
+    m_x = tr(v^dag M_x v r) / L.
     """
-    params, proto = _protocol(cfg, cfg.h, cfg.eta, length,
-                              floquet.momentum_sectors(length))
-    mx = magnetization_per_spin("X", length)
-    states = floquet.stroboscopic_evolve(proto, _initial_state(cfg, params),
-                                         n_periods)
-    return [float(np.real(hs_inner(mx, rho))) for rho in states]
+    params, proto = _protocol(cfg, cfg.h, cfg.eta, length)
+    v = floquet.momentum_sectors(length)[0]
+    psi = v.conj().T @ _initial_state(cfg, params)
+    # X_r |i> = |i ^ (1 << r)>, so row i of X_r v is row i ^ (1 << r) of v
+    i = np.arange(2 ** length)
+    mx = v.conj().T @ sum(v[i ^ (1 << r)] for r in range(length)) / length
+    states = floquet.stroboscopic_evolve(
+        proto, np.outer(psi, psi.conj()), n_periods, (v, v))
+    return [float(np.real(hs_inner(mx, r))) for r in states]
 
 
 def _require_matrix_path(cfg: ExperimentConfig, command: str) -> None:
@@ -313,18 +315,21 @@ def _sweep_row(cfg: ExperimentConfig, h: float, length: int) -> list:
     """
     try:
         _, proto = _protocol(cfg, h, 0.0, length)
-        evolved = _block_evolutions(proto)
+        # one object per side for every eta: the generator caches by it
+        sides = _parity_sides(length)
+        evolved = _block_evolutions(proto, sides)
     except Exception as exc:   # row failures flagged, run continues
         return [_failed_point(h, eta, exc) for eta in cfg.eta_grid]
-    return [_sweep_point(cfg, proto, evolved, h, eta)
+    return [_sweep_point(cfg, proto, sides, evolved, h, eta)
             for eta in cfg.eta_grid]
 
 
 def _sweep_point(cfg: ExperimentConfig, proto: floquet.KickedProtocol,
-                 evolved: dict, h: float, eta: float) -> list:
+                 sides: tuple, evolved: dict, h: float, eta: float) -> list:
     """The sweep row at (h, eta) from the blocks' evolutions at h."""
     try:
-        spectra = _block_spectra(replace(proto, error=eta), evolved=evolved)
+        spectra = _block_spectra(replace(proto, error=eta), sides,
+                                 evolved=evolved)
         diag = floquet.find_star(*spectra, order=cfg.order,
                                  period=cfg.period)
         return [h, eta, diag.floquet_gap, diag.tc_distance,
@@ -389,9 +394,11 @@ def run_disorder(cfg: ExperimentConfig) -> ResultTable:
     """Linear disorder susceptibility over seeded zero-sum samples."""
     _require_matrix_path(cfg, "disorder")
     _, proto = _protocol(cfg, cfg.h, cfg.eta, cfg.length)
-    spectra = _block_spectra(proto)
+    sides = _parity_sides(cfg.length)
+    spectra = _block_spectra(proto, sides)
     star = floquet.find_star(*spectra, order=cfg.order, period=cfg.period)
-    mu, block = star.index, proto.blocks[star.block]
+    a, b = divmod(star.block, len(sides))
+    mu, block = star.index, (sides[a], sides[b])
     sd = floquet.translation_refine(spectra[star.block], cfg.length, mu,
                                     block)
     rng = np.random.default_rng(cfg.seed)
@@ -417,13 +424,14 @@ def run_spectrum(cfg: ExperimentConfig) -> ResultTable:
     """
     _require_matrix_path(cfg, "spectrum")
     _, proto = _protocol(cfg, cfg.h, cfg.eta, cfg.length)
+    sides = _parity_sides(cfg.length)
     table = ResultTable(
         columns=["kind", "sector", "index", "re", "im", "peripheral"],
         metadata=_metadata(cfg, "spectrum"))
-    # in the order of proto.blocks, over the sectors P = +1, P = -1
+    # in the order of _block_spectra, over the sides P = +1, P = -1
     names = [rows + cols for rows in "+-" for cols in "+-"]
     for kind in ("generator", "map"):
-        spectra = _block_spectra(proto, kind)
+        spectra = _block_spectra(proto, sides, kind)
         for name, sd in zip(names, spectra):
             mask = sd.peripheral_mask()
             for i, lam in enumerate(sd.eigenvalues):

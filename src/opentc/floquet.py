@@ -8,11 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 import scipy.sparse.linalg
 
-from .lindblad import (HERMITICITY_TOL, SECTOR_TOL, TRACE_TOL, Generator,
-                       _Terms, check_state)
+from .lindblad import (HERMITICITY_TOL, TRACE_TOL, Generator, _Terms,
+                       check_state)
 from .operators import (UNITARITY_TOL, _serial_blas, devectorize, hermitize,
                         is_unitary, trace_functional, vectorize, z_signs)
 from .spectral import SpectralData
@@ -32,41 +31,23 @@ class KickedProtocol:
     1-D kick generator is a diagonal, and its kick unitary is 1-D too. The
     model is a generator (lindblad.LindbladModel or xy.NumericGenerator);
     floquet_propagator uses its matrix, stroboscopic_evolve its actions.
-    `sectors` are isometries (d x n matrices, n may differ between them)
-    whose columns together form an orthonormal basis, spanning subspaces
-    that the model and the kick keep apart; the map is then block-diagonal
-    over `blocks`. An index array stands for the identity columns it
-    selects. The default is one sector, the whole space.
+    Both, like the generator, take a block (rows, cols) of isometries
+    spanning sectors that the model and the kick keep apart.
     """
 
     model: Generator
     period: float
     kick_generator: np.ndarray
     error: float = 0.0
-    sectors: tuple | None = None
 
     def __post_init__(self):
-        if self.period <= 0:
-            raise ValueError("period must be positive")
+        if not 0 < self.period < np.inf:    # also rejects NaN
+            raise ValueError("period must be positive and finite")
         g = np.asarray(self.kick_generator, dtype=complex)
         g_dag = g.conj() if g.ndim == 1 else g.conj().T
         if np.max(np.abs(g - g_dag)) > HERMITICITY_TOL:
             raise ValueError("kick generator must be Hermitian")
         object.__setattr__(self, "kick_generator", g)
-        d = g.shape[0]
-        given = [np.asarray(s, dtype=int if np.ndim(s) == 1 else complex)
-                 for s in (self.sectors or (np.arange(d),))]
-        if not _orthonormal_basis(given, d):
-            raise ValueError("sectors must be isometries whose columns "
-                             "together form an orthonormal basis")
-        object.__setattr__(self, "sectors", tuple(
-            np.eye(d, dtype=complex)[:, s] if s.ndim == 1 else s
-            for s in given))
-
-    @property
-    def blocks(self) -> list:
-        """Every block (rows, cols) of rho, rows and cols running over sectors."""
-        return [(rows, cols) for rows in self.sectors for cols in self.sectors]
 
     @property
     def kick_unitary(self) -> np.ndarray:
@@ -76,24 +57,6 @@ class KickedProtocol:
             return np.exp(-1j * angle * g.real)
         evals, vecs = np.linalg.eigh(g)
         return (vecs * np.exp(-1j * angle * evals)) @ vecs.conj().T
-
-
-def _orthonormal_basis(sectors: list, d: int) -> bool:
-    """Whether the sectors' columns together form an orthonormal basis of C^d.
-
-    Index sectors must be a permutation of 0..d-1. Otherwise the Gram
-    matrix of all columns is formed sparse: a momentum sector has at most L
-    nonzeros in a row, so no dense d x d product is needed.
-    """
-    if all(s.ndim == 1 for s in sectors):
-        return np.array_equal(np.sort(np.concatenate(sectors)), np.arange(d))
-    basis = np.hstack([np.eye(d)[:, s] if s.ndim == 1 else s
-                       for s in sectors])
-    if basis.shape != (d, d):
-        return False
-    basis = scipy.sparse.csc_array(basis)
-    gram = basis.conj().T @ basis - scipy.sparse.eye_array(d)
-    return bool(abs(gram).max() < UNITARITY_TOL)
 
 
 @dataclass(frozen=True)
@@ -155,9 +118,9 @@ def floquet_propagator(p: KickedProtocol, block=None) -> np.ndarray:
 
     kicked(p, evolution(p, block), block): the generator block is
     exponentiated and the kick, restricted the same way, applied to it; a
-    block of p.blocks is exact, and a model or kick that couples the
-    sectors raises ValueError. A caller that varies only the kick error
-    can keep the evolution and call kicked for each error itself.
+    model or kick that couples the block's sectors to the rest raises
+    ValueError. A caller that varies only the kick error can keep the
+    evolution and call kicked for each error itself.
     """
     return kicked(p, evolution(p, block), block)
 
@@ -255,7 +218,7 @@ def susceptibility(sd: SpectralData, v: np.ndarray, mu: int,
     l0 = sd.left[:, mu]
     rvecs = {0: sd.right[:, mu]}
     eps = {}
-    others = np.array([i for i in range(w.size) if i != mu])
+    others = np.delete(np.arange(w.size), mu)
     for k in range(1, order + 1):
         vr = v @ rvecs[k - 1]
         eps[k] = np.vdot(l0, vr) - sum(
@@ -268,39 +231,33 @@ def susceptibility(sd: SpectralData, v: np.ndarray, mu: int,
     return complex(eps[order])
 
 
-def stroboscopic_evolve(p: KickedProtocol, rho0: np.ndarray,
-                        n: int) -> Iterator[np.ndarray]:
+def stroboscopic_evolve(p: KickedProtocol, rho0: np.ndarray, n: int,
+                        block=None) -> Iterator[np.ndarray]:
     """Yield the states rho(kT) for k = 0..n under E_F, without building it.
 
-    Only the sectors of p that rho0 touches are evolved: with U the union
-    of those whose s^dag rho0 has an entry above SECTOR_TOL, the stepper
-    evolves r = U^dag rho U and yields U r U^dag. When rho0 touches every
-    sector, r is rho itself. Each period is one scipy expm_multiply on the
-    generator's action and adjoint action on r, scaled by the period, with
-    traceA from its trace(), followed by the kick; r is hermitized after
-    every period. A block of columns, such as the norm estimator's probes,
-    reaches the generator as one stack of operators in one call.
-    Arguments are checked when called; a non-finite trace, or one drifting
-    from 1 by more than TRACE_TOL, raises RuntimeError.
+    With block = (v, v), v an isometry onto a sector that the model and the
+    kick keep, rho0 and every yielded state are the block r = v^dag rho v;
+    None is the whole of rho. Each period is one scipy expm_multiply on the
+    generator's action and adjoint action on the block, scaled by the
+    period, with traceA from its trace(), followed by the kick; the state
+    is hermitized after every period. A block of columns, such as the norm
+    estimator's probes, reaches the generator as one stack of operators in
+    one call. Arguments are checked when called, rho0 by check_state; a
+    non-finite trace, or one drifting from 1 by more than TRACE_TOL,
+    raises RuntimeError.
     """
     if n < 0:
         raise ValueError("number of periods must be >= 0")
     check_state(rho0)
-    return _stroboscopic_states(p, np.asarray(rho0, dtype=complex).copy(), n)
+    return _stroboscopic_states(p, np.asarray(rho0, dtype=complex).copy(), n,
+                                block)
 
 
-def _stroboscopic_states(p: KickedProtocol, rho: np.ndarray,
-                         n: int) -> Iterator[np.ndarray]:
+def _stroboscopic_states(p: KickedProtocol, rho: np.ndarray, n: int,
+                         block) -> Iterator[np.ndarray]:
     yield rho
     if n == 0:
         return
-    touched = [s for s in p.sectors
-               if np.abs(s.conj().T @ rho).max() > SECTOR_TOL]
-    block = None
-    if len(touched) < len(p.sectors):
-        u = np.hstack(touched)
-        block = (u, u)
-        rho = u.conj().T @ rho @ u
     gen = p.model
     norm = p.period * gen.norm_bound(block)
     if not norm <= PERIOD_NORM_MAX:
@@ -319,7 +276,7 @@ def _stroboscopic_states(p: KickedProtocol, rho: np.ndarray,
         if not (np.isfinite(trace) and abs(trace - 1.0) <= TRACE_TOL):
             raise RuntimeError(f"trace {trace} drifted during stroboscopic "
                                f"evolution")
-        yield rho if block is None else u @ rho @ u.conj().T
+        yield rho
         vec = vectorize(rho)
 
 
@@ -373,9 +330,11 @@ def check_observation6(map_sd: SpectralData, u_kick: np.ndarray,
     block = kick[np.ix_(asy, asy)]
     uvals = np.linalg.eigvals(block)
     roots = np.exp(2j * np.pi * np.arange(order) / order)
+    # with no asymptotic eigenvalue, (iii) fails: nothing is nontrivial
     on_roots = bool(np.max(np.min(np.abs(uvals[:, None] - roots[None, :]),
-                                  axis=1)) < ROOT_OF_UNITY_TOL)
-    nontrivial = bool(np.max(np.abs(uvals - 1.0)) > ROOT_OF_UNITY_TOL)
+                                  axis=1), initial=0.0) < ROOT_OF_UNITY_TOL)
+    nontrivial = bool(np.max(np.abs(uvals - 1.0), initial=0.0)
+                      > ROOT_OF_UNITY_TOL)
     return Observation6Report(static_peripheral_trivial=cond1,
                               kick_block_preserving=cond2,
                               kick_subharmonic=on_roots and nontrivial,

@@ -108,11 +108,11 @@ def test_threads_one_still_runs(tmp_path):
 def test_failed_grid_point_exit_code(tmp_path, capsys, monkeypatch, command):
     protocol, kicked = experiments._protocol, floquet.kicked
 
-    def failing_protocol(cfg, h, eta, length, *sectors):
+    def failing_protocol(cfg, h, eta, length):
         # fails the scaling point at L = 4
         if length == 4:
             raise FloatingPointError("injected")
-        return protocol(cfg, h, eta, length, *sectors)
+        return protocol(cfg, h, eta, length)
 
     def failing_kick(p, *args):
         # fails the sweep point at eta = 0.1, whose row builds its protocol
@@ -199,9 +199,8 @@ def test_huge_generator_norm_exits_before_the_first_period(tmp_path, capsys):
 def test_default_trace_norms_stay_under_the_bound(length):
     # the default config of trace, and of scaling up to L = 10
     cfg = experiments.ExperimentConfig(length=length)
-    _, proto = experiments._protocol(cfg, cfg.h, cfg.eta, length,
-                                     floquet.momentum_sectors(length))
-    k0 = proto.sectors[0]
+    _, proto = experiments._protocol(cfg, cfg.h, cfg.eta, length)
+    k0 = floquet.momentum_sectors(length)[0]
     bound = proto.period * proto.model.norm_bound((k0, k0))
     assert bound <= floquet.PERIOD_NORM_MAX
 

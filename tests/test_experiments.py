@@ -11,10 +11,11 @@ import scipy.sparse.linalg
 import opentc
 from opentc import floquet, lindblad, models, operators, spectral, xy
 from opentc.experiments import (ConfigError, ExperimentConfig, ResultTable,
-                                _block_spectra, _initial_state, _protocol,
-                                _sweep_row, load_config, run_disorder,
-                                run_scaling, run_spectrum, run_sweep,
-                                run_trace, run_validate)
+                                _block_spectra, _initial_state,
+                                _parity_sides, _protocol, _sweep_row,
+                                load_config, run_disorder, run_scaling,
+                                run_spectrum, run_sweep, run_trace,
+                                run_validate)
 from opentc.floquet import floquet_propagator
 from opentc.operators import (devectorize, hs_inner, magnetization_per_spin,
                               vectorize)
@@ -155,7 +156,8 @@ def test_run_trace_secular_matches_dense_map(mode, state):
         assert values[0] == pytest.approx(1.0, abs=1e-14)
     params, proto = _protocol(cfg, cfg.h, cfg.eta, cfg.length)
     ef = floquet_propagator(proto)
-    vec = vectorize(_initial_state(cfg, params))
+    psi = _initial_state(cfg, params)
+    vec = vectorize(np.outer(psi, psi.conj()))
     mx = magnetization_per_spin("X", cfg.length)
     expected = []
     for _ in range(cfg.n_periods + 1):
@@ -230,6 +232,31 @@ def test_default_dense_runners_decompose_parity_blocks(monkeypatch):
             assert len(exponentiated) == 15
 
 
+def test_trace_path_sees_only_the_momentum_block(monkeypatch):
+    # at L = 8 the k = 0 block is 36 x 36: the trace runner forms no
+    # 256 x 256 state, Cholesky factor or observable
+    gen = xy.NumericGenerator
+    applied = [spy(monkeypatch, fn, gen)
+               for fn in (gen.action, gen.adjoint_action)]
+    checked = spy(monkeypatch, lindblad.check_state)
+    built = [spy(monkeypatch, fn)
+             for fn in (operators.magnetization, operators.site_operator)]
+    evolve, yielded = floquet.stroboscopic_evolve, []
+
+    def recording(*args):
+        for r in evolve(*args):
+            yielded.append(r.shape)
+            yield r
+
+    monkeypatch.setattr(floquet, "stroboscopic_evolve", recording)
+    run_trace(ExperimentConfig(length=8, n_periods=2))
+    assert {args[1].shape[-2:] for calls in applied
+            for args, _ in calls} == {(36, 36)}
+    assert [args[0].shape for args, _ in checked] == [(36, 36)]
+    assert yielded == [(36, 36)] * 3
+    assert built == [[], []]
+
+
 def test_sweep_rows_match_the_map_builder_at_each_point():
     # the sweep kicks one exp(L T) per h and block; building every point's
     # map with floquet_propagator from the same inputs gives the same bits
@@ -239,7 +266,8 @@ def test_sweep_rows_match_the_map_builder_at_each_point():
     points = [(h, eta) for h in cfg.h_grid for eta in cfg.eta_grid]
     assert len(table.rows) == len(points)
     for row, (h, eta) in zip(table.rows, points):
-        spectra = _block_spectra(_protocol(cfg, h, eta, cfg.length)[1])
+        spectra = _block_spectra(_protocol(cfg, h, eta, cfg.length)[1],
+                                 _parity_sides(cfg.length))
         diag = floquet.find_star(*spectra, order=cfg.order,
                                  period=cfg.period)
         assert row == [h, eta, diag.floquet_gap, diag.tc_distance,

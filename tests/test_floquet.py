@@ -83,6 +83,14 @@ def test_protocol_validation():
                        kick_generator=np.array([0.5, 0.5j]))
 
 
+@pytest.mark.parametrize("period", [np.nan, np.inf, -np.inf])
+def test_protocol_rejects_non_finite_period(period):
+    # they would fail later, as an overflowed matrix exponential
+    with pytest.raises(ValueError, match="finite"):
+        KickedProtocol(model=dephasing(), period=period,
+                       kick_generator=pauli("X"))
+
+
 def test_matrix_exp():
     assert np.allclose(matrix_exp(np.zeros((3, 3))), np.eye(3))
     kappa = 0.4
@@ -245,6 +253,14 @@ def test_susceptibility_closed_form_two_level():
         assert abs(susceptibility(sd, v, mu, order) - value) < 1e-12, order
 
 
+def test_susceptibility_of_a_one_eigenvalue_map():
+    # S -> S + eta V on a 1 x 1 map moves its eigenvalue by eta V exactly
+    sd = decompose(np.array([[0.5]]), kind="map")
+    v = np.array([[0.3 - 0.2j]])
+    assert susceptibility(sd, v, 0, order=1) == pytest.approx(0.3 - 0.2j)
+    assert susceptibility(sd, v, 0, order=2) == 0.0
+
+
 def test_observation2_one_sided_kick_changes_spectrum():
     model = dephasing(h=0.9, kappa=0.5)
     static = np.sort_complex(np.linalg.eigvals(
@@ -373,15 +389,16 @@ def test_trace_loss_is_reported():
         floquet_propagator(proto)
     # the diagonal blocks are checked, the off-diagonal ones have no trace
     blocked = KickedProtocol(model=UniformDecay(), period=1.0,
-                             kick_generator=np.array([0.5, -0.5]),
-                             sectors=(np.array([0]), np.array([1])))
-    for rows, cols in blocked.blocks:
-        if rows is cols:
-            with pytest.raises(RuntimeError):
-                floquet_propagator(blocked, (rows, cols))
-        else:
-            assert abs(floquet_propagator(blocked, (rows, cols))[0, 0]) \
-                == pytest.approx(np.exp(-1.0))
+                             kick_generator=np.array([0.5, -0.5]))
+    sides = (np.eye(2)[:, :1], np.eye(2)[:, 1:])
+    for rows in sides:
+        for cols in sides:
+            if rows is cols:
+                with pytest.raises(RuntimeError):
+                    floquet_propagator(blocked, (rows, cols))
+            else:
+                assert abs(floquet_propagator(blocked, (rows, cols))[0, 0]) \
+                    == pytest.approx(np.exp(-1.0))
     states = stroboscopic_evolve(proto, np.diag([0.8, 0.2]), 2)
     next(states)
     with pytest.raises(RuntimeError):
@@ -397,6 +414,15 @@ def test_observation6_dephasing_x_kick():
     report = check_observation6(sd, np.eye(2, dtype=complex), order=2)
     assert report.static_peripheral_trivial
     assert not report.kick_subharmonic
+
+
+def test_observation6_without_peripheral_eigenvalue_fails():
+    sd = decompose(0.5 * np.eye(4), kind="map")
+    report = check_observation6(sd, x_kick_protocol().kick_unitary, order=2)
+    assert not report.passed
+    assert not report.static_peripheral_trivial
+    assert not report.kick_subharmonic
+    assert report.kick_asymptotic_eigenvalues.size == 0
 
 
 def test_translation_operator():

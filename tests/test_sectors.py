@@ -2,10 +2,10 @@
 
 The XY generators and the M_z kick keep the parity of each side of rho, and
 commute with the translation T, so the runners build, exponentiate and
-decompose the map one parity block (p, q) at a time, and the stepper
-evolves only the momentum sectors its state occupies. Here the blocks are
-checked against the full map, which is the one-sector case of the same
-builder, and the sector stepper against the whole-space stepper.
+decompose the map one parity block (p, q) at a time, and the trace runner
+steps the k = 0 momentum block of its state only. Here the blocks are
+checked against the full map, which is the same builder with no block,
+and the block stepper against the whole-space stepper.
 """
 
 from dataclasses import replace
@@ -16,7 +16,7 @@ from scipy.optimize import linear_sum_assignment
 
 from opentc import xy
 from opentc.experiments import (ExperimentConfig, _block_spectra,
-                                _initial_state, _protocol)
+                                _initial_state, _parity_sides, _protocol)
 from opentc.floquet import (KickedProtocol, find_star, floquet_propagator,
                             momentum_sectors, stroboscopic_evolve,
                             translation_operator)
@@ -26,6 +26,25 @@ from opentc.spectral import _clusters, _order, decompose, mirror
 from opentc.xy import BathSpec, NumericGenerator, XYParams, factorized_states
 
 _SQ2 = 1.0 / np.sqrt(2.0)
+
+
+def blocks(sides):
+    """Every block (rows, cols), in _block_spectra's order."""
+    return [(rows, cols) for rows in sides for cols in sides]
+
+
+def to_block(rho, v):
+    return v.conj().T @ rho @ v
+
+
+def assert_block_evolves_as_whole(proto, rho, n, v, model=None, tol=1e-12):
+    """The stepper on block (v, v) of rho, lifted back, against the
+    whole-space stepper; `model` replaces the block stepper's model."""
+    block = replace(proto, model=model or proto.model)
+    got = stroboscopic_evolve(block, to_block(rho, v), n, (v, v))
+    want = stroboscopic_evolve(proto, rho, n)
+    for r, x in zip(got, want, strict=True):
+        assert np.max(np.abs(v @ r @ v.conj().T - x)) < tol
 
 
 def multiset_distance(a, b):
@@ -48,18 +67,18 @@ def multiset_distance(a, b):
 def test_block_spectra_match_full_map(mode, length, h, eta, tol):
     cfg = ExperimentConfig(length=length, dissipator_mode=mode)
     _, proto = _protocol(cfg, h, eta, length)
-    assert len(proto.blocks) == 4
     full = decompose(floquet_propagator(proto), kind="map")
-    blocks = [decompose(floquet_propagator(proto, b), kind="map")
-              for b in proto.blocks]
-    assert all(sd.size == full.size // 4 for sd in blocks)
-    union = np.concatenate([sd.eigenvalues for sd in blocks])
+    spectra = [decompose(floquet_propagator(proto, b), kind="map")
+               for b in blocks(_parity_sides(length))]
+    assert len(spectra) == 4
+    assert all(sd.size == full.size // 4 for sd in spectra)
+    union = np.concatenate([sd.eigenvalues for sd in spectra])
     assert multiset_distance(union, full.eigenvalues) < tol
-    star = find_star(*blocks, order=2, period=cfg.period)
+    star = find_star(*spectra, order=2, period=cfg.period)
     assert abs(star.star_eigenvalue
                - find_star(full, order=2).star_eigenvalue) < 1e-12
     assert star.star_eigenvalue.imag >= 0.0
-    assert (blocks[star.block].eigenvalues[star.index]
+    assert (spectra[star.block].eigenvalues[star.index]
             == star.star_eigenvalue)
 
 
@@ -69,9 +88,9 @@ def test_block_spectra_match_full_map(mode, length, h, eta, tol):
 def test_mirrored_block_matches_direct_block(length, mode, kind):
     cfg = ExperimentConfig(length=length, dissipator_mode=mode)
     _, proto = _protocol(cfg, 0.5, np.pi / 20, length)
-    mirrored = _block_spectra(proto, kind)[2]
-    block = proto.blocks[2]
-    assert np.array_equal(block[0], proto.sectors[1])
+    sides = _parity_sides(length)
+    mirrored = _block_spectra(proto, sides, kind)[2]
+    block = (sides[1], sides[0])
     s = (floquet_propagator(proto, block) if kind == "map"
          else proto.model.matrix(block))
     direct = decompose(s, kind=kind)
@@ -97,11 +116,12 @@ def test_mirror_of_rectangular_momentum_blocks():
     # momentum sectors differ in size, so blocks (a, b) and (b, a) are
     # rectangular and differently shaped
     cfg = ExperimentConfig(length=4)
-    _, proto = _protocol(cfg, 0.9, np.pi / 40, 4, momentum_sectors(4))
-    n = len(proto.sectors)
-    spectra = _block_spectra(proto)
+    _, proto = _protocol(cfg, 0.9, np.pi / 40, 4)
+    sides = momentum_sectors(4)
+    n = len(sides)
+    spectra = _block_spectra(proto, sides)
     mirrored = 0
-    for k, (rows, cols) in enumerate(proto.blocks):
+    for k, (rows, cols) in enumerate(blocks(sides)):
         a, b = divmod(k, n)
         if a <= b:
             continue
@@ -127,14 +147,14 @@ def test_block_maps_match_stepper_at_length_6():
     states = stroboscopic_evolve(proto, rho, 1)
     next(states)
     stepped = next(states)
-    for rows, cols in proto.blocks:
+    for rows, cols in blocks(_parity_sides(6)):
         got = floquet_propagator(proto, (rows, cols)) @ (
             rows.conj().T @ rho @ cols).reshape(-1)
         want = (rows.conj().T @ stepped @ cols).reshape(-1)
         assert np.max(np.abs(got - want)) < 1e-11
 
 
-QUBIT_SECTORS = (np.array([0]), np.array([1]))
+QUBIT_SIDES = (np.eye(2)[:, :1], np.eye(2)[:, 1:])
 
 
 @pytest.mark.parametrize("model, kick", [
@@ -143,9 +163,8 @@ QUBIT_SECTORS = (np.array([0]), np.array([1]))
     (LindbladModel(hamiltonian=0.3 * pauli("X")), np.array([0.5, -0.5]))],
     ids=["kick-mixes", "model-mixes"])
 def test_protocol_that_mixes_sectors_raises(model, kick):
-    proto = KickedProtocol(model=model, period=1.0, kick_generator=kick,
-                           sectors=QUBIT_SECTORS)
-    for block in proto.blocks:
+    proto = KickedProtocol(model=model, period=1.0, kick_generator=kick)
+    for block in blocks(QUBIT_SIDES):
         with pytest.raises(ValueError, match="SECTOR_TOL"):
             floquet_propagator(proto, block)
     # the whole map drops nothing, so it still builds
@@ -160,12 +179,10 @@ def test_large_coupling_keeps_exact_momentum_sectors(mode):
     # largest entry
     cfg = ExperimentConfig(j=1e4, h=0.9, kappa0=1e-3, length=4,
                            dissipator_mode=mode)
-    params, proto = _protocol(cfg, cfg.h, cfg.eta, 4, momentum_sectors(4))
-    rho0 = _initial_state(cfg, params)
-    got = stroboscopic_evolve(proto, rho0, 2)
-    want = stroboscopic_evolve(replace(proto, sectors=None), rho0, 2)
-    for a, b in zip(got, want, strict=True):
-        assert np.max(np.abs(a - b)) < 1e-12
+    params, proto = _protocol(cfg, cfg.h, cfg.eta, 4)
+    psi = _initial_state(cfg, params)
+    assert_block_evolves_as_whole(proto, np.outer(psi, psi.conj()), 2,
+                                  momentum_sectors(4)[0])
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e4])
@@ -174,43 +191,10 @@ def test_scaled_factor_that_mixes_sectors_raises(scale):
     model = LindbladModel(hamiltonian=scale * (pauli("Z")
                                                + 1e-9 * pauli("X")))
     proto = KickedProtocol(model=model, period=1.0,
-                           kick_generator=np.array([0.5, -0.5]),
-                           sectors=QUBIT_SECTORS)
-    for block in proto.blocks:
+                           kick_generator=np.array([0.5, -0.5]))
+    for block in blocks(QUBIT_SIDES):
         with pytest.raises(ValueError, match="SECTOR_TOL"):
             floquet_propagator(proto, block)
-
-
-def four_level_protocol(sectors):
-    return KickedProtocol(model=LindbladModel(hamiltonian=np.zeros((4, 4))),
-                          period=1.0, kick_generator=np.zeros(4),
-                          sectors=sectors)
-
-
-# overlapping, incomplete, and columns that are not orthonormal
-@pytest.mark.parametrize("sectors", [
-    (np.array([0, 1]), np.array([1, 2])), (np.array([0, 1]),),
-    (np.eye(4)[:, :2], np.eye(4)[:, 2:] + np.eye(4)[:, :2])])
-def test_sectors_must_split_the_basis_evenly(sectors):
-    with pytest.raises(ValueError):
-        four_level_protocol(sectors)
-
-
-def test_sectors_may_differ_in_size_and_be_isometries():
-    proto = four_level_protocol((np.array([0, 1, 2]), np.array([3])))
-    assert np.array_equal(proto.sectors[0], np.eye(4)[:, :3])
-    assert np.array_equal(proto.sectors[1], np.eye(4)[:, 3:])
-    rotation = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    four_level_protocol((np.eye(4)[:, :2] @ rotation, np.eye(4)[:, 2:]))
-
-
-def test_default_sector_is_the_whole_map():
-    proto = KickedProtocol(model=LindbladModel(hamiltonian=pauli("X")),
-                           period=0.4, kick_generator=0.5 * pauli("Y"))
-    (block,) = proto.blocks
-    assert np.array_equal(block[0], np.eye(2))
-    assert np.array_equal(floquet_propagator(proto, block),
-                          floquet_propagator(proto))
 
 
 def test_find_star_searches_the_union_of_spectra():
@@ -239,17 +223,32 @@ def test_momentum_sectors_are_translation_eigenspaces(length):
             < 1e-12
 
 
+@pytest.mark.parametrize("length", range(2, 11, 2))
+def test_parity_sides_partition_the_basis(length):
+    sides = _parity_sides(length)
+    basis = np.hstack(sides)
+    d = 2 ** length
+    # identity columns, each basis state in exactly one side
+    assert set(np.unique(basis)) == {0.0, 1.0}
+    assert np.array_equal(basis.sum(0), np.ones(d))
+    assert np.array_equal(basis.sum(1), np.ones(d))
+    parity = z_signs(length).prod(0)
+    for side, sign in zip(sides, (1.0, -1.0)):
+        assert np.all(parity @ side == sign)
+
+
 @pytest.mark.parametrize("mode, h, eta", [
     ("numeric", 0.5, np.pi / 20), ("numeric", _SQ2, 0.0),
     ("independent", 0.9, np.pi / 40)])
 def test_momentum_block_spectra_match_full_map(mode, h, eta):
     cfg = ExperimentConfig(length=4, dissipator_mode=mode)
-    _, proto = _protocol(cfg, h, eta, 4, momentum_sectors(4))
-    assert len({rows.shape[1] for rows, _ in proto.blocks}) > 1
+    _, proto = _protocol(cfg, h, eta, 4)
+    sides = momentum_sectors(4)
+    assert len({v.shape[1] for v in sides}) > 1
     full = decompose(floquet_propagator(proto), kind="map")
-    blocks = [decompose(floquet_propagator(proto, b), kind="map")
-              for b in proto.blocks]
-    union = np.concatenate([sd.eigenvalues for sd in blocks])
+    spectra = [decompose(floquet_propagator(proto, b), kind="map")
+               for b in blocks(sides)]
+    union = np.concatenate([sd.eigenvalues for sd in spectra])
     assert multiset_distance(union, full.eigenvalues) < 1e-10
 
 
@@ -286,61 +285,73 @@ class RecordingGenerator:
 def test_momentum_stepper_matches_whole_space(length, mode, initial_state):
     cfg = ExperimentConfig(length=length, dissipator_mode=mode,
                            initial_state=initial_state)
-    params, proto = _protocol(cfg, 0.9, np.pi / 40, length,
-                              momentum_sectors(length))
-    rho0 = _initial_state(cfg, params)
-    k0 = proto.sectors[0].shape[1]
+    params, proto = _protocol(cfg, 0.9, np.pi / 40, length)
+    psi = _initial_state(cfg, params)
+    v = momentum_sectors(length)[0]
     model = RecordingGenerator(proto.model)
-    proto = replace(proto, model=model)
-    got = list(stroboscopic_evolve(proto, rho0, 3))
-    assert model.shapes == {(k0, k0)}
-    want = stroboscopic_evolve(replace(proto, sectors=None), rho0, 3)
-    for a, b in zip(got, want, strict=True):
-        assert np.max(np.abs(a - b)) < 1e-12
+    assert_block_evolves_as_whole(proto, np.outer(psi, psi.conj()), 3, v,
+                                  model)
+    assert model.shapes == {(v.shape[1], v.shape[1])}
 
 
 def test_state_touching_every_sector_evolves_whole():
+    # a block whose side is a whole basis of sectors is a change of basis
     cfg = ExperimentConfig(length=4)
     _, proto = _protocol(cfg, _SQ2, np.pi / 20, 4)
     rng = np.random.default_rng(5)
     a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     rho = a @ a.conj().T
     rho /= np.trace(rho)
-    for sectors in (proto.sectors, momentum_sectors(4)):
-        got = stroboscopic_evolve(replace(proto, sectors=sectors), rho, 2)
-        want = stroboscopic_evolve(replace(proto, sectors=None), rho, 2)
-        for x, y in zip(got, want, strict=True):
-            assert np.array_equal(x, y)
+    for sides in (_parity_sides(4), momentum_sectors(4)):
+        assert_block_evolves_as_whole(proto, rho, 2, np.hstack(sides))
 
 
 def test_parity_definite_state_evolves_one_block():
     cfg = ExperimentConfig(length=4)
     params, proto = _protocol(cfg, _SQ2, np.pi / 20, 4)
     plus = factorized_states(params).parity_states[0]
-    rho = np.outer(plus, plus.conj())
     model = RecordingGenerator(proto.model)
-    got = stroboscopic_evolve(replace(proto, model=model), rho, 3)
-    want = stroboscopic_evolve(replace(proto, sectors=None), rho, 3)
-    for x, y in zip(got, want, strict=True):
-        assert np.max(np.abs(x - y)) < 1e-12
+    assert_block_evolves_as_whole(proto, np.outer(plus, plus.conj()), 3,
+                                  _parity_sides(4)[0], model)
     assert model.shapes == {(8, 8)}
 
 
 def test_state_in_two_momentum_sectors_evolves_their_union():
     cfg = ExperimentConfig(length=4, dissipator_mode="independent")
-    _, proto = _protocol(cfg, 0.9, np.pi / 40, 4, momentum_sectors(4))
-    v0, v1 = proto.sectors[:2]
+    _, proto = _protocol(cfg, 0.9, np.pi / 40, 4)
+    v0, v1 = momentum_sectors(4)[:2]
     rng = np.random.default_rng(6)
     psi = (v0 @ rng.normal(size=v0.shape[1])
            + v1 @ (rng.normal(size=v1.shape[1]) * 1j))
     rho = np.outer(psi, psi.conj()) / np.vdot(psi, psi)
     model = RecordingGenerator(proto.model)
-    got = stroboscopic_evolve(replace(proto, model=model), rho, 3)
-    want = stroboscopic_evolve(replace(proto, sectors=None), rho, 3)
-    for x, y in zip(got, want, strict=True):
-        assert np.max(np.abs(x - y)) < 1e-12
-    n = v0.shape[1] + v1.shape[1]
-    assert model.shapes == {(n, n)}
+    u = np.hstack((v0, v1))
+    assert_block_evolves_as_whole(proto, rho, 3, u, model)
+    assert model.shapes == {(u.shape[1], u.shape[1])}
+
+
+def test_state_outside_the_block_is_rejected():
+    # psi with weight in k = 1: its k = 0 block has trace below 1
+    cfg = ExperimentConfig(length=4)
+    _, proto = _protocol(cfg, 0.9, np.pi / 40, 4)
+    v0, v1 = momentum_sectors(4)[:2]
+    psi = v0[:, 0] + 1e-3 * v1[:, 0]
+    psi /= np.linalg.norm(psi)
+    r = to_block(np.outer(psi, psi.conj()), v0)
+    with pytest.raises(ValueError, match="trace"):
+        stroboscopic_evolve(proto, r, 1, (v0, v0))
+
+
+@pytest.mark.parametrize("initial_state", ["gs_superposition",
+                                           "local_plus_x"])
+@pytest.mark.parametrize("length", range(2, 11, 2))
+def test_initial_states_lie_in_momentum_zero(length, initial_state):
+    cfg = ExperimentConfig(length=length, h=0.9, initial_state=initial_state)
+    params, _ = _protocol(cfg, cfg.h, cfg.eta, length)
+    psi = _initial_state(cfg, params)
+    assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-15)
+    for v in momentum_sectors(length)[1:]:
+        assert np.abs(v.conj().T @ psi).max(initial=0.0) <= 1e-15
 
 
 # h = 0 and h = 1 have degenerate spectra; at h = 1 (gamma = 0) H conserves

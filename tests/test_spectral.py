@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from opentc.experiments import ExperimentConfig, _protocol
+from opentc.experiments import ExperimentConfig, _parity_sides, _protocol
 from opentc.floquet import floquet_propagator
 from opentc.lindblad import (HERMITICITY_TOL, JumpChannel, LindbladModel,
                              liouvillian_matrix)
@@ -294,7 +294,8 @@ def per_cluster_biorthonormalize(vl, vr, clusters):
 def l4_map_block():
     cfg = ExperimentConfig()
     _, proto = _protocol(cfg, 1.0 / np.sqrt(2.0), np.pi / 20, 4)
-    return floquet_propagator(proto, proto.blocks[1])
+    plus, minus = _parity_sides(4)
+    return floquet_propagator(proto, (plus, minus))
 
 
 def test_singleton_step_matches_per_cluster_loop():
@@ -352,12 +353,10 @@ def _residual(vl, vr) -> float:
 def test_real_path_matches_complex_path_on_parity_blocks(length, mode):
     cfg = ExperimentConfig(dissipator_mode=mode)
     _, proto = _protocol(cfg, 0.5, np.pi / 20, length)
-    n = len(proto.sectors)
+    sides = _parity_sides(length)
     for kind in ("generator", "map"):
-        for k, block in enumerate(proto.blocks):
-            a, b = divmod(k, n)
-            if a > b:
-                continue
+        for a, b in ((0, 0), (0, 1), (1, 1)):
+            block = (sides[a], sides[b])
             s = (proto.model.matrix(block) if kind == "generator"
                  else floquet_propagator(proto, block))
             real = _real_eig(s)
@@ -389,7 +388,8 @@ def test_real_path_matches_complex_path_on_parity_blocks(length, mode):
 def test_real_path_needs_hermiticity_preservation(monkeypatch):
     cfg = ExperimentConfig()
     _, proto = _protocol(cfg, 1.0 / np.sqrt(2.0), np.pi / 20, 4)
-    s = floquet_propagator(proto, proto.blocks[0])        # (+, +)
+    plus = _parity_sides(4)[0]
+    s = floquet_propagator(proto, (plus, plus))
     # entry (1, 2) is rho_01 -> rho_02; its partner is rho_10 -> rho_20
     kick = np.zeros_like(s)
     kick[1, 2] = 1j * HERMITICITY_TOL
@@ -412,8 +412,9 @@ def test_real_path_needs_hermiticity_preservation(monkeypatch):
 def test_real_path_gives_exact_conjugate_pairs():
     cfg = ExperimentConfig()
     _, proto = _protocol(cfg, 1.0 / np.sqrt(2.0), np.pi / 20, 4)
-    w = decompose(floquet_propagator(proto, proto.blocks[0]),
-                  kind="map").eigenvalues                  # (+, +)
+    plus = _parity_sides(4)[0]
+    w = decompose(floquet_propagator(proto, (plus, plus)),
+                  kind="map").eigenvalues
     pairs = w[w.imag != 0]
     assert pairs.size >= 2
     assert np.all(np.isin(pairs.conj(), w))
