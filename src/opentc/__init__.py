@@ -23,7 +23,6 @@ from .spectral import (AsymptoticSubspace, SpectralData, asymptotic_state,
 from .xy import (BathSpec, NumericGenerator, XYParams, bogoliubov_angle,
                  brillouin_zone, dispersion, factorized_states,
                  free_fermion_sector_energies, ground_state_pair,
-                 numerical_dissipator, secular_liouvillian,
-                 theoretical_amplitude, xy_hamiltonian)
+                 secular_liouvillian, theoretical_amplitude, xy_hamiltonian)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

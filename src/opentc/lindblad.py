@@ -24,7 +24,7 @@ class Generator(Protocol):
     1-norm of matrix() from above, both without building it.
     Each method also takes a block (rows, cols) of isometries and is then
     the generator on r = rows^dag rho cols, built from restricted factors
-    (see _Terms.restrict); the actions take and return that r, or a stack
+    (see _SectorGenerator); the actions take and return that r, or a stack
     of them, shape (..., *r.shape), in one call.
     """
 
@@ -60,7 +60,6 @@ class _Terms:
         d = next(f.shape[0] for pair in self.pairs for f in pair
                  if f is not None)
         self.shape = shape or (d, d)
-        self._restricted = (None, None)
         self._plans = {}
 
     def _plan(self, transposed: bool):
@@ -154,25 +153,15 @@ class _Terms:
 
         rows and cols are isometries (d x n matrices with orthonormal
         columns). Each left factor becomes rows^dag A rows and each right
-        factor cols^dag B cols; a diagonal factor stays 1-D when its
-        restriction is diagonal. That is exact when every factor keeps the
-        span of rows, and of cols: an entry above
-        SECTOR_TOL * max(1, max|A|) in A rows - rows (rows^dag A rows) or
-        rows^dag A - (rows^dag A rows) rows^dag (and the same for B and
-        cols) raises ValueError. None is the whole of rho. The last block
-        is remembered by identity, so a caller that passes one block
-        object many times restricts once.
+        factor cols^dag B cols, checked by _restrict. None is the whole of
+        rho.
         """
         if block is None:
             return self
-        last, terms = self._restricted
-        if block is not last:
-            rows, cols = block
-            terms = _Terms([(_restrict(a, rows), _restrict(b, cols))
-                            for a, b in self.pairs],
-                           shape=(rows.shape[1], cols.shape[1]))
-            self._restricted = (block, terms)
-        return terms
+        rows, cols = block
+        return _Terms([(_restrict(a, rows), _restrict(b, cols))
+                       for a, b in self.pairs],
+                      shape=(rows.shape[1], cols.shape[1]))
 
 
 def _factor(f):
@@ -183,10 +172,16 @@ def _transpose(f):
     return None if f is None else f.T
 
 
-def _restrict(f, v: np.ndarray):
-    """v^dag f v for the isometry v; checks that f keeps the span of v."""
-    if f is None:
-        return None
+def _restrict(f, v):
+    """v^dag f v for the isometry v, or f itself for v = None.
+
+    That is exact when f keeps the span of v: an entry above
+    SECTOR_TOL * max(1, max|f|) in f v - v (v^dag f v) or
+    v^dag f - (v^dag f v) v^dag raises ValueError. A diagonal f, given as
+    its 1-D array, stays 1-D when its restriction is diagonal.
+    """
+    if f is None or v is None:
+        return f
     v_dag = v.conj().T
     fv = f[:, None] * v if f.ndim == 1 else f @ v
     vf = v_dag * f if f.ndim == 1 else v_dag @ f
@@ -212,24 +207,72 @@ class JumpChannel:
     rate: float = 1.0
 
     def __post_init__(self):
-        if self.rate < 0:
-            raise ValueError(f"jump rate must be non-negative, got {self.rate}")
+        if not (np.isfinite(self.rate) and self.rate >= 0):
+            raise ValueError(f"jump rate must be finite and >= 0: {self.rate}")
         op = np.asarray(self.operator, dtype=complex)
         if op.ndim != 2 or op.shape[0] != op.shape[1]:
             raise ValueError("jump operator must be a square matrix")
         object.__setattr__(self, "operator", op)
 
 
+class _SectorGenerator:
+    """The block plumbing of a generator K rho + rho K^dag + sum_k A_k rho B_k.
+
+    A generator supplies _parts(v): K and the factors (A_k) and (B_k) on
+    one side, the isometry v (None is the whole space), built from its own
+    factors restricted by _restrict. Each side is built once per isometry
+    object; a block (rows, cols) is the pairs (K on rows, 1),
+    (1, K^dag on cols) and (A_k on rows, B_k on cols), and the last block's
+    are kept by identity, so a caller passing one block assembles it once.
+    """
+
+    def _side(self, v) -> tuple:
+        """_parts(v), built once per isometry object."""
+        # id(v) -> (v, parts); holding v keeps its id unique. vars() also
+        # writes to a frozen dataclass.
+        sides = vars(self).setdefault("_sides", {})
+        if id(v) not in sides:
+            sides[id(v)] = (v, self._parts(v))
+        return sides[id(v)][1]
+
+    def _terms(self, block) -> _Terms:
+        """The factor pairs on block = (rows, cols); None is all of rho."""
+        last, terms = vars(self).get("_last", (None, None))
+        if terms is None or block is not last:
+            rows, cols = (None, None) if block is None else block
+            k, lefts, _ = self._side(rows)
+            kc, _, rights = self._side(cols)
+            terms = _Terms([(k, None), (None, kc.conj().T),
+                            *zip(lefts, rights)],
+                           shape=(k.shape[0], kc.shape[0]))
+            vars(self)["_last"] = (block, terms)
+        return terms
+
+    @property
+    def dim(self) -> int:
+        return self.hamiltonian.shape[0]
+
+    def trace(self, block=None) -> complex:
+        """Trace of matrix(block), without building it."""
+        return self._terms(block).trace()
+
+    def norm_bound(self, block=None) -> float:
+        """Upper bound on the 1-norm of matrix(block), without building it."""
+        return self._terms(block).norm_bound()
+
+
 @dataclass(frozen=True)
-class LindbladModel:
+class LindbladModel(_SectorGenerator):
     """Hamiltonian plus weighted jump channels defining a Markovian generator.
 
     Implements the generator interface shared with xy.NumericGenerator:
     action, adjoint_action, matrix, trace and norm_bound. The generator is
-    built once as the sandwiches (K, 1), (1, K^dag) and (k_a L_a, L_a^dag)
-    with K = -iH - 1/2 sum_a k_a L_a^dag L_a. With two or more jumps their
-    sandwiches are applied as two stacked matrix products (see _Terms), so
-    an action costs the same few BLAS calls for any number of jumps.
+    the sandwiches (K, 1), (1, K^dag) and (k_a L_a, L_a^dag) with
+    K = -iH - 1/2 sum_a k_a L_a^dag L_a. A side v restricts H and each L_a
+    once and forms K from them, so no whole-space K is built for a block.
+    With two or more jumps their sandwiches are applied as two stacked
+    matrix products (see _Terms), so an action costs the same few BLAS
+    calls for any number of jumps.
     """
 
     hamiltonian: np.ndarray
@@ -246,15 +289,13 @@ class LindbladModel:
             if j.operator.shape != h.shape:
                 raise ValueError("jump operator dimension differs from Hamiltonian")
         object.__setattr__(self, "jumps", jumps)
-        k = -1j * h - 0.5 * sum(j.rate * (j.operator.conj().T @ j.operator)
-                                for j in jumps)
-        object.__setattr__(self, "_terms", _Terms(
-            [(k, None), (None, k.conj().T)]
-            + [(j.rate * j.operator, j.operator.conj().T) for j in jumps]))
 
-    @property
-    def dim(self) -> int:
-        return self.hamiltonian.shape[0]
+    def _parts(self, v) -> tuple:
+        ops = [_restrict(j.operator, v) for j in self.jumps]
+        k = -1j * _restrict(self.hamiltonian, v) - 0.5 * sum(
+            j.rate * (op.conj().T @ op) for j, op in zip(self.jumps, ops))
+        return (k, [j.rate * op for j, op in zip(self.jumps, ops)],
+                [op.conj().T for op in ops])
 
     def action(self, rho: np.ndarray, block=None) -> np.ndarray:
         return liouvillian_action(self, rho, block)
@@ -265,14 +306,6 @@ class LindbladModel:
     def matrix(self, block=None) -> np.ndarray:
         return liouvillian_matrix(self, block)
 
-    def trace(self, block=None) -> complex:
-        """Trace of matrix(block), without building it."""
-        return self._terms.restrict(block).trace()
-
-    def norm_bound(self, block=None) -> float:
-        """Upper bound on the 1-norm of matrix(block), without building it."""
-        return self._terms.restrict(block).norm_bound()
-
 
 def liouvillian_action(model: LindbladModel, rho: np.ndarray,
                        block=None) -> np.ndarray:
@@ -280,7 +313,7 @@ def liouvillian_action(model: LindbladModel, rho: np.ndarray,
 
     With block = (rows, cols), rho is the block rows^dag rho cols.
     """
-    return model._terms.restrict(block).action(rho)
+    return model._terms(block).action(rho)
 
 
 def liouvillian_matrix(model: LindbladModel, block=None) -> np.ndarray:
@@ -288,13 +321,13 @@ def liouvillian_matrix(model: LindbladModel, block=None) -> np.ndarray:
 
     With block = (rows, cols), the generator on rows^dag rho cols only.
     """
-    return model._terms.restrict(block).matrix()
+    return model._terms(block).matrix()
 
 
 def adjoint_liouvillian_action(model: LindbladModel, a: np.ndarray,
                                block=None) -> np.ndarray:
     """Heisenberg-picture action i[H, A] + sum_a k_a (L^dag A L - {L^dag L, A}/2)."""
-    return model._terms.restrict(block).adjoint_action(a)
+    return model._terms(block).adjoint_action(a)
 
 
 def check_state(rho: np.ndarray) -> None:

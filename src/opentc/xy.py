@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import JumpChannel, LindbladModel, _restrict, _Terms
+from .lindblad import JumpChannel, LindbladModel, _restrict, _SectorGenerator
 from .operators import z_signs
 
 BOHR_CLUSTER_TOL = 1e-6       # times |J|; README "Tolerances" has them all
@@ -52,16 +52,19 @@ class BathSpec:
     kappa0*omega for omega > 0 and zero otherwise. It obeys detailed balance,
     kappa(-omega) = exp(-beta omega) kappa(omega). At omega = 0 the rate is
     its continuous limit kappa0 / beta, which is 0 at beta = inf;
-    numerical_dissipator counts Bohr frequencies below BOHR_CLUSTER_TOL |J|
-    as 0, and the secular dissipators keep only those above it.
+    NumericGenerator's D counts Bohr frequencies below BOHR_CLUSTER_TOL |J|
+    as 0, and the secular dissipators keep only those above it. kappa0
+    must be finite and non-negative, beta positive (inf included).
     """
 
     kappa0: float = 0.01
     beta: float = np.inf
 
     def __post_init__(self):
-        if self.kappa0 < 0:
-            raise ValueError("kappa0 must be non-negative")
+        if not (np.isfinite(self.kappa0) and self.kappa0 >= 0):
+            raise ValueError(f"kappa0 must be finite and >= 0: {self.kappa0}")
+        if not self.beta > 0:   # also rejects NaN
+            raise ValueError(f"beta must be positive, or inf: {self.beta}")
 
     def rate(self, omega):
         """kappa(omega) for a float or, elementwise, an array of them."""
@@ -225,13 +228,7 @@ def energy_eigenbasis(p: XYParams):
     Returns (energies, vectors). The cluster rotation removes the gauge
     freedom that would otherwise make the M_z matrix elements ambiguous.
     """
-    return _eigenbasis(xy_hamiltonian(p), z_signs(p.length).sum(0))
-
-
-def numerical_dissipator(p: XYParams, bath: BathSpec) -> np.ndarray:
-    """Operator D = 1/2 sum_kl kappa(E_k - E_l) m_kl |k><l|, in the spin basis."""
-    return _dissipator(xy_hamiltonian(p), z_signs(p.length).sum(0), bath,
-                       p.j)
+    return _eigenbasis(xy_hamiltonian(p), z_signs(p.length).sum(0))[:2]
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -242,7 +239,8 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _eigenbasis(ham: np.ndarray, mz: np.ndarray):
-    """energy_eigenbasis of the Hamiltonian ham with magnetization mz.
+    """(energies, vectors, m): energy_eigenbasis of the Hamiltonian ham
+    with magnetization mz, and m = vectors^dag mz vectors, the M_z couplings.
 
     mz is a matrix, or its diagonal as a 1-D array; ham and mz may be the
     restrictions of H and M_z to a sector that both keep.
@@ -254,33 +252,32 @@ def _eigenbasis(ham: np.ndarray, mz: np.ndarray):
             block = vecs[:, run]
             _, w = np.linalg.eigh(block.conj().T @ _dot(mz, block))
             vecs[:, run] = block @ w
-    return evals, vecs
+    return evals, vecs, vecs.conj().T @ _dot(mz, vecs)
 
 
 def _dissipator(ham: np.ndarray, mz: np.ndarray, bath: BathSpec,
                 j: float) -> np.ndarray:
-    """numerical_dissipator from ham and mz as in _eigenbasis, coupling j.
+    """D = 1/2 sum_kl kappa(E_k - E_l) m_kl |k><l| of ham and mz, coupling j.
 
-    For an isometry v onto a subspace that H and M_z both keep (a sector of
-    the translation and the parity), D from v^dag H v and v^dag M_z v is
-    v^dag D v.
+    ham and mz are as in _eigenbasis. For an isometry v onto a subspace
+    that H and M_z both keep (a sector of the translation and the parity),
+    D from v^dag H v and v^dag M_z v is v^dag D v.
     """
-    evals, vecs = _eigenbasis(ham, mz)
-    m = vecs.conj().T @ _dot(mz, vecs)
+    evals, vecs, m = _eigenbasis(ham, mz)
     omega = evals[:, None] - evals[None, :]
     omega[np.abs(omega) < BOHR_CLUSTER_TOL * abs(j)] = 0.0
     d_eig = 0.5 * bath.rate(omega) * m
     return vecs @ d_eig @ vecs.conj().T
 
 
-class NumericGenerator:
+class NumericGenerator(_SectorGenerator):
     """Generator rho -> -i[H, rho] + [M_z, rho D] + [D^dag rho, M_z].
 
     Implements the generator interface shared with lindblad.LindbladModel:
     action, adjoint_action, matrix, trace and norm_bound. It is the sum of
-    the sandwiches (-iH - M_z D^dag, 1), (1, iH - D M_z), (M_z, D) and
-    (D^dag, M_z), with M_z kept as its diagonal, so the action costs four
-    dense matrix products plus diagonal scalings; matrix() expands the
+    the sandwiches (K, 1), (1, K^dag), (M_z, D) and (D^dag, M_z) with
+    K = -iH - M_z D^dag, and M_z kept as its diagonal, so the action costs
+    four dense matrix products plus diagonal scalings; matrix() expands the
     superoperator, or one block of it, for small chains. Every method takes
     a block of rho as lindblad.Generator describes.
 
@@ -288,8 +285,8 @@ class NumericGenerator:
     an isometry v, gets v^dag H v and v^dag M_z v (lindblad._restrict
     checks that v spans a sector of both) and its own D, built from the
     eigenbasis of v^dag H v: the d x d D is never formed for a block.
-    Each side is built once per isometry object; None is the whole space,
-    whose D is the `dissipator` property.
+    Sides are built and blocks assembled by lindblad._SectorGenerator;
+    None is the whole space, whose D is the `dissipator` property.
     """
 
     def __init__(self, p: XYParams, bath: BathSpec):
@@ -297,65 +294,27 @@ class NumericGenerator:
         self.bath = bath
         self.hamiltonian = xy_hamiltonian(p)
         self.mz_diag = z_signs(p.length).sum(0)
-        # id(v) -> (v, (H, M_z, D) on v); holding v keeps its id unique
-        self._sides = {}
-        self._block = (None, None)      # the last block and its _Terms
-
-    @property
-    def dim(self) -> int:
-        return self.params.dim
 
     @property
     def dissipator(self) -> np.ndarray:
         """The whole-space operator D, built on first use."""
-        return self._side(None)[2]
+        return self._side(None)[2][0]    # the right factor of (M_z, D)
 
-    @property
-    def _terms(self) -> _Terms:
-        """The whole-space factor pairs."""
-        return self._restricted(None)
-
-    def _side(self, v):
-        """(H, M_z, D) restricted to the isometry v; None is the whole space."""
-        if id(v) not in self._sides:
-            h, z = self.hamiltonian, self.mz_diag
-            if v is not None:
-                h, z = _restrict(h, v), _restrict(z, v)
-            self._sides[id(v)] = (v, (h, z, _dissipator(h, z, self.bath,
-                                                         self.params.j)))
-        return self._sides[id(v)][1]
-
-    def _restricted(self, block) -> _Terms:
-        """The factor pairs on the block (rows, cols); None is all of rho."""
-        last, terms = self._block
-        if terms is None or block is not last:
-            rows, cols = (None, None) if block is None else block
-            h, z, d = self._side(rows)
-            hc, zc, dc = self._side(cols)
-            d_dag = d.conj().T
-            terms = _Terms([(-1j * h - _dot(z, d_dag), None),
-                            (None, 1j * hc - _dot(dc, zc)),
-                            (z, dc), (d_dag, zc)],
-                           shape=(h.shape[0], hc.shape[0]))
-            self._block = (block, terms)
-        return terms
+    def _parts(self, v) -> tuple:
+        h = _restrict(self.hamiltonian, v)
+        z = _restrict(self.mz_diag, v)
+        d = _dissipator(h, z, self.bath, self.params.j)
+        d_dag = d.conj().T
+        return -1j * h - _dot(z, d_dag), (z, d_dag), (d, z)
 
     def action(self, rho: np.ndarray, block=None) -> np.ndarray:
-        return self._restricted(block).action(rho)
+        return self._terms(block).action(rho)
 
     def adjoint_action(self, a: np.ndarray, block=None) -> np.ndarray:
-        return self._restricted(block).adjoint_action(a)
+        return self._terms(block).adjoint_action(a)
 
     def matrix(self, block=None) -> np.ndarray:
-        return self._restricted(block).matrix()
-
-    def trace(self, block=None) -> complex:
-        """Trace of matrix(block), without building it."""
-        return self._restricted(block).trace()
-
-    def norm_bound(self, block=None) -> float:
-        """Upper bound on the 1-norm of matrix(block), without building it."""
-        return self._restricted(block).norm_bound()
+        return self._terms(block).matrix()
 
 
 def secular_liouvillian(p: XYParams, bath: BathSpec,
@@ -369,9 +328,8 @@ def secular_liouvillian(p: XYParams, bath: BathSpec,
     """
     if mode not in ("independent", "collective"):
         raise ValueError(f"mode must be 'independent' or 'collective', got {mode!r}")
-    evals, vecs = energy_eigenbasis(p)
-    mz_diag = z_signs(p.length).sum(0)
-    m = vecs.conj().T @ (mz_diag[:, None] * vecs)
+    ham = xy_hamiltonian(p)
+    evals, vecs, m = _eigenbasis(ham, z_signs(p.length).sum(0))
     tol = BOHR_CLUSTER_TOL * abs(p.j)
     omega = evals[None, :] - evals[:, None]      # E_l - E_k at [k, l]
     k, l = np.nonzero((omega > tol) & (np.abs(m) > COUPLING_TOL))
@@ -394,7 +352,7 @@ def secular_liouvillian(p: XYParams, bath: BathSpec,
         for op, rate in ((a, bath.rate(wbar)), (a.conj().T, bath.rate(-wbar))):
             if rate > 0:
                 jumps.append(JumpChannel(op, rate))
-    return LindbladModel(hamiltonian=xy_hamiltonian(p), jumps=tuple(jumps))
+    return LindbladModel(hamiltonian=ham, jumps=tuple(jumps))
 
 
 def theoretical_amplitude(gamma: float) -> float:

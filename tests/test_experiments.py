@@ -1,5 +1,6 @@
 """Tests for the configuration-driven experiment runners."""
 
+import importlib.util
 import json
 import sys
 from pathlib import Path
@@ -273,6 +274,29 @@ def test_sweep_rows_match_the_map_builder_at_each_point():
         assert row == [h, eta, diag.floquet_gap, diag.tc_distance,
                        diag.star_eigenvalue.real, diag.star_eigenvalue.imag,
                        "ok"]
+
+
+def test_default_sweep_row_matches_the_benchmark_oracle(monkeypatch):
+    # perfbench/oracle.py rebuilds each kicked map from NumericGenerator's
+    # hamiltonian, dissipator and mz_diag alone; every star of the default
+    # h = 1/sqrt(2) row is one of its eigenvalues, within the benchmark's
+    # tolerance 1e-8 + 1e-6 |w|
+    monkeypatch.setattr(sys, "path", list(sys.path))    # oracle prepends src
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_oracle", REPO / "perfbench" / "oracle.py")
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    cfg = ExperimentConfig()
+    h = cfg.h_grid[3]
+    assert h == 1.0 / np.sqrt(2.0) and cfg.length == 4
+    rows = _sweep_row(cfg, h, cfg.length)
+    assert len(rows) == len(cfg.eta_grid)
+    for row, eta in zip(rows, cfg.eta_grid):
+        assert row[:2] == [h, eta] and row[-1] == "ok"
+        star = complex(row[4], row[5])
+        w = oracle.floquet_eigenvalues(cfg, h, eta)
+        match = w[np.argmin(np.abs(w - star))]
+        assert abs(match - star) <= 1e-8 + 1e-6 * abs(match)
 
 
 # perfbench's EXERCISED and BYPASSED lists for its four workloads, on

@@ -233,14 +233,19 @@ def test_skipped_identity_factors_are_bitwise_unchanged(name):
     par = np.array([bin(i).count("1") % 2 for i in range(gen.dim)])
     even, odd = (np.eye(gen.dim)[:, par == p] for p in (0, 1))
     rng = np.random.default_rng(8)
-    for terms in (gen._terms, gen._terms.restrict((even, odd))):
+    for terms in (gen._terms(None), gen._terms((even, odd))):
         assert any(f is None for pair in terms.pairs for f in pair)
         x = random_operator(rng, terms.shape[0])
         assert np.array_equal(terms.action(x), former_action(terms, x))
 
 
-def test_restricted_block_matches_full_matrix():
-    gen = GENERATORS["numeric-L4"]()
+BLOCK_GENERATORS = ["numeric-L4", "secular-independent-L4",
+                    "secular-collective-L4"]
+
+
+@pytest.mark.parametrize("name", BLOCK_GENERATORS)
+def test_restricted_block_matches_full_matrix(name):
+    gen = GENERATORS[name]()
     par = np.array([bin(i).count("1") % 2 for i in range(16)])
     rows, cols = np.flatnonzero(par == 0), np.flatnonzero(par == 1)
     full = gen.matrix()
@@ -251,7 +256,7 @@ def test_restricted_block_matches_full_matrix():
     assert abs(gen.trace((rows, cols)) - np.trace(block)) < 1e-12
 
 
-@pytest.mark.parametrize("name", ["numeric-L4", "secular-independent-L4"])
+@pytest.mark.parametrize("name", BLOCK_GENERATORS)
 def test_block_methods_match_block_matrix(name):
     gen = GENERATORS[name]()
     sectors = momentum_sectors(4)

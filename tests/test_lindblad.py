@@ -30,8 +30,9 @@ def random_state(rng, d):
 def test_model_validation():
     with pytest.raises(ValueError):
         LindbladModel(hamiltonian=np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        JumpChannel(pauli("Z"), -1.0)
+    for rate in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            JumpChannel(pauli("Z"), rate)
     with pytest.raises(ValueError):
         LindbladModel(hamiltonian=pauli("Z"), jumps=((np.eye(3), 1.0),))
 

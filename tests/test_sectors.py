@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from opentc import xy
+from opentc import lindblad, xy
 from opentc.experiments import (ExperimentConfig, _block_spectra,
                                 _initial_state, _parity_sides, _protocol)
 from opentc.floquet import (KickedProtocol, find_star, floquet_propagator,
@@ -371,7 +371,7 @@ def test_sector_dissipator_is_the_restricted_dissipator(length, h, j, beta):
     eye = np.eye(p.dim)
     for u in (momentum_sectors(length)[0], eye[:, parity > 0],
               eye[:, parity < 0]):
-        _, _, d = gen._side(u)
+        _, _, (d, _) = gen._side(u)     # the right factors (D, M_z)
         assert np.abs(d - u.conj().T @ whole @ u).max() <= 1e-13 * scale
 
 
@@ -395,3 +395,32 @@ def test_momentum_block_never_builds_the_whole_space(monkeypatch):
     gen.adjoint_action(rho, block)
     gen.trace(block)
     assert built == [(108, 108)]
+
+
+@pytest.mark.parametrize("mode", ["numeric", "independent"])
+def test_momentum_block_restricts_each_factor_once(monkeypatch, mode):
+    # a side restricts H and each jump (H and M_z in the numeric mode) once
+    # for every method on its block, and the whole-space side is never built
+    p = XYParams(gamma=np.sqrt(1.0 - 0.81), h=0.9, length=8)
+    gen = (NumericGenerator(p, BathSpec()) if mode == "numeric"
+           else xy.secular_liouvillian(p, BathSpec(), mode))
+    sides = []
+
+    def recording(f, v):
+        sides.append(v)
+        return restrict(f, v)
+
+    restrict = lindblad._restrict
+    monkeypatch.setattr(lindblad, "_restrict", recording)
+    monkeypatch.setattr(xy, "_restrict", recording)
+    u = momentum_sectors(8)[0]
+    block = (u, u)
+    rho = np.eye(u.shape[1]) / u.shape[1]
+    gen.action(rho, block)
+    gen.adjoint_action(rho, block)
+    gen.trace(block)
+    gen.norm_bound(block)
+    gen.matrix(block)
+    factors = 2 if mode == "numeric" else 1 + len(gen.jumps)
+    assert len(sides) == factors
+    assert all(v is u for v in sides)

@@ -12,8 +12,8 @@ from opentc.xy import (BOHR_CLUSTER_TOL, BathSpec, NumericGenerator,
                        XYParams, bogoliubov_angle, brillouin_zone, dispersion,
                        energy_eigenbasis, factorized_states,
                        free_fermion_sector_energies, ground_state_pair,
-                       numerical_dissipator, secular_liouvillian,
-                       theoretical_amplitude, xy_hamiltonian)
+                       secular_liouvillian, theoretical_amplitude,
+                       xy_hamiltonian)
 
 
 def test_params_validation():
@@ -250,8 +250,10 @@ def test_bath_rates():
     assert warm.rate(1e-17) == pytest.approx(0.01)
     assert warm.rate(-1e-16) == pytest.approx(0.01)
     assert BathSpec(kappa0=0.02, beta=1e3).rate(-1.0) == 0.0
-    with pytest.raises(ValueError):
-        BathSpec(kappa0=-0.1)
+    for bad in ({"kappa0": -0.1}, {"kappa0": np.nan}, {"kappa0": np.inf},
+                {"beta": np.nan}, {"beta": -1.0}, {"beta": 0.0}):
+        with pytest.raises(ValueError):
+            BathSpec(**bad)
 
 
 def scalar_rate(bath, omega):
