@@ -18,10 +18,11 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import __version__, floquet, models, spectral, xy
-from .lindblad import (LindbladModel, liouvillian_matrix, rk4_evolve,
-                       trace_distance)
+from .lindblad import (LindbladModel, _restrict, liouvillian_matrix,
+                       rk4_evolve, trace_distance)
 from .operators import (devectorize, hs_inner, pauli, trace_functional,
                         vectorize, z_signs)
+from .operators import parity_sides as _parity_sides
 
 MAX_LENGTH = 10
 # spectrum, sweep and disorder build the 4^L x 4^L map as three parity
@@ -219,23 +220,14 @@ def _protocol(cfg: ExperimentConfig, h: float, eta: float, length: int):
         kick_generator=z_signs(length).sum(0) / 2, error=eta)
 
 
-def _parity_sides(length: int) -> tuple:
-    """The identity columns of P = +1 and of P = -1, in that order."""
-    parity = z_signs(length).prod(0)
-    eye = np.eye(2 ** length, dtype=complex)
-    return tuple(eye[:, parity == sign] for sign in (1.0, -1.0))
+def _block_spectra(sides: tuple, build, kind: str = "map") -> list:
+    """Spectra of a map or generator, one per block, from build(a, b).
 
-
-def _block_spectra(proto: floquet.KickedProtocol, sides: tuple,
-                   kind: str = "map", evolved: dict | None = None) -> list:
-    """Spectra of the Floquet map, or of the generator, one per block.
-
-    Block (a, b), on sides[a]^dag rho sides[b], in row-major order. The
-    generators and the kick preserve Hermiticity, so block (b, a) is block
-    (a, b) under r -> r^dag: only the blocks with a <= b are built and
-    decomposed, and each other one is their spectral.mirror. A map block
-    is floquet_propagator's, or the kick applied to evolved[a, b] when
-    `evolved` (from _block_evolutions) is given.
+    Block (a, b) acts on sides[a]^dag rho sides[b], in row-major order, and
+    build(a, b) returns its matrix. The generators and the kick preserve
+    Hermiticity, so block (b, a) is block (a, b) under r -> r^dag: only the
+    blocks with a <= b are built and decomposed, and each other one is
+    their spectral.mirror.
     """
     spectra = {}
     for a, rows in enumerate(sides):
@@ -243,22 +235,31 @@ def _block_spectra(proto: floquet.KickedProtocol, sides: tuple,
             if a > b:   # its partner (b, a) acts on n_b x n_a
                 spectra[a, b] = spectral.mirror(
                     spectra[b, a], (cols.shape[1], rows.shape[1]))
-                continue
-            block = (rows, cols)
-            if kind == "generator":
-                matrix = proto.model.matrix(block)
-            elif evolved is None:
-                matrix = floquet.floquet_propagator(proto, block)
             else:
-                matrix = floquet.kicked(proto, evolved[a, b], block)
-            spectra[a, b] = spectral.decompose(matrix, kind=kind)
+                spectra[a, b] = spectral.decompose(build(a, b), kind=kind)
     return list(spectra.values())
 
 
-def _block_evolutions(proto: floquet.KickedProtocol, sides: tuple) -> dict:
-    """floquet.evolution of each block (a, b) that _block_spectra builds."""
-    return {(a, b): floquet.evolution(proto, (sides[a], sides[b]))
-            for a in range(len(sides)) for b in range(a, len(sides))}
+def _field_setup(cfg: ExperimentConfig, h: float, length: int) -> tuple:
+    """The protocol at field h, the parity sides and each block's exp(L T).
+
+    exp(L T) does not depend on the kick error: _map_spectra kicks one
+    set-up for every eta. It holds the blocks a <= b that _block_spectra
+    builds.
+    """
+    _, proto = _protocol(cfg, h, 0.0, length)
+    sides = _parity_sides(length)
+    evolved = {(a, b): floquet.evolution(proto, (sides[a], sides[b]))
+               for a in range(len(sides)) for b in range(a, len(sides))}
+    return proto, sides, evolved
+
+
+def _map_spectra(proto: floquet.KickedProtocol, sides: tuple, evolved: dict,
+                 eta: float) -> list:
+    """The Floquet map's block spectra at kick error eta from _field_setup."""
+    at_eta = replace(proto, error=eta)
+    return _block_spectra(sides, lambda a, b: floquet.kicked(
+        at_eta, evolved[a, b], (sides[a], sides[b])))
 
 
 def _initial_state(cfg: ExperimentConfig, params: xy.XYParams) -> np.ndarray:
@@ -309,33 +310,25 @@ def _require_initial_state(cfg: ExperimentConfig, command: str) -> None:
 def _sweep_row(cfg: ExperimentConfig, h: float, length: int) -> list:
     """The sweep rows at field h, one per eta of cfg.eta_grid.
 
-    exp(L T) does not depend on eta, so each block's is built once and
-    every eta only applies its own kick. A failure to build the generator
-    or an exponential flags the whole row; any later one only its point.
+    Every eta kicks the row's one _field_setup. A failure to build the
+    generator or an exponential flags the whole row; any later one only
+    its point.
     """
     try:
-        _, proto = _protocol(cfg, h, 0.0, length)
-        # one object per side for every eta: the generator caches by it
-        sides = _parity_sides(length)
-        evolved = _block_evolutions(proto, sides)
+        setup = _field_setup(cfg, h, length)
     except Exception as exc:   # row failures flagged, run continues
         return [_failed_point(h, eta, exc) for eta in cfg.eta_grid]
-    return [_sweep_point(cfg, proto, sides, evolved, h, eta)
-            for eta in cfg.eta_grid]
-
-
-def _sweep_point(cfg: ExperimentConfig, proto: floquet.KickedProtocol,
-                 sides: tuple, evolved: dict, h: float, eta: float) -> list:
-    """The sweep row at (h, eta) from the blocks' evolutions at h."""
-    try:
-        spectra = _block_spectra(replace(proto, error=eta), sides,
-                                 evolved=evolved)
-        diag = floquet.find_star(*spectra, order=cfg.order,
-                                 period=cfg.period)
-        return [h, eta, diag.floquet_gap, diag.tc_distance,
-                diag.star_eigenvalue.real, diag.star_eigenvalue.imag, "ok"]
-    except Exception as exc:   # per-point failures flagged, run continues
-        return _failed_point(h, eta, exc)
+    rows = []
+    for eta in cfg.eta_grid:
+        try:
+            diag = floquet.find_star(*_map_spectra(*setup, eta),
+                                     order=cfg.order, period=cfg.period)
+            rows.append([h, eta, diag.floquet_gap, diag.tc_distance,
+                         diag.star_eigenvalue.real,
+                         diag.star_eigenvalue.imag, "ok"])
+        except Exception as exc:   # per-point failures flagged
+            rows.append(_failed_point(h, eta, exc))
+    return rows
 
 
 def _failed_point(h: float, eta: float, exc: Exception) -> list:
@@ -350,6 +343,8 @@ def run_sweep(cfg: ExperimentConfig) -> ResultTable:
                  "star_re", "star_im", "status"],
         metadata=_metadata(cfg, "sweep"))
     table.metadata["length"] = cfg.length
+    # an unset gamma resolves per row, as sqrt(1 - h^2) of its own h
+    table.metadata["config"]["gamma"] = cfg.gamma
     for h in cfg.h_grid:
         for row in _sweep_row(cfg, h, cfg.length):
             table.add(*row)
@@ -393,25 +388,24 @@ def run_scaling(cfg: ExperimentConfig) -> ResultTable:
 def run_disorder(cfg: ExperimentConfig) -> ResultTable:
     """Linear disorder susceptibility over seeded zero-sum samples."""
     _require_matrix_path(cfg, "disorder")
-    _, proto = _protocol(cfg, cfg.h, cfg.eta, cfg.length)
-    sides = _parity_sides(cfg.length)
-    spectra = _block_spectra(proto, sides)
+    proto, sides, evolved = _field_setup(cfg, cfg.h, cfg.length)
+    spectra = _map_spectra(proto, sides, evolved, cfg.eta)
     star = floquet.find_star(*spectra, order=cfg.order, period=cfg.period)
     a, b = divmod(star.block, len(sides))
     mu, block = star.index, (sides[a], sides[b])
     sd = floquet.translation_refine(spectra[star.block], cfg.length, mu,
                                     block)
     rng = np.random.default_rng(cfg.seed)
+    scale = 1 << 20
+    grains = np.array([rng.integers(-scale, scale, cfg.length)
+                       for _ in range(cfg.n_samples)])
+    # dyadic amplitudes make the zero sum exact in floating point
+    grains[:, 0] -= grains.sum(1)
+    chis = floquet.disorder_susceptibility(sd, grains / float(scale),
+                                           cfg.length, mu, block)
     table = ResultTable(columns=["sample", "single_site", "full_sum"],
                         metadata=_metadata(cfg, "disorder"))
-    scale = 1 << 20
-    for k in range(cfg.n_samples):
-        # dyadic amplitudes make the zero sum exact in floating point
-        grains = rng.integers(-scale, scale, cfg.length)
-        grains[0] -= grains.sum()
-        deltas = grains / float(scale)
-        chi = floquet.disorder_susceptibility(sd, deltas, cfg.length, mu,
-                                              block)
+    for k, chi in enumerate(chis):
         table.add(k, chi.single_site, chi.full_sum)
     return table
 
@@ -423,24 +417,23 @@ def run_spectrum(cfg: ExperimentConfig) -> ResultTable:
     the rows, P of the columns of rho) and `index` counts within it.
     """
     _require_matrix_path(cfg, "spectrum")
-    _, proto = _protocol(cfg, cfg.h, cfg.eta, cfg.length)
-    sides = _parity_sides(cfg.length)
+    proto, sides, evolved = _field_setup(cfg, cfg.h, cfg.length)
+    generator = _block_spectra(sides, lambda a, b: proto.model.matrix(
+        (sides[a], sides[b])), "generator")
+    maps = _map_spectra(proto, sides, evolved, cfg.eta)
     table = ResultTable(
         columns=["kind", "sector", "index", "re", "im", "peripheral"],
         metadata=_metadata(cfg, "spectrum"))
     # in the order of _block_spectra, over the sides P = +1, P = -1
     names = [rows + cols for rows in "+-" for cols in "+-"]
-    for kind in ("generator", "map"):
-        spectra = _block_spectra(proto, sides, kind)
+    for kind, spectra in (("generator", generator), ("map", maps)):
         for name, sd in zip(names, spectra):
             mask = sd.peripheral_mask()
             for i, lam in enumerate(sd.eigenvalues):
                 table.add(kind, name, i, lam.real, lam.imag, int(mask[i]))
-        if kind == "map":
-            diag = floquet.find_star(*spectra, order=cfg.order,
-                                     period=cfg.period)
-            table.metadata["floquet_gap"] = diag.floquet_gap
-            table.metadata["tc_distance"] = diag.tc_distance
+    diag = floquet.find_star(*maps, order=cfg.order, period=cfg.period)
+    table.metadata["floquet_gap"] = diag.floquet_gap
+    table.metadata["tc_distance"] = diag.tc_distance
     return table
 
 
@@ -482,11 +475,10 @@ def _conserved_err(model: LindbladModel, expected: list) -> float:
 
 def _sector_err(params: xy.XYParams, ham: np.ndarray) -> float:
     """Exact parity-sector spectra of ham against the free-fermion oracle."""
-    par = z_signs(params.length).prod(0)
-    return max(_max_err(
-        np.sort(np.linalg.eigvalsh(ham[np.ix_(par == sign, par == sign)])),
-        xy.free_fermion_sector_energies(params, sector))
-        for sector, sign in (("even", 1.0), ("odd", -1.0)))
+    return max(_max_err(np.sort(np.linalg.eigvalsh(_restrict(ham, v))),
+                        xy.free_fermion_sector_energies(params, sector))
+               for sector, v in zip(("even", "odd"),
+                                    _parity_sides(params.length)))
 
 
 def _dephasing_spectrum_checks() -> list:

@@ -408,24 +408,28 @@ def translation_refine(sd: SpectralData, length: int, mu: int,
 
 
 def disorder_susceptibility(sd: SpectralData, deltas, length: int, mu: int,
-                            block=None) -> DisorderSusceptibility:
+                            block=None) -> DisorderSusceptibility | list:
     """Linear susceptibility of eps_mu to a site-dependent kick error.
 
     Reports the permutation-invariant single-site reduction
     (|eps|/2) |<<l| Z_0 (.) - (.) Z_0 |r>>| sum_r delta_r, together with the
     full sum over -(i/2) delta_r <<l| [Z_r, .] E_F |r>>. sd is the spectrum
-    of the map's block (rows, cols); None is the whole map.
+    of the map's block (rows, cols); None is the whole map. deltas is one
+    sample of L amplitudes, which gives one DisorderSusceptibility, or an
+    (n, L) array of n samples, which gives a list of n: the elements
+    <<l| [Z_r, .] |r>> do not depend on the sample and are computed once.
     """
     deltas = np.asarray(deltas, dtype=float)
-    if deltas.size != length:
+    if deltas.ndim not in (1, 2) or deltas.shape[-1] != length:
         raise ValueError("one disorder amplitude per site is required")
-    eps = sd.eigenvalues[mu]
+    half = 0.5 * abs(sd.eigenvalues[mu])
     elements = np.empty(length, dtype=complex)
     for site, z in enumerate(z_signs(length)):
         commutator = _Terms([(z, None), (None, -z)]).restrict(block)
         elements[site] = np.vdot(sd.left[:, mu],
                                  commutator.columns(sd.right[:, mu:mu + 1]))
-    single = 0.5 * abs(eps) * abs(elements[0]) * float(np.sum(deltas))
-    full = 0.5 * abs(eps) * abs(np.sum(deltas * elements))
-    return DisorderSusceptibility(single_site=float(single),
-                                  full_sum=float(full))
+    out = [DisorderSusceptibility(
+        single_site=float(half * abs(elements[0]) * float(np.sum(row))),
+        full_sum=float(half * abs(np.sum(row * elements))))
+        for row in np.atleast_2d(deltas)]
+    return out if deltas.ndim == 2 else out[0]

@@ -190,6 +190,14 @@ def z_signs(length: int) -> np.ndarray:
     return 1.0 - 2.0 * bits
 
 
+def parity_sides(length: int) -> tuple:
+    """The identity columns of P = prod_r Z_r = +1 and of P = -1, in that
+    order: isometries onto the two parity sectors."""
+    parity = z_signs(length).prod(0)
+    eye = np.eye(2 ** length, dtype=complex)
+    return tuple(eye[:, parity == sign] for sign in (1.0, -1.0))
+
+
 def magnetization(kind: str, length: int) -> np.ndarray:
     """Total magnetization, the sum of one Pauli over every site."""
     if length < 1:

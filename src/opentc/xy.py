@@ -14,13 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lindblad import JumpChannel, LindbladModel, _restrict, _SectorGenerator
-from .operators import z_signs
+from .operators import parity_sides, z_signs
 
 BOHR_CLUSTER_TOL = 1e-6       # times |J|; README "Tolerances" has them all
 ENERGY_CLUSTER_TOL = 1e-8     # times max(1, max |E|)
 COUPLING_TOL = 1e-12
 FACTORIZATION_TOL = 1e-10
-PARITY_TOL = 1e-10
 MOMENTUM_TOL = 1e-12
 GAPLESS_TOL = 1e-14
 
@@ -171,24 +170,19 @@ def ground_state_pair(p: XYParams):
     """Lowest state and energy of each parity sector of the exact Hamiltonian.
 
     Returns (state_plus, state_minus, e_plus, e_minus); phases fixed by making
-    the largest-magnitude amplitude real and positive.
+    the largest-magnitude amplitude real and positive. Each sector's block
+    is lindblad._restrict's, so an H that couples them raises ValueError.
     """
     ham = xy_hamiltonian(p)
-    par = z_signs(p.length).prod(0)
-    comm = ham * (par[None, :] - par[:, None])   # [H, P] for diagonal P
-    if np.max(np.abs(comm)) > PARITY_TOL:
-        raise RuntimeError("Hamiltonian does not commute with parity")
-    out = {}
-    for sign in (1.0, -1.0):
-        idx = np.nonzero(par == sign)[0]
-        block = ham[np.ix_(idx, idx)]
-        evals, vecs = np.linalg.eigh(block)
-        state = np.zeros(p.dim, dtype=complex)
-        state[idx] = vecs[:, 0]
+    out = []
+    for v in parity_sides(p.length):
+        evals, vecs = np.linalg.eigh(_restrict(ham, v))
+        state = v @ vecs[:, 0]
         k = np.argmax(np.abs(state))
         state *= np.abs(state[k]) / state[k]
-        out[sign] = (state, float(evals[0]))
-    return out[1.0][0], out[-1.0][0], out[1.0][1], out[-1.0][1]
+        out.append((state, float(evals[0])))
+    (plus, e_plus), (minus, e_minus) = out
+    return plus, minus, e_plus, e_minus
 
 
 def factorized_states(p: XYParams) -> FactorizationState:

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -233,6 +234,31 @@ def test_default_dense_runners_decompose_parity_blocks(monkeypatch):
             assert len(exponentiated) == 15
 
 
+def test_dense_runners_kick_one_set_up_per_field(monkeypatch):
+    # sweep, spectrum and disorder exponentiate each built block once per
+    # field and kick it per eta; none goes through floquet_propagator
+    built = spy(monkeypatch, floquet.floquet_propagator)
+    evolved = spy(monkeypatch, floquet.evolution)
+    kicked = spy(monkeypatch, floquet.kicked)
+    for run, etas in ((run_sweep, 2), (run_spectrum, 1), (run_disorder, 1)):
+        evolved.clear()
+        kicked.clear()
+        run(small_config())
+        assert (len(evolved), len(kicked)) == (3, 3 * etas), run
+    assert not built
+
+
+def test_disorder_restricts_each_commutator_once_per_run(monkeypatch):
+    # the elements <<l| [Z_r, .] |r>> do not depend on the sample
+    restricted = spy(monkeypatch, lindblad._restrict)
+    counts = []
+    for n_samples in (1, 5):
+        restricted.clear()
+        run_disorder(ExperimentConfig(n_samples=n_samples))
+        counts.append(len(restricted))
+    assert counts[0] == counts[1]
+
+
 def test_trace_path_sees_only_the_momentum_block(monkeypatch):
     # at L = 8 the k = 0 block is 36 x 36: the trace runner forms no
     # 256 x 256 state, Cholesky factor or observable
@@ -266,9 +292,11 @@ def test_sweep_rows_match_the_map_builder_at_each_point():
     table = run_sweep(cfg)
     points = [(h, eta) for h in cfg.h_grid for eta in cfg.eta_grid]
     assert len(table.rows) == len(points)
+    sides = _parity_sides(cfg.length)
     for row, (h, eta) in zip(table.rows, points):
-        spectra = _block_spectra(_protocol(cfg, h, eta, cfg.length)[1],
-                                 _parity_sides(cfg.length))
+        proto = _protocol(cfg, h, eta, cfg.length)[1]
+        spectra = _block_spectra(sides, lambda a, b: floquet_propagator(
+            proto, (sides[a], sides[b])))
         diag = floquet.find_star(*spectra, order=cfg.order,
                                  period=cfg.period)
         assert row == [h, eta, diag.floquet_gap, diag.tc_distance,
@@ -297,6 +325,56 @@ def test_default_sweep_row_matches_the_benchmark_oracle(monkeypatch):
         w = oracle.floquet_eigenvalues(cfg, h, eta)
         match = w[np.argmin(np.abs(w - star))]
         assert abs(match - star) <= 1e-8 + 1e-6 * abs(match)
+
+
+# perfbench's traced self-test on each workload's seed-0 config, in a
+# process of its own: child.install_all wraps opentc's functions for good
+_SELFTEST = """
+import importlib, importlib.util, json, os, sys
+repo, tmp = sys.argv[1:]
+sys.path.insert(0, os.path.join(repo, "src"))
+import numpy as np
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_" + name, os.path.join(repo, "perfbench", name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+child, run = load("child"), load("run")
+modules = {name: importlib.import_module("opentc." + name)
+           for name in child.LAYERS}
+tracer = child.Tracer()
+child.install_all(tracer, modules)
+out = {}
+for workload, command in run.COMMANDS.items():
+    cfg = os.path.join(tmp, workload + ".json")
+    with open(cfg, "w") as fh:
+        json.dump(run.make_config(workload, 0), fh)
+    np.random.seed(0)
+    tracer.spans.clear()
+    code = modules["cli"].main([command, "--config", cfg, "--out",
+                                os.path.join(tmp, workload + ".csv")])
+    out[workload] = [code, run.selftest(
+        workload, child.layer_metrics(tracer.spans))]
+print(json.dumps(out))
+"""
+
+
+def test_benchmark_self_test_passes_on_every_workload(tmp_path):
+    # moving a spanned method or dropping a spanned call fails here, not
+    # only in the benchmark; -B keeps perfbench/ free of bytecode files
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", _SELFTEST, str(REPO), str(tmp_path)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert sorted(out) == ["sweep-L4", "trace-L8", "trace-secular-L6",
+                           "validate"]
+    assert out == dict.fromkeys(out, [0, []])
 
 
 # perfbench's EXERCISED and BYPASSED lists for its four workloads, on
@@ -435,6 +513,17 @@ def test_run_validate_all_pass():
         gate = json.load(fh)["validate"]["checks"]
     passed = dict(zip(table.column("name"), table.column("passed")))
     assert {name: passed.get(name) for name in gate} == dict.fromkeys(gate, 1)
+
+
+def test_sweep_header_leaves_an_unset_gamma_to_each_row():
+    # gamma = sqrt(1 - h^2) of each row's h, not of the unused cfg.h
+    for gamma in (None, 0.5):
+        table = run_sweep(small_config(gamma=gamma, h_grid=(0.9,)))
+        header = json.loads(table.to_csv().splitlines()[0][1:])
+        assert header["config"]["gamma"] == gamma
+    # the one-point runners resolve it at cfg.h
+    table = run_spectrum(small_config(h=0.6))
+    assert table.metadata["config"]["gamma"] == pytest.approx(0.8)
 
 
 def test_metadata_header():

@@ -16,8 +16,9 @@ from opentc.floquet import (KickedProtocol, _period_operator,
 from opentc.lindblad import (JumpChannel, LindbladModel, liouvillian_matrix,
                              rk4_evolve, trace_distance)
 from opentc.models import bell_basis, dfs_collective_model
-from opentc.operators import (devectorize, magnetization, pauli, sandwich,
-                              site_operator, unitary_conjugation, vectorize)
+from opentc.operators import (devectorize, magnetization, parity_sides,
+                              pauli, sandwich, site_operator,
+                              unitary_conjugation, vectorize, z_signs)
 from opentc.spectral import decompose
 from opentc.xy import (BathSpec, NumericGenerator, XYParams,
                        secular_liouvillian)
@@ -454,6 +455,26 @@ def test_disorder_susceptibility_uniform_equals_global():
     assert chi.single_site == pytest.approx(chi.full_sum, abs=1e-10)
     with pytest.raises(ValueError):
         disorder_susceptibility(sd, [0.1], length, mu)
+
+
+def test_disorder_susceptibility_of_many_samples_is_each_sample_alone():
+    # an (n, L) deltas gives, bit for bit, the n single-sample results
+    length = 4
+    params = XYParams(gamma=np.sqrt(0.5), h=np.sqrt(0.5), length=length)
+    proto = KickedProtocol(model=NumericGenerator(params, BathSpec()),
+                           period=10.0, error=0.05,
+                           kick_generator=z_signs(length).sum(0) / 2)
+    block = parity_sides(length)
+    sd = decompose(floquet_propagator(proto, block), kind="map")
+    mu = find_star(sd, order=2).index
+    sd = translation_refine(sd, length, mu, block)
+    deltas = np.random.default_rng(3).normal(size=(6, length))
+    many = disorder_susceptibility(sd, deltas, length, mu, block)
+    assert many == [disorder_susceptibility(sd, row, length, mu, block)
+                    for row in deltas]
+    for bad in (deltas[:, :3], deltas[None]):
+        with pytest.raises(ValueError):
+            disorder_susceptibility(sd, bad, length, mu, block)
 
 
 # The kick, the rotation-error map, the observation-6 check and the

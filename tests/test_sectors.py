@@ -89,10 +89,14 @@ def test_mirrored_block_matches_direct_block(length, mode, kind):
     cfg = ExperimentConfig(length=length, dissipator_mode=mode)
     _, proto = _protocol(cfg, 0.5, np.pi / 20, length)
     sides = _parity_sides(length)
-    mirrored = _block_spectra(proto, sides, kind)[2]
-    block = (sides[1], sides[0])
-    s = (floquet_propagator(proto, block) if kind == "map"
-         else proto.model.matrix(block))
+
+    def build(block):
+        return (floquet_propagator(proto, block) if kind == "map"
+                else proto.model.matrix(block))
+
+    mirrored = _block_spectra(
+        sides, lambda a, b: build((sides[a], sides[b])), kind)[2]
+    s = build((sides[1], sides[0]))
     direct = decompose(s, kind=kind)
     w = mirrored.eigenvalues
     assert multiset_distance(w, direct.eigenvalues) < 1e-12
@@ -119,7 +123,8 @@ def test_mirror_of_rectangular_momentum_blocks():
     _, proto = _protocol(cfg, 0.9, np.pi / 40, 4)
     sides = momentum_sectors(4)
     n = len(sides)
-    spectra = _block_spectra(proto, sides)
+    spectra = _block_spectra(sides, lambda a, b: floquet_propagator(
+        proto, (sides[a], sides[b])))
     mirrored = 0
     for k, (rows, cols) in enumerate(blocks(sides)):
         a, b = divmod(k, n)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from opentc import xy
 from opentc.lindblad import liouvillian_matrix, rk4_evolve
 from opentc.operators import magnetization, pauli, site_operator, z_signs
 from opentc.xy import (BOHR_CLUSTER_TOL, BathSpec, NumericGenerator,
@@ -132,6 +133,17 @@ def test_ground_state_pair_properties():
     assert np.linalg.norm(ham @ sm - em * sm) < 1e-10
     assert np.vdot(sp, par @ sp).real == pytest.approx(1.0)
     assert np.vdot(sm, par @ sm).real == pytest.approx(-1.0)
+
+
+def test_ground_state_pair_rejects_a_parity_breaking_hamiltonian(
+        monkeypatch):
+    # the parity blocks come from lindblad._restrict, whose leak check is
+    # the guard that H keeps the parity
+    ham = xy.xy_hamiltonian
+    monkeypatch.setattr(xy, "xy_hamiltonian", lambda p: ham(p) + 1e-6
+                        * site_operator("X", 0, p.length))
+    with pytest.raises(ValueError, match="couples the sector"):
+        ground_state_pair(XYParams(gamma=0.8, h=0.4))
 
 
 def test_factorization_line_degeneracy():
