@@ -220,14 +220,16 @@ def _protocol(cfg: ExperimentConfig, h: float, eta: float, length: int):
         kick_generator=z_signs(length).sum(0) / 2, error=eta)
 
 
-def _block_spectra(sides: tuple, build, kind: str = "map") -> list:
+def _block_spectra(sides: tuple, build, kind: str = "map",
+                   vectors: bool = True) -> list:
     """Spectra of a map or generator, one per block, from build(a, b).
 
     Block (a, b) acts on sides[a]^dag rho sides[b], in row-major order, and
     build(a, b) returns its matrix. The generators and the kick preserve
     Hermiticity, so block (b, a) is block (a, b) under r -> r^dag: only the
     blocks with a <= b are built and decomposed, and each other one is
-    their spectral.mirror.
+    their spectral.mirror. vectors=False computes eigenvalues only, for
+    callers that read no eigenvector.
     """
     spectra = {}
     for a, rows in enumerate(sides):
@@ -236,7 +238,8 @@ def _block_spectra(sides: tuple, build, kind: str = "map") -> list:
                 spectra[a, b] = spectral.mirror(
                     spectra[b, a], (cols.shape[1], rows.shape[1]))
             else:
-                spectra[a, b] = spectral.decompose(build(a, b), kind=kind)
+                spectra[a, b] = spectral.decompose(build(a, b), kind=kind,
+                                                   vectors=vectors)
     return list(spectra.values())
 
 
@@ -255,11 +258,12 @@ def _field_setup(cfg: ExperimentConfig, h: float, length: int) -> tuple:
 
 
 def _map_spectra(proto: floquet.KickedProtocol, sides: tuple, evolved: dict,
-                 eta: float) -> list:
-    """The Floquet map's block spectra at kick error eta from _field_setup."""
+                 eta: float, vectors: bool) -> list:
+    """The Floquet map's block spectra at kick error eta from _field_setup,
+    with eigenvectors or without (see _block_spectra)."""
     at_eta = replace(proto, error=eta)
     return _block_spectra(sides, lambda a, b: floquet.kicked(
-        at_eta, evolved[a, b], (sides[a], sides[b])))
+        at_eta, evolved[a, b], (sides[a], sides[b])), vectors=vectors)
 
 
 def _initial_state(cfg: ExperimentConfig, params: xy.XYParams) -> np.ndarray:
@@ -321,7 +325,7 @@ def _sweep_row(cfg: ExperimentConfig, h: float, length: int) -> list:
     rows = []
     for eta in cfg.eta_grid:
         try:
-            diag = floquet.find_star(*_map_spectra(*setup, eta),
+            diag = floquet.find_star(*_map_spectra(*setup, eta, vectors=False),
                                      order=cfg.order, period=cfg.period)
             rows.append([h, eta, diag.floquet_gap, diag.tc_distance,
                          diag.star_eigenvalue.real,
@@ -389,7 +393,9 @@ def run_disorder(cfg: ExperimentConfig) -> ResultTable:
     """Linear disorder susceptibility over seeded zero-sum samples."""
     _require_matrix_path(cfg, "disorder")
     proto, sides, evolved = _field_setup(cfg, cfg.h, cfg.length)
-    spectra = _map_spectra(proto, sides, evolved, cfg.eta)
+    # the star's refinement and susceptibility read its eigenvectors
+    spectra = _map_spectra(proto, sides, evolved, cfg.eta,
+                           vectors=True)
     star = floquet.find_star(*spectra, order=cfg.order, period=cfg.period)
     a, b = divmod(star.block, len(sides))
     mu, block = star.index, (sides[a], sides[b])
@@ -419,8 +425,8 @@ def run_spectrum(cfg: ExperimentConfig) -> ResultTable:
     _require_matrix_path(cfg, "spectrum")
     proto, sides, evolved = _field_setup(cfg, cfg.h, cfg.length)
     generator = _block_spectra(sides, lambda a, b: proto.model.matrix(
-        (sides[a], sides[b])), "generator")
-    maps = _map_spectra(proto, sides, evolved, cfg.eta)
+        (sides[a], sides[b])), "generator", vectors=False)
+    maps = _map_spectra(proto, sides, evolved, cfg.eta, vectors=False)
     table = ResultTable(
         columns=["kind", "sector", "index", "re", "im", "peripheral"],
         metadata=_metadata(cfg, "spectrum"))

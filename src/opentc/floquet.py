@@ -205,6 +205,7 @@ def susceptibility(sd: SpectralData, v: np.ndarray, mu: int,
     """
     if order < 1:
         raise ValueError("order must be >= 1")
+    sd.require_vectors()
     w = sd.eigenvalues
     eps0 = w[mu]
     cluster = sd.cluster(mu)
@@ -314,6 +315,7 @@ def check_observation6(map_sd: SpectralData, u_kick: np.ndarray,
     """
     if map_sd.kind != "map":
         raise ValueError("observation-6 check expects a map-kind spectrum")
+    map_sd.require_vectors()
     mask = map_sd.peripheral_mask() & ~map_sd.defective
     asy = np.nonzero(mask)[0]
     dec = np.nonzero(~mask)[0]
@@ -393,6 +395,7 @@ def translation_refine(sd: SpectralData, length: int, mu: int,
     is the spectrum of the map's block (rows, cols); None is the whole map.
     T keeps parity, so restricting it to a parity block is exact.
     """
+    sd.require_vectors()
     cluster = sd.cluster(mu)
     if cluster.size == 1:
         return sd
@@ -422,6 +425,7 @@ def disorder_susceptibility(sd: SpectralData, deltas, length: int, mu: int,
     deltas = np.asarray(deltas, dtype=float)
     if deltas.ndim not in (1, 2) or deltas.shape[-1] != length:
         raise ValueError("one disorder amplitude per site is required")
+    sd.require_vectors()
     half = 0.5 * abs(sd.eigenvalues[mu])
     elements = np.empty(length, dtype=complex)
     for site, z in enumerate(z_signs(length)):

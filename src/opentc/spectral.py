@@ -7,7 +7,7 @@ subspace with its conserved quantities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -27,14 +27,16 @@ class SpectralData:
     so that left[:, m].conj() @ right[:, n] = delta_mn except inside clusters
     flagged as defective. `clusters` labels each eigenvalue with its
     degenerate cluster, the connected components of eigenvalues closer than
-    peripheral_tolerance; it is the one degeneracy test downstream.
+    peripheral_tolerance; it is the one degeneracy test downstream. A
+    spectrum from decompose(..., vectors=False) has `right`, `left` and
+    `defective` None; whatever reads them calls require_vectors first.
     """
 
     eigenvalues: np.ndarray
-    right: np.ndarray
-    left: np.ndarray
+    right: np.ndarray | None
+    left: np.ndarray | None
     kind: str
-    defective: np.ndarray
+    defective: np.ndarray | None
     clusters: np.ndarray
     peripheral_tolerance = SPECTRAL_TOL     # a class constant, not a field
 
@@ -52,10 +54,18 @@ class SpectralData:
         """Indices of the eigenvalues in the degenerate cluster of mu."""
         return np.nonzero(self.clusters == self.clusters[mu])[0]
 
+    def require_vectors(self) -> None:
+        """Raise ValueError if this spectrum was computed without vectors."""
+        if self.right is None:
+            raise ValueError("spectrum has no eigenvectors: compute it with "
+                             "decompose(..., vectors=True)")
+
     def right_operator(self, mu: int) -> np.ndarray:
+        self.require_vectors()
         return devectorize(self.right[:, mu])
 
     def left_operator(self, mu: int) -> np.ndarray:
+        self.require_vectors()
         return devectorize(self.left[:, mu])
 
 
@@ -73,7 +83,8 @@ class AsymptoticSubspace:
         return self.eigenvalues.size
 
 
-def decompose(s: np.ndarray, kind: str = "generator") -> SpectralData:
+def decompose(s: np.ndarray, kind: str = "generator",
+              vectors: bool = True) -> SpectralData:
     """Full biorthonormal eigendecomposition of a superoperator matrix.
 
     Left vectors come from the adjoint problem (scipy's `left=True`), matched
@@ -81,10 +92,14 @@ def decompose(s: np.ndarray, kind: str = "generator") -> SpectralData:
     steps < SPECTRAL_TOL) are re-mixed so the cross-Gram matrix is the
     identity; clusters whose cross-Gram is numerically singular are flagged
     defective. A superoperator that preserves Hermiticity is decomposed in
-    real arithmetic (see _real_eig), and again on complex eig should that
+    real arithmetic (see _real_form), and again on complex eig should that
     leave a defective cluster: real eig can return dependent vectors for
     exactly equal eigenvalues, such as a generator's zeros. Runs on one
     BLAS thread up to operators.SERIAL_BLAS_DIM.
+
+    With vectors=False only the eigenvalues are computed (scipy's eigvals,
+    on the real form when there is one), in the same order and with the
+    same cluster labels; `right`, `left` and `defective` are None.
     """
     if kind not in ("generator", "map"):
         raise ValueError(f"kind must be 'generator' or 'map', got {kind!r}")
@@ -92,6 +107,13 @@ def decompose(s: np.ndarray, kind: str = "generator") -> SpectralData:
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError("superoperator must be square")
     with _serial_blas(s.shape[0]):
+        if not vectors:
+            real = _real_form(s)
+            w = scipy.linalg.eigvals(s if real is None else real[0])
+            w = w[_order(w)]
+            return SpectralData(eigenvalues=w, right=None, left=None,
+                                kind=kind, defective=None,
+                                clusters=_clusters(w)[1])
         real = _real_eig(s)
         parts = None if real is None else _biorthonormal(*real)
         if parts is None or parts[-1].any():
@@ -111,13 +133,16 @@ def mirror(sd: SpectralData, shape: tuple) -> SpectralData:
     the conjugates of sd's, and each right and left eigenvector is the
     vectorized conjugate transpose of one of sd's. The result keeps every
     invariant of decompose: its order rule, cluster labels in first-member
-    order, biorthonormal pairs and defective flags.
+    order, biorthonormal pairs and defective flags. A spectrum without
+    vectors gives one without vectors.
     """
-    # entry (j, i) of a vector of block (b, a) is entry (i, j) of one of sd's
-    rows = np.arange(sd.size).reshape(shape).T.reshape(-1)
     w = sd.eigenvalues.conj()
     order = _order(w)
     w = w[order]
+    if sd.right is None:
+        return replace(sd, eigenvalues=w, clusters=_clusters(w)[1])
+    # entry (j, i) of a vector of block (b, a) is entry (i, j) of one of sd's
+    rows = np.arange(sd.size).reshape(shape).T.reshape(-1)
     return SpectralData(eigenvalues=w,
                         right=sd.right[np.ix_(rows, order)].conj(),
                         left=sd.left[np.ix_(rows, order)].conj(),
@@ -145,18 +170,19 @@ def _biorthonormal(w: np.ndarray, vl: np.ndarray, vr: np.ndarray) -> tuple:
     return w, vl, vr, clusters, _biorthonormalize(vl, vr, clusters)
 
 
-def _real_eig(s: np.ndarray) -> tuple | None:
-    """scipy's eig of s in real arithmetic, (w, vl, vr); None if it can't be.
+def _real_form(s: np.ndarray) -> tuple | None:
+    """s as a real matrix and the map back, (m, back); None if it can't be.
 
     An n x n superoperator on d x d operators (n = d^2) that preserves
     Hermiticity, S(r^dag) = S(r)^dag, equals its conjugate with rows and
     columns permuted by the transpose r -> r^T. Within HERMITICITY_TOL of
     that, S is real in the orthonormal Hermitian operator basis
     {|i><i|, (|i><j| + |j><i|)/sqrt(2), i(|i><j| - |j><i|)/sqrt(2)},
-    i < j, the columns of a unitary T. T^dag S T then goes to real eig
-    (dgeev), whose conjugate pairs are exactly conjugate, and T maps its
-    left and right vectors back. T has at most two entries in a row or
-    column, so both changes of basis are index arithmetic.
+    i < j, the columns of a unitary T. m = T^dag S T then goes to real eig
+    (dgeev), whose conjugate pairs are exactly conjugate, and back(v) = T v
+    maps its left and right vectors to those of s. T has at most two
+    entries in a row or column, so both changes of basis are index
+    arithmetic.
     """
     n = s.shape[0]
     d = int(round(np.sqrt(n)))
@@ -169,14 +195,22 @@ def _real_eig(s: np.ndarray) -> tuple | None:
     # T[p, p] = alpha[p] and T[perm[p], p] = beta[p]
     st = s * alpha + s[:, perm] * beta
     m = (alpha.conj()[:, None] * st + beta.conj()[:, None] * st[perm]).real
-    w, vl, vr = scipy.linalg.eig(m, left=True, right=True)
     # (T v)[p] = alpha[p] v[p] + beta[perm[p]] v[perm[p]]
-    back = lambda v: alpha[:, None] * v + beta[perm, None] * v[perm]
+    return m, lambda v: alpha[:, None] * v + beta[perm, None] * v[perm]
+
+
+def _real_eig(s: np.ndarray) -> tuple | None:
+    """scipy's eig of s in real arithmetic, (w, vl, vr); None if it can't be."""
+    real = _real_form(s)
+    if real is None:
+        return None
+    m, back = real
+    w, vl, vr = scipy.linalg.eig(m, left=True, right=True)
     return w, back(vl), back(vr)
 
 
 def _hermitian_basis(d: int) -> tuple:
-    """The entries (alpha, beta) of _real_eig's T for operators on C^d.
+    """The entries (alpha, beta) of _real_form's T for operators on C^d.
 
     Column p = (i, j) of T is |i><i| for i = j, (|i><j| + |j><i|)/sqrt(2)
     for i < j and i(|j><i| - |i><j|)/sqrt(2) for i > j; alpha[p] is its
@@ -256,6 +290,7 @@ def _clusters(w: np.ndarray) -> tuple:
 
 def asymptotic_subspace(sd: SpectralData) -> AsymptoticSubspace:
     """Peripheral modes and their conserved quantities j_mu = left partners."""
+    sd.require_vectors()
     mask = sd.peripheral_mask() & ~sd.defective
     idx = np.nonzero(mask)[0]
     if idx.size == 0:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
 import opentc
@@ -232,6 +233,24 @@ def test_default_dense_runners_decompose_parity_blocks(monkeypatch):
             # one generator per h, one exp(L T) per h and built block
             assert len(built) == 5
             assert len(exponentiated) == 15
+
+
+def test_only_disorder_computes_eigenvectors(monkeypatch):
+    # sweep and spectrum read eigenvalues alone, disorder the star's vectors
+    biorthonormalized = spy(monkeypatch, spectral._biorthonormalize)
+    eig, wanted = scipy.linalg.eig, []
+
+    def recording(a, *args, left=False, right=True, **kwargs):
+        wanted.append((left, right))
+        return eig(a, *args, left=left, right=right, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eig", recording)
+    for run in (run_sweep, run_spectrum):
+        run(ExperimentConfig())
+        assert (wanted, biorthonormalized) == ([], []), run
+    run_disorder(ExperimentConfig())
+    assert len(biorthonormalized) >= 3
+    assert len(wanted) >= 3 and set(wanted) == {(True, True)}
 
 
 def test_dense_runners_kick_one_set_up_per_field(monkeypatch):

@@ -16,9 +16,10 @@ from scipy.optimize import linear_sum_assignment
 
 from opentc import lindblad, xy
 from opentc.experiments import (ExperimentConfig, _block_spectra,
-                                _initial_state, _parity_sides, _protocol)
+                                _field_setup, _initial_state, _parity_sides,
+                                _protocol)
 from opentc.floquet import (KickedProtocol, find_star, floquet_propagator,
-                            momentum_sectors, stroboscopic_evolve,
+                            kicked, momentum_sectors, stroboscopic_evolve,
                             translation_operator)
 from opentc.lindblad import LindbladModel
 from opentc.operators import pauli, z_signs
@@ -114,6 +115,13 @@ def test_mirrored_block_matches_direct_block(length, mode, kind):
     assert np.array_equal(mirrored.clusters, _clusters(w)[1])
     first = np.unique(mirrored.clusters, return_index=True)[1]
     assert np.all(np.diff(first) > 0)
+    # without vectors: the eigenvalues of the explicitly built (-, +) block
+    bare = _block_spectra(sides, lambda a, b: build((sides[a], sides[b])),
+                          kind, vectors=False)[2]
+    assert bare.right is None and bare.left is None and bare.defective is None
+    direct = decompose(s, kind=kind, vectors=False).eigenvalues
+    assert multiset_distance(bare.eigenvalues, direct) < 1e-12
+    assert np.array_equal(bare.clusters, _clusters(bare.eigenvalues)[1])
 
 
 def test_mirror_of_rectangular_momentum_blocks():
@@ -157,6 +165,42 @@ def test_block_maps_match_stepper_at_length_6():
             rows.conj().T @ rho @ cols).reshape(-1)
         want = (rows.conj().T @ stepped @ cols).reshape(-1)
         assert np.max(np.abs(got - want)) < 1e-11
+
+
+# Eigenvalues alone, against the full decompose: README "Tolerances". An
+# eigenvalue of condition number cond = 1/|<l|r>| (unit l and r) may move
+# with the algorithm by EIGENVALUES_ONLY_TOL * cond. At h = 0 the L = 6
+# secular generators have eigenvalues of cond up to 8e7 that move by 2.7e-8.
+EIGENVALUES_ONLY_TOL = 1e-12
+
+
+@pytest.mark.big
+@pytest.mark.parametrize("mode", ["numeric", "independent", "collective"])
+def test_eigenvalues_only_blocks_match_full_blocks_at_length_6(mode):
+    # sweep's and spectrum's point h = 0, eta = pi/20, both ways
+    cfg = ExperimentConfig(length=6, dissipator_mode=mode)
+    proto, sides, evolved = _field_setup(cfg, 0.0, 6)
+    at_eta = replace(proto, error=np.pi / 20)
+    builds = {
+        "generator": lambda a, b: proto.model.matrix((sides[a], sides[b])),
+        "map": lambda a, b: kicked(at_eta, evolved[a, b],
+                                   (sides[a], sides[b]))}
+    for kind, build in builds.items():
+        full = _block_spectra(sides, build, kind)
+        bare = _block_spectra(sides, build, kind, vectors=False)
+        for f, b in zip(full, bare):
+            cond = (np.linalg.norm(f.left, axis=0)
+                    * np.linalg.norm(f.right, axis=0))
+            cost = np.abs(f.eigenvalues[:, None] - b.eigenvalues[None, :])
+            rows, cols = linear_sum_assignment(cost)
+            assert np.all(cost[rows, cols]
+                          <= EIGENVALUES_ONLY_TOL * cond[rows]), kind
+    # the last kind is the map: the sweep row's diagnostics
+    want = find_star(*full, order=cfg.order, period=cfg.period)
+    got = find_star(*bare, order=cfg.order, period=cfg.period)
+    assert abs(got.star_eigenvalue - want.star_eigenvalue) < 1e-12
+    assert abs(got.floquet_gap - want.floquet_gap) < 1e-12
+    assert abs(got.tc_distance - want.tc_distance) < 1e-12
 
 
 QUBIT_SIDES = (np.eye(2)[:, :1], np.eye(2)[:, 1:])

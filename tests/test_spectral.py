@@ -9,15 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
+from opentc import floquet
 from opentc.experiments import ExperimentConfig, _parity_sides, _protocol
 from opentc.floquet import floquet_propagator
 from opentc.lindblad import (HERMITICITY_TOL, JumpChannel, LindbladModel,
                              liouvillian_matrix)
+from opentc.models import dfs_independent_model
 from opentc.operators import devectorize, pauli, vectorize
 from opentc.spectral import (DEFECTIVE_COND, SPECTRAL_TOL, _biorthonormal,
                              _biorthonormalize, _clusters, _hermitian_basis,
-                             _real_eig, asymptotic_state, asymptotic_subspace,
-                             decompose, dissipative_gap, dual_basis)
+                             _real_eig, _real_form, asymptotic_state,
+                             asymptotic_subspace, decompose, dissipative_gap,
+                             dual_basis)
 
 
 def dephasing_generator(h=0.0, kappa=0.5):
@@ -433,3 +436,100 @@ def test_hermitian_basis_is_unitary_and_hermitian():
         assert np.array_equal(op, op.conj().T)
     s = random_generator(np.random.default_rng(2), d)
     assert np.max(np.abs((t.conj().T @ s @ t).imag)) < 1e-12
+
+
+def assert_eigenvalues_only_matches(s, kind):
+    """decompose(s, vectors=False) against decompose(s): the same
+    eigenvalues within 1e-12, in the same order, with the same clusters."""
+    full = decompose(s, kind=kind)
+    bare = decompose(s, kind=kind, vectors=False)
+    assert bare.right is None and bare.left is None
+    assert bare.defective is None and bare.kind == kind
+    assert np.max(np.abs(bare.eigenvalues - full.eigenvalues)) < 1e-12
+    assert np.array_equal(bare.clusters, full.clusters)
+
+
+@pytest.fixture
+def eigvals_inputs(monkeypatch):
+    """The dtype of every matrix decompose hands to scipy's eigvals."""
+    eigvals, seen = scipy.linalg.eigvals, []
+
+    def recording(a, *args, **kwargs):
+        seen.append(a.dtype)
+        return eigvals(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigvals", recording)
+    return seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4), st.integers(0, 3),
+       st.sampled_from(["generator", "map"]))
+def test_eigenvalues_only_matches_full_on_the_real_path(seed, d, n_jumps,
+                                                        kind):
+    # Lindblad generators and their exponentials preserve Hermiticity
+    s = random_generator(np.random.default_rng(seed), d, n_jumps)
+    if kind == "map":
+        s = floquet.matrix_exp(s, 0.3)
+    assert _real_form(s) is not None
+    assert_eigenvalues_only_matches(s, kind)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12))
+def test_eigenvalues_only_matches_full_on_the_complex_path(seed, n):
+    rng = np.random.default_rng(seed)
+    s = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    assert _real_form(s) is None
+    assert_eigenvalues_only_matches(s, "map")
+
+
+def test_eigenvalues_only_stays_real_where_full_falls_back(monkeypatch,
+                                                           eigvals_inputs):
+    # the DFS generator's four exact zeros leave real eig a defective
+    # cluster, so the full decompose runs complex eig as well; eigenvalues
+    # alone need no vectors and stay on the real path
+    s = liouvillian_matrix(dfs_independent_model())
+    eig, eig_inputs = scipy.linalg.eig, []
+
+    def recording(a, *args, **kwargs):
+        eig_inputs.append(a.dtype)
+        return eig(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eig", recording)
+    assert_eigenvalues_only_matches(s, "generator")
+    assert eig_inputs == [np.float64, np.complex128]
+    assert eigvals_inputs == [np.float64]
+    assert np.sum(np.abs(decompose(s, vectors=False).eigenvalues) < 1e-12) == 4
+
+
+def test_eigenvalues_only_takes_the_real_path_on_diagonal_blocks(
+        eigvals_inputs):
+    cfg = ExperimentConfig()
+    _, proto = _protocol(cfg, 1.0 / np.sqrt(2.0), np.pi / 20, 4)
+    plus, minus = _parity_sides(4)
+    for block in ((plus, plus), (plus, minus), (minus, minus)):
+        decompose(floquet_propagator(proto, block), kind="map", vectors=False)
+    assert eigvals_inputs == [np.float64, np.complex128, np.float64]
+
+
+_VECTOR_READERS = {
+    "susceptibility": lambda sd: floquet.susceptibility(sd, np.eye(4), 0),
+    "translation_refine": lambda sd: floquet.translation_refine(sd, 1, 0),
+    "disorder_susceptibility": lambda sd: floquet.disorder_susceptibility(
+        sd, [0.0], 1, 0),
+    "check_observation6": lambda sd: floquet.check_observation6(
+        sd, np.eye(2)),
+    "asymptotic_subspace": asymptotic_subspace,
+    "right_operator": lambda sd: sd.right_operator(0),
+    "left_operator": lambda sd: sd.left_operator(0),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_VECTOR_READERS))
+def test_vector_readers_reject_an_eigenvalues_only_spectrum(reader):
+    s = floquet.matrix_exp(dephasing_generator(0.3), 1.0)
+    read = _VECTOR_READERS[reader]
+    read(decompose(s, kind="map"))      # runs on the full spectrum
+    with pytest.raises(ValueError, match=r"decompose\(\.\.\., vectors=True\)"):
+        read(decompose(s, kind="map", vectors=False))
