@@ -8,6 +8,7 @@ order.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import numbers
@@ -206,7 +207,8 @@ def _protocol(cfg: ExperimentConfig, h: float, eta: float, length: int):
 
     Each period runs the chosen dissipative generator, then the
     period-doubling kick exp(-i (pi + eta) M_z / 2). Both keep the parity
-    P = prod Z_r of each side of rho and commute with the translation T.
+    P = prod Z_r of each side of rho and commute with the translation T
+    and the reflection R.
     """
     params = xy.XYParams(j=cfg.j, gamma=cfg.resolved_gamma(h), h=h,
                          length=length)
@@ -232,38 +234,58 @@ def _block_spectra(sides: tuple, build, kind: str = "map",
     callers that read no eigenvector.
     """
     spectra = {}
-    for a, rows in enumerate(sides):
-        for b, cols in enumerate(sides):
-            if a > b:   # its partner (b, a) acts on n_b x n_a
-                spectra[a, b] = spectral.mirror(
-                    spectra[b, a], (cols.shape[1], rows.shape[1]))
-            else:
-                spectra[a, b] = spectral.decompose(build(a, b), kind=kind,
-                                                   vectors=vectors)
+    for a in range(len(sides)):
+        for b in range(len(sides)):
+            spectra[a, b] = _block_spectrum(sides, build, a, b, kind,
+                                            vectors, spectra.get((b, a)))
     return list(spectra.values())
 
 
-def _field_setup(cfg: ExperimentConfig, h: float, length: int) -> tuple:
-    """The protocol at field h, the parity sides and each block's exp(L T).
+def _block_spectrum(sides: tuple, build, a: int, b: int, kind: str = "map",
+                    vectors: bool = True, partner=None):
+    """The spectrum of block (a, b) alone, by _block_spectra's rule.
 
-    exp(L T) does not depend on the kick error: _map_spectra kicks one
-    set-up for every eta. It holds the blocks a <= b that _block_spectra
-    builds.
+    A block a > b is the spectral.mirror of its partner (b, a): `partner`
+    when given, else decomposed from build(b, a).
+    """
+    if a <= b:
+        return spectral.decompose(build(a, b), kind=kind, vectors=vectors)
+    if partner is None:
+        partner = _block_spectrum(sides, build, b, a, kind, vectors)
+    # the partner acts on n_b x n_a
+    return spectral.mirror(partner, (sides[b].shape[1], sides[a].shape[1]))
+
+
+def _field_setup(cfg: ExperimentConfig, h: float, length: int) -> tuple:
+    """(protocol, sides, kicks, evolved) at field h, for _kick.
+
+    The protocol at field h, the parity sides, the kick generator restricted
+    to each side and each block's exp(L T). Neither depends on the kick
+    error, so one set-up serves every eta. `evolved` holds the blocks
+    a <= b that _block_spectra builds.
     """
     _, proto = _protocol(cfg, h, 0.0, length)
     sides = _parity_sides(length)
+    kicks = [_restrict(proto.kick_generator, v) for v in sides]
     evolved = {(a, b): floquet.evolution(proto, (sides[a], sides[b]))
                for a in range(len(sides)) for b in range(a, len(sides))}
-    return proto, sides, evolved
+    return proto, sides, kicks, evolved
 
 
-def _map_spectra(proto: floquet.KickedProtocol, sides: tuple, evolved: dict,
-                 eta: float, vectors: bool) -> list:
+def _kick(proto: floquet.KickedProtocol, sides: tuple, kicks: list,
+          evolved: dict, eta: float):
+    """build(a, b) of the Floquet map's blocks at kick error eta, for
+    _block_spectra, from a _field_setup."""
+    at_eta = replace(proto, error=eta)
+    return lambda a, b: floquet.kicked(at_eta, evolved[a, b],
+                                       (sides[a], sides[b]),
+                                       (kicks[a], kicks[b]))
+
+
+def _map_spectra(setup: tuple, eta: float, vectors: bool) -> list:
     """The Floquet map's block spectra at kick error eta from _field_setup,
     with eigenvectors or without (see _block_spectra)."""
-    at_eta = replace(proto, error=eta)
-    return _block_spectra(sides, lambda a, b: floquet.kicked(
-        at_eta, evolved[a, b], (sides[a], sides[b])), vectors=vectors)
+    return _block_spectra(setup[1], _kick(*setup, eta), vectors=vectors)
 
 
 def _initial_state(cfg: ExperimentConfig, params: xy.XYParams) -> np.ndarray:
@@ -279,12 +301,13 @@ def _initial_state(cfg: ExperimentConfig, params: xy.XYParams) -> np.ndarray:
 def _trace_mx(cfg: ExperimentConfig, length: int, n_periods: int) -> list:
     """m_x(nT) for n = 0..n_periods under dissipate-then-kick periods.
 
-    Both initial states are translation invariant, so the stepper evolves
-    their k = 0 block r = v^dag rho v only, v = momentum_sectors(L)[0], and
+    Both initial states are invariant under the translation and the
+    reflection of the chain, so the stepper evolves their k = 0, R = +1
+    block r = v^dag rho v only, v = reflection_even_sector(L), and
     m_x = tr(v^dag M_x v r) / L.
     """
     params, proto = _protocol(cfg, cfg.h, cfg.eta, length)
-    v = floquet.momentum_sectors(length)[0]
+    v = floquet.reflection_even_sector(length)
     psi = v.conj().T @ _initial_state(cfg, params)
     # X_r |i> = |i ^ (1 << r)>, so row i of X_r v is row i ^ (1 << r) of v
     i = np.arange(2 ** length)
@@ -325,7 +348,7 @@ def _sweep_row(cfg: ExperimentConfig, h: float, length: int) -> list:
     rows = []
     for eta in cfg.eta_grid:
         try:
-            diag = floquet.find_star(*_map_spectra(*setup, eta, vectors=False),
+            diag = floquet.find_star(*_map_spectra(setup, eta, vectors=False),
                                      order=cfg.order, period=cfg.period)
             rows.append([h, eta, diag.floquet_gap, diag.tc_distance,
                          diag.star_eigenvalue.real,
@@ -392,15 +415,18 @@ def run_scaling(cfg: ExperimentConfig) -> ResultTable:
 def run_disorder(cfg: ExperimentConfig) -> ResultTable:
     """Linear disorder susceptibility over seeded zero-sum samples."""
     _require_matrix_path(cfg, "disorder")
-    proto, sides, evolved = _field_setup(cfg, cfg.h, cfg.length)
-    # the star's refinement and susceptibility read its eigenvectors
-    spectra = _map_spectra(proto, sides, evolved, cfg.eta,
-                           vectors=True)
-    star = floquet.find_star(*spectra, order=cfg.order, period=cfg.period)
+    setup = _field_setup(cfg, cfg.h, cfg.length)
+    sides = setup[1]
+    # the star is searched on eigenvalues; only its block is decomposed
+    # with the vectors that its refinement and susceptibility read
+    build = functools.cache(_kick(*setup, cfg.eta))
+    star = floquet.find_star(*_block_spectra(sides, build, vectors=False),
+                             order=cfg.order, period=cfg.period)
     a, b = divmod(star.block, len(sides))
-    mu, block = star.index, (sides[a], sides[b])
-    sd = floquet.translation_refine(spectra[star.block], cfg.length, mu,
-                                    block)
+    sd = _block_spectrum(sides, build, a, b)
+    mu = floquet.find_star(sd, order=cfg.order, period=cfg.period).index
+    block = (sides[a], sides[b])
+    sd = floquet.translation_refine(sd, cfg.length, mu, block)
     rng = np.random.default_rng(cfg.seed)
     scale = 1 << 20
     grains = np.array([rng.integers(-scale, scale, cfg.length)
@@ -423,10 +449,11 @@ def run_spectrum(cfg: ExperimentConfig) -> ResultTable:
     the rows, P of the columns of rho) and `index` counts within it.
     """
     _require_matrix_path(cfg, "spectrum")
-    proto, sides, evolved = _field_setup(cfg, cfg.h, cfg.length)
+    setup = _field_setup(cfg, cfg.h, cfg.length)
+    proto, sides = setup[:2]
     generator = _block_spectra(sides, lambda a, b: proto.model.matrix(
         (sides[a], sides[b])), "generator", vectors=False)
-    maps = _map_spectra(proto, sides, evolved, cfg.eta, vectors=False)
+    maps = _map_spectra(setup, cfg.eta, vectors=False)
     table = ResultTable(
         columns=["kind", "sector", "index", "re", "im", "peripheral"],
         metadata=_metadata(cfg, "spectrum"))

@@ -51,12 +51,16 @@ class KickedProtocol:
 
     @property
     def kick_unitary(self) -> np.ndarray:
-        angle = np.pi + self.error
-        g = self.kick_generator
-        if g.ndim == 1:
-            return np.exp(-1j * angle * g.real)
-        evals, vecs = np.linalg.eigh(g)
-        return (vecs * np.exp(-1j * angle * evals)) @ vecs.conj().T
+        return _kick_unitary(self.kick_generator, self.error)
+
+
+def _kick_unitary(g: np.ndarray, error: float) -> np.ndarray:
+    """exp(-i (pi + error) g) of a Hermitian g; a 1-D g is a diagonal."""
+    angle = np.pi + error
+    if g.ndim == 1:
+        return np.exp(-1j * angle * g.real)
+    evals, vecs = np.linalg.eigh(g)
+    return (vecs * np.exp(-1j * angle * evals)) @ vecs.conj().T
 
 
 @dataclass(frozen=True)
@@ -133,14 +137,24 @@ def evolution(p: KickedProtocol, block=None) -> np.ndarray:
     return matrix_exp(p.model.matrix(block), p.period)
 
 
-def kicked(p: KickedProtocol, evolved: np.ndarray, block=None) -> np.ndarray:
+def kicked(p: KickedProtocol, evolved: np.ndarray, block=None,
+           generators=None) -> np.ndarray:
     """The kick (U_K o U_K^*), restricted to the block, applied to `evolved`.
 
-    `evolved` is the block's evolution(p, block). The trace functional is
-    a left fixed point of the whole map and of every diagonal block: a
+    `evolved` is the block's evolution(p, block). `generators`, if given,
+    is the kick generator restricted to the block's rows and to its cols
+    (lindblad._restrict), which do not depend on p.error: a caller that
+    kicks one block at many errors restricts each side once, and only the
+    unitaries exp(-i (pi + error) g) are formed here. The trace functional
+    is a left fixed point of the whole map and of every diagonal block: a
     residual above PROPAGATOR_TRACE_TOL * d raises RuntimeError.
     """
-    prop = _conjugation(p.kick_unitary).restrict(block).columns(evolved)
+    if generators is None:
+        kick = _conjugation(p.kick_unitary).restrict(block)
+    else:
+        u, w = (_kick_unitary(g, p.error) for g in generators)
+        kick = _Terms([(u, w.conj() if w.ndim == 1 else w.conj().T)])
+    prop = kick.columns(evolved)
     if block is None or np.array_equal(*block):
         d = int(round(np.sqrt(prop.shape[0])))
         # <<1| prop sums the d rows of the diagonal entries: no BLAS call
@@ -357,13 +371,11 @@ def translation_operator(length: int) -> np.ndarray:
     return t
 
 
-def momentum_sectors(length: int) -> tuple:
-    """The eigenspaces of T as isometries V_k, T V_k = e^(2 pi i k / L) V_k.
+def _orbits(length: int) -> tuple:
+    """(rep, offset, period) of every basis index i under the cyclic shift.
 
-    One V_k for each k = 0..L-1. Each column is the Fourier sum over one
-    orbit of the cyclic shift, sum_j e^(-2 pi i k j / L) T^j |s> / sqrt(p)
-    over the orbit's p states, |s> its smallest basis state; an orbit has a
-    column in V_k when k p is a multiple of L. Columns are ordered by s.
+    rep[i] is the smallest basis index of the orbit of i, T^offset[i] |rep>
+    = |i>, and period[i] the number of states in the orbit.
     """
     d = 2 ** length
     shift = _shift(length)
@@ -374,6 +386,19 @@ def momentum_sectors(length: int) -> tuple:
     period = length // np.sum(orbit == orbit[0], axis=0)
     rep = orbit.min(axis=0)
     offset = np.argmax(orbit[:, rep] == orbit[0], axis=0)  # T^offset rep = i
+    return rep, offset, period
+
+
+def momentum_sectors(length: int) -> tuple:
+    """The eigenspaces of T as isometries V_k, T V_k = e^(2 pi i k / L) V_k.
+
+    One V_k for each k = 0..L-1. Each column is the Fourier sum over one
+    orbit of the cyclic shift, sum_j e^(-2 pi i k j / L) T^j |s> / sqrt(p)
+    over the orbit's p states, |s> its smallest basis state; an orbit has a
+    column in V_k when k p is a multiple of L. Columns are ordered by s.
+    """
+    d = 2 ** length
+    rep, offset, period = _orbits(length)
     sectors = []
     for k in range(length):
         keep = (k * period) % length == 0
@@ -383,6 +408,27 @@ def momentum_sectors(length: int) -> tuple:
                         / np.sqrt(period[keep]))
         sectors.append(v)
     return tuple(sectors)
+
+
+def reflection_even_sector(length: int) -> np.ndarray:
+    """The isometry onto k = 0, R = +1: fixed by T and by the reflection R.
+
+    R maps site r to L - 1 - r, so a basis index to its bit reversal, and
+    the k = 0 orbit sum |s> of momentum_sectors to the orbit sum of rev(s)
+    with phase +1. The columns are |s> for an orbit that R maps to itself
+    and (|s> + |rev s>) / sqrt(2) for a pair of orbits: an even
+    superposition of the one or two orbits' basis states, ordered by their
+    smallest. There is one column per binary bracelet of length L.
+    """
+    d = 2 ** length
+    rep, _, period = _orbits(length)
+    i = np.arange(d)
+    rev = sum(((i >> r) & 1) << (length - 1 - r) for r in range(length))
+    pair = np.minimum(rep, rep[rev])
+    _, col = np.unique(pair, return_inverse=True)
+    v = np.zeros((d, col.max() + 1), dtype=complex)
+    v[i, col] = 1.0 / np.sqrt(period * np.where(rep == rep[rev], 1, 2))
+    return v
 
 
 def translation_refine(sd: SpectralData, length: int, mu: int,

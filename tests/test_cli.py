@@ -200,8 +200,8 @@ def test_default_trace_norms_stay_under_the_bound(length):
     # the default config of trace, and of scaling up to L = 10
     cfg = experiments.ExperimentConfig(length=length)
     _, proto = experiments._protocol(cfg, cfg.h, cfg.eta, length)
-    k0 = floquet.momentum_sectors(length)[0]
-    bound = proto.period * proto.model.norm_bound((k0, k0))
+    v = floquet.reflection_even_sector(length)
+    bound = proto.period * proto.model.norm_bound((v, v))
     assert bound <= floquet.PERIOD_NORM_MAX
 
 

@@ -224,7 +224,7 @@ def test_default_dense_runners_decompose_parity_blocks(monkeypatch):
     exponentiated = spy(monkeypatch, floquet.matrix_exp)
     gen = xy.NumericGenerator
     built = spy(monkeypatch, gen.__init__, gen)
-    for run, calls in ((run_sweep, 75), (run_spectrum, 6), (run_disorder, 3)):
+    for run, calls in ((run_sweep, 75), (run_spectrum, 6), (run_disorder, 4)):
         decomposed.clear()
         run(ExperimentConfig())
         assert len(decomposed) == calls, run
@@ -236,7 +236,8 @@ def test_default_dense_runners_decompose_parity_blocks(monkeypatch):
 
 
 def test_only_disorder_computes_eigenvectors(monkeypatch):
-    # sweep and spectrum read eigenvalues alone, disorder the star's vectors
+    # sweep and spectrum read eigenvalues alone; disorder searches the star
+    # on eigenvalues too and decomposes only the star's block with vectors
     biorthonormalized = spy(monkeypatch, spectral._biorthonormalize)
     eig, wanted = scipy.linalg.eig, []
 
@@ -249,8 +250,8 @@ def test_only_disorder_computes_eigenvectors(monkeypatch):
         run(ExperimentConfig())
         assert (wanted, biorthonormalized) == ([], []), run
     run_disorder(ExperimentConfig())
-    assert len(biorthonormalized) >= 3
-    assert len(wanted) >= 3 and set(wanted) == {(True, True)}
+    assert len(biorthonormalized) == 1
+    assert wanted == [(True, True)]
 
 
 def test_dense_runners_kick_one_set_up_per_field(monkeypatch):
@@ -267,6 +268,14 @@ def test_dense_runners_kick_one_set_up_per_field(monkeypatch):
     assert not built
 
 
+def test_default_sweep_restricts_each_side_once_per_field(monkeypatch):
+    # per h: H and M_z of the generator and the kick generator M_z / 2, on
+    # each of the two parity sides; the etas only form the kick's phases
+    restricted = spy(monkeypatch, lindblad._restrict)
+    run_sweep(ExperimentConfig())
+    assert len(restricted) == 5 * 2 * 3
+
+
 def test_disorder_restricts_each_commutator_once_per_run(monkeypatch):
     # the elements <<l| [Z_r, .] |r>> do not depend on the sample
     restricted = spy(monkeypatch, lindblad._restrict)
@@ -279,8 +288,8 @@ def test_disorder_restricts_each_commutator_once_per_run(monkeypatch):
 
 
 def test_trace_path_sees_only_the_momentum_block(monkeypatch):
-    # at L = 8 the k = 0 block is 36 x 36: the trace runner forms no
-    # 256 x 256 state, Cholesky factor or observable
+    # at L = 8 the k = 0, R = +1 block is 30 x 30: the trace runner forms
+    # no 256 x 256 state, Cholesky factor or observable
     gen = xy.NumericGenerator
     applied = [spy(monkeypatch, fn, gen)
                for fn in (gen.action, gen.adjoint_action)]
@@ -297,9 +306,9 @@ def test_trace_path_sees_only_the_momentum_block(monkeypatch):
     monkeypatch.setattr(floquet, "stroboscopic_evolve", recording)
     run_trace(ExperimentConfig(length=8, n_periods=2))
     assert {args[1].shape[-2:] for calls in applied
-            for args, _ in calls} == {(36, 36)}
-    assert [args[0].shape for args, _ in checked] == [(36, 36)]
-    assert yielded == [(36, 36)] * 3
+            for args, _ in calls} == {(30, 30)}
+    assert [args[0].shape for args, _ in checked] == [(30, 30)]
+    assert yielded == [(30, 30)] * 3
     assert built == [[], []]
 
 

@@ -1,11 +1,12 @@
 """Parity and momentum blocks of the Floquet map and of the stepper.
 
 The XY generators and the M_z kick keep the parity of each side of rho, and
-commute with the translation T, so the runners build, exponentiate and
-decompose the map one parity block (p, q) at a time, and the trace runner
-steps the k = 0 momentum block of its state only. Here the blocks are
-checked against the full map, which is the same builder with no block,
-and the block stepper against the whole-space stepper.
+commute with the translation T and the reflection R, so the runners build,
+exponentiate and decompose the map one parity block (p, q) at a time, and
+the trace runner steps the k = 0, R = +1 block of its state only. Here the
+blocks are checked against the full map, which is the same builder with no
+block, and the block steppers against the whole-space stepper and each
+other.
 """
 
 from dataclasses import replace
@@ -14,13 +15,13 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from opentc import lindblad, xy
+from opentc import experiments, floquet, lindblad, xy
 from opentc.experiments import (ExperimentConfig, _block_spectra,
                                 _field_setup, _initial_state, _parity_sides,
-                                _protocol)
+                                _protocol, _trace_mx)
 from opentc.floquet import (KickedProtocol, find_star, floquet_propagator,
-                            kicked, momentum_sectors, stroboscopic_evolve,
-                            translation_operator)
+                            kicked, momentum_sectors, reflection_even_sector,
+                            stroboscopic_evolve, translation_operator)
 from opentc.lindblad import LindbladModel
 from opentc.operators import pauli, z_signs
 from opentc.spectral import _clusters, _order, decompose, mirror
@@ -179,7 +180,7 @@ EIGENVALUES_ONLY_TOL = 1e-12
 def test_eigenvalues_only_blocks_match_full_blocks_at_length_6(mode):
     # sweep's and spectrum's point h = 0, eta = pi/20, both ways
     cfg = ExperimentConfig(length=6, dissipator_mode=mode)
-    proto, sides, evolved = _field_setup(cfg, 0.0, 6)
+    proto, sides, _, evolved = _field_setup(cfg, 0.0, 6)
     at_eta = replace(proto, error=np.pi / 20)
     builds = {
         "generator": lambda a, b: proto.model.matrix((sides[a], sides[b])),
@@ -401,6 +402,9 @@ def test_initial_states_lie_in_momentum_zero(length, initial_state):
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-15)
     for v in momentum_sectors(length)[1:]:
         assert np.abs(v.conj().T @ psi).max(initial=0.0) <= 1e-15
+    # and in its reflection-even part, which the trace runner evolves
+    v = reflection_even_sector(length)
+    assert np.linalg.norm(psi - v @ (v.conj().T @ psi)) <= 1e-15
 
 
 # h = 0 and h = 1 have degenerate spectra; at h = 1 (gamma = 0) H conserves
@@ -473,3 +477,80 @@ def test_momentum_block_restricts_each_factor_once(monkeypatch, mode):
     factors = 2 if mode == "numeric" else 1 + len(gen.jumps)
     assert len(sides) == factors
     assert all(v is u for v in sides)
+
+
+def reflection(length):
+    """The basis index of R|i> for every i: its L bits read backwards."""
+    return np.array([int(format(i, f"0{length}b")[::-1], 2)
+                     for i in range(2 ** length)])
+
+
+# the number of binary bracelets of length L (OEIS A000029)
+@pytest.mark.parametrize("length, size", [(2, 3), (4, 6), (6, 13), (8, 30),
+                                          (10, 78), (12, 224)])
+def test_reflection_even_sector_counts_bracelets(length, size):
+    assert reflection_even_sector(length).shape == (2 ** length, size)
+
+
+@pytest.mark.parametrize("length", range(2, 11))
+def test_reflection_even_sector_is_fixed_by_translation_and_reflection(
+        length):
+    v = reflection_even_sector(length)
+    n = v.shape[1]
+    assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < 1e-12
+    assert np.max(np.abs(translation_operator(length) @ v - v)) < 1e-12
+    assert np.max(np.abs(v[reflection(length)] - v)) < 1e-12
+    if length <= 8:
+        # it spans all of k = 0, R = +1: the projector V0 V0^dag (1 + R) / 2
+        v0 = momentum_sectors(length)[0]
+        p0 = v0 @ v0.conj().T
+        want = 0.5 * (p0 + p0[:, reflection(length)])
+        assert np.max(np.abs(v @ v.conj().T - want)) < 1e-12
+
+
+@pytest.mark.parametrize("mode", ["numeric", "independent", "collective"])
+@pytest.mark.parametrize("length, h", [(4, 0.0), (4, 0.9), (6, 0.5),
+                                       (6, 0.9), (8, 0.9)])
+def test_generators_restrict_to_the_reflection_even_sector(length, h, mode):
+    # every factor passes _restrict's SECTOR_TOL leak check, and the kick
+    # generator M_z / 2 stays a 1-D diagonal
+    cfg = ExperimentConfig(length=length, dissipator_mode=mode)
+    _, proto = _protocol(cfg, h, 0.0, length)
+    v = reflection_even_sector(length)
+    assert np.isfinite(proto.model.norm_bound((v, v)))
+    assert lindblad._restrict(proto.kick_generator, v).shape == (v.shape[1],)
+
+
+def assert_trace_matches_momentum_stepper(monkeypatch, cfg, n_periods,
+                                          states):
+    """_trace_mx from each initial state against _trace_mx on the whole
+    k = 0 block, as before the reflection split; all runs share one
+    protocol."""
+    built = experiments._protocol(cfg, cfg.h, cfg.eta, cfg.length)
+    monkeypatch.setattr(experiments, "_protocol", lambda *args: built)
+    for initial_state in states:
+        at = replace(cfg, initial_state=initial_state)
+        got = _trace_mx(at, cfg.length, n_periods)
+        with monkeypatch.context() as m:
+            m.setattr(floquet, "reflection_even_sector",
+                      lambda length: momentum_sectors(length)[0])
+            want = _trace_mx(at, cfg.length, n_periods)
+        assert len(got) == n_periods + 1
+        assert np.max(np.abs(np.subtract(got, want))) < 1e-12, initial_state
+
+
+@pytest.mark.parametrize("mode", ["numeric", "independent", "collective"])
+@pytest.mark.parametrize("length", [2, 4, 6, 8])
+def test_trace_matches_the_momentum_stepper(monkeypatch, length, mode):
+    cfg = ExperimentConfig(length=length, h=0.9, eta=np.pi / 40,
+                           dissipator_mode=mode)
+    assert_trace_matches_momentum_stepper(
+        monkeypatch, cfg, 1, ("gs_superposition", "local_plus_x"))
+
+
+@pytest.mark.slow
+def test_trace_matches_the_momentum_stepper_at_length_10(monkeypatch):
+    # 78 against 108 states
+    cfg = ExperimentConfig(length=10, h=0.9, eta=np.pi / 40)
+    assert_trace_matches_momentum_stepper(monkeypatch, cfg, 1,
+                                          ("gs_superposition",))
