@@ -21,14 +21,19 @@ import numpy as np
 from . import __version__, floquet, models, spectral, xy
 from .lindblad import (LindbladModel, _restrict, liouvillian_matrix,
                        rk4_evolve, trace_distance)
-from .operators import (devectorize, hs_inner, pauli, trace_functional,
-                        vectorize, z_signs)
-from .operators import parity_sides as _parity_sides
+from .operators import (_serial_blas, devectorize, hs_inner, parity_sides,
+                        pauli, trace_functional, vectorize, z_signs)
+from .spectral import SpectralData
 
 MAX_LENGTH = 10
-# spectrum, sweep and disorder build the 4^L x 4^L map as three parity
-# blocks of (4^L / 4)^2 entries, (-, +) mirrored: 4 GiB each at L = 8
-MATRIX_PATH_MAX = 6
+# spectrum, sweep and disorder build the 4^L x 4^L map as its (k, P)
+# blocks: at L = 8 the largest is 400 x 400, and the blocks a <= b hold
+# 9.1e6 entries (139 MiB); at L = 10 the largest is 3136 x 3136 and they
+# hold 1.4e9 (22 GiB)
+MATRIX_PATH_MAX = 8
+# sweep, spectrum and disorder run on one BLAS thread throughout
+# (operators._serial_blas): up to MATRIX_PATH_MAX no block has more than
+# operators.SERIAL_BLAS_DIM rows
 TREND_SLACK = 1e-12           # absolute; README "Tolerances"
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -222,70 +227,115 @@ def _protocol(cfg: ExperimentConfig, h: float, eta: float, length: int):
         kick_generator=z_signs(length).sum(0) / 2, error=eta)
 
 
+def _shapes(sides: tuple) -> list:
+    """The blocks (a, b), a <= b, that _block_spectra builds, grouped by
+    the shape of their matrices, n x n with n = n_a n_b the size of
+    r = sides[a]^dag rho sides[b]: one tuple of pairs per shape, in
+    row-major order."""
+    groups = {}
+    for a, rows in enumerate(sides):
+        for b in range(a, len(sides)):
+            n = rows.shape[1] * sides[b].shape[1]
+            groups.setdefault(n, []).append((a, b))
+    return [tuple(pairs) for pairs in groups.values()]
+
+
 def _block_spectra(sides: tuple, build, kind: str = "map",
                    vectors: bool = True) -> list:
-    """Spectra of a map or generator, one per block, from build(a, b).
+    """Spectra of a map or generator, one per block, from build(pairs).
 
     Block (a, b) acts on sides[a]^dag rho sides[b], in row-major order, and
-    build(a, b) returns its matrix. The generators and the kick preserve
-    Hermiticity, so block (b, a) is block (a, b) under r -> r^dag: only the
-    blocks with a <= b are built and decomposed, and each other one is
-    their spectral.mirror. vectors=False computes eigenvalues only, for
-    callers that read no eigenvector.
+    build(pairs) returns the stacked matrices of the blocks in `pairs`, all
+    of one shape. The generators and the kick preserve Hermiticity, so
+    block (b, a) is block (a, b) under r -> r^dag: only the blocks with
+    a <= b are built and decomposed, one _shapes group per build call,
+    and each other one is their spectral.mirror. vectors=False computes
+    eigenvalues only, for callers that read no eigenvector, in one
+    decompose call per group; with vectors each block is decomposed alone.
     """
     spectra = {}
-    for a in range(len(sides)):
-        for b in range(len(sides)):
-            spectra[a, b] = _block_spectrum(sides, build, a, b, kind,
-                                            vectors, spectra.get((b, a)))
-    return list(spectra.values())
+    for pairs in _shapes(sides):
+        stack = build(pairs)
+        if vectors:
+            for (a, b), s in zip(pairs, stack):
+                spectra[a, b] = spectral.decompose(s, kind=kind)
+                if a != b:
+                    spectra[b, a] = _mirror(sides, spectra[a, b], b, a)
+            continue
+        sd = spectral.decompose(stack, kind=kind, vectors=False)
+        # the mirrors of the whole group at once, without vectors, which
+        # need no shape; those of blocks (a, a) are not used
+        mirrored = spectral.mirror(sd, None, len(pairs))
+        for (a, b), d, m in zip(pairs, spectral.split(sd, len(pairs)),
+                                spectral.split(mirrored, len(pairs))):
+            spectra[a, b] = d
+            if a != b:
+                spectra[b, a] = m
+    n = len(sides)
+    return [spectra[a, b] for a in range(n) for b in range(n)]
 
 
-def _block_spectrum(sides: tuple, build, a: int, b: int, kind: str = "map",
-                    vectors: bool = True, partner=None):
-    """The spectrum of block (a, b) alone, by _block_spectra's rule.
+def _block_spectrum(sides: tuple, build, a: int, b: int) -> SpectralData:
+    """The spectrum of block (a, b) of the map alone, with vectors, by
+    _block_spectra's rule: a block a > b is the mirror of block (b, a)."""
+    if a > b:
+        return _mirror(sides, _block_spectrum(sides, build, b, a), a, b)
+    pairs = next(p for p in _shapes(sides) if (a, b) in p)
+    return spectral.decompose(build(pairs)[pairs.index((a, b))], kind="map")
 
-    A block a > b is the spectral.mirror of its partner (b, a): `partner`
-    when given, else decomposed from build(b, a).
-    """
-    if a <= b:
-        return spectral.decompose(build(a, b), kind=kind, vectors=vectors)
-    if partner is None:
-        partner = _block_spectrum(sides, build, b, a, kind, vectors)
-    # the partner acts on n_b x n_a
+
+def _mirror(sides: tuple, partner: SpectralData, a: int,
+            b: int) -> SpectralData:
+    """Block (a, b)'s spectrum from that of its partner (b, a), which acts
+    on n_b x n_a."""
     return spectral.mirror(partner, (sides[b].shape[1], sides[a].shape[1]))
+
+
+def _generator_blocks(proto: floquet.KickedProtocol, sides: tuple):
+    """build(pairs) of the generator's blocks, for _block_spectra."""
+    return lambda pairs: np.stack([proto.model.matrix((sides[a], sides[b]))
+                                   for a, b in pairs])
 
 
 def _field_setup(cfg: ExperimentConfig, h: float, length: int) -> tuple:
     """(protocol, sides, kicks, evolved) at field h, for _kick.
 
-    The protocol at field h, the parity sides, the kick generator restricted
-    to each side and each block's exp(L T). Neither depends on the kick
-    error, so one set-up serves every eta. `evolved` holds the blocks
-    a <= b that _block_spectra builds.
+    The protocol at field h, the (k, P) sides of floquet.
+    momentum_parity_sectors, and for each _shapes group of the blocks
+    a <= b that _block_spectra builds: the diagonal of the kick's
+    commutator [M_z / 2, .] on each block (`kicks`, see floquet.kicked),
+    from M_z / 2 restricted once per side, and each block's exp(L T)
+    (`evolved`), the group exponentiated as one stack. Neither depends on
+    the kick error, so one set-up serves every eta.
     """
     _, proto = _protocol(cfg, h, 0.0, length)
-    sides = _parity_sides(length)
-    kicks = [_restrict(proto.kick_generator, v) for v in sides]
-    evolved = {(a, b): floquet.evolution(proto, (sides[a], sides[b]))
-               for a in range(len(sides)) for b in range(a, len(sides))}
+    sides = tuple(floquet.momentum_parity_sectors(length).values())
+    # M_z / 2 stays diagonal on every side: each column is one orbit's sum
+    g = [_restrict(proto.kick_generator, v) for v in sides]
+    build = _generator_blocks(proto, sides)
+    kicks, evolved = {}, {}
+    for pairs in _shapes(sides):
+        kicks[pairs] = np.stack([np.subtract.outer(g[a], g[b]).reshape(-1)
+                                 for a, b in pairs])
+        evolved[pairs] = floquet.matrix_exp(build(pairs), proto.period)
     return proto, sides, kicks, evolved
 
 
-def _kick(proto: floquet.KickedProtocol, sides: tuple, kicks: list,
+def _kick(proto: floquet.KickedProtocol, sides: tuple, kicks: dict,
           evolved: dict, eta: float):
-    """build(a, b) of the Floquet map's blocks at kick error eta, for
-    _block_spectra, from a _field_setup."""
+    """build(pairs) of the Floquet map's blocks at kick error eta, for
+    _block_spectra, from a _field_setup: the blocks of a _shapes group are
+    kicked as one stack."""
     at_eta = replace(proto, error=eta)
-    return lambda a, b: floquet.kicked(at_eta, evolved[a, b],
-                                       (sides[a], sides[b]),
-                                       (kicks[a], kicks[b]))
+    return lambda pairs: floquet.kicked(
+        at_eta, evolved[pairs], [(sides[a], sides[b]) for a, b in pairs],
+        kicks[pairs])
 
 
-def _map_spectra(setup: tuple, eta: float, vectors: bool) -> list:
+def _map_spectra(setup: tuple, eta: float) -> list:
     """The Floquet map's block spectra at kick error eta from _field_setup,
-    with eigenvectors or without (see _block_spectra)."""
-    return _block_spectra(setup[1], _kick(*setup, eta), vectors=vectors)
+    eigenvalues only (see _block_spectra)."""
+    return _block_spectra(setup[1], _kick(*setup, eta), vectors=False)
 
 
 def _initial_state(cfg: ExperimentConfig, params: xy.XYParams) -> np.ndarray:
@@ -348,7 +398,7 @@ def _sweep_row(cfg: ExperimentConfig, h: float, length: int) -> list:
     rows = []
     for eta in cfg.eta_grid:
         try:
-            diag = floquet.find_star(*_map_spectra(setup, eta, vectors=False),
+            diag = floquet.find_star(*_map_spectra(setup, eta),
                                      order=cfg.order, period=cfg.period)
             rows.append([h, eta, diag.floquet_gap, diag.tc_distance,
                          diag.star_eigenvalue.real,
@@ -372,9 +422,10 @@ def run_sweep(cfg: ExperimentConfig) -> ResultTable:
     table.metadata["length"] = cfg.length
     # an unset gamma resolves per row, as sqrt(1 - h^2) of its own h
     table.metadata["config"]["gamma"] = cfg.gamma
-    for h in cfg.h_grid:
-        for row in _sweep_row(cfg, h, cfg.length):
-            table.add(*row)
+    with _serial_blas():
+        for h in cfg.h_grid:
+            for row in _sweep_row(cfg, h, cfg.length):
+                table.add(*row)
     table.metadata["failures"] = sum(s != "ok" for s in table.column("status"))
     return table
 
@@ -415,18 +466,21 @@ def run_scaling(cfg: ExperimentConfig) -> ResultTable:
 def run_disorder(cfg: ExperimentConfig) -> ResultTable:
     """Linear disorder susceptibility over seeded zero-sum samples."""
     _require_matrix_path(cfg, "disorder")
-    setup = _field_setup(cfg, cfg.h, cfg.length)
-    sides = setup[1]
-    # the star is searched on eigenvalues; only its block is decomposed
-    # with the vectors that its refinement and susceptibility read
-    build = functools.cache(_kick(*setup, cfg.eta))
-    star = floquet.find_star(*_block_spectra(sides, build, vectors=False),
-                             order=cfg.order, period=cfg.period)
-    a, b = divmod(star.block, len(sides))
-    sd = _block_spectrum(sides, build, a, b)
-    mu = floquet.find_star(sd, order=cfg.order, period=cfg.period).index
-    block = (sides[a], sides[b])
-    sd = floquet.translation_refine(sd, cfg.length, mu, block)
+    with _serial_blas():
+        setup = _field_setup(cfg, cfg.h, cfg.length)
+        sides = setup[1]
+        # the star is searched on eigenvalues; only its block is
+        # decomposed with the vectors that its refinement and
+        # susceptibility read, from its stack as kicked for the search
+        build = functools.cache(_kick(*setup, cfg.eta))
+        star = floquet.find_star(
+            *_block_spectra(sides, build, vectors=False), order=cfg.order,
+            period=cfg.period)
+        a, b = divmod(star.block, len(sides))
+        sd = _block_spectrum(sides, build, a, b)
+        mu = floquet.find_star(sd, order=cfg.order, period=cfg.period).index
+        block = (sides[a], sides[b])
+        sd = floquet.translation_refine(sd, cfg.length, mu, block)
     rng = np.random.default_rng(cfg.seed)
     scale = 1 << 20
     grains = np.array([rng.integers(-scale, scale, cfg.length)
@@ -445,22 +499,26 @@ def run_disorder(cfg: ExperimentConfig) -> ResultTable:
 def run_spectrum(cfg: ExperimentConfig) -> ResultTable:
     """Full generator and Floquet-map spectra at one parameter point.
 
-    Each is the union of its parity blocks; `sector` names the block (P of
-    the rows, P of the columns of rho) and `index` counts within it.
+    Each is the union of its (k, P) blocks; `sector` names the block as
+    the (k, P) of the rows and of the columns of rho, e.g. "0+/1-", and
+    `index` counts within it.
     """
     _require_matrix_path(cfg, "spectrum")
-    setup = _field_setup(cfg, cfg.h, cfg.length)
-    proto, sides = setup[:2]
-    generator = _block_spectra(sides, lambda a, b: proto.model.matrix(
-        (sides[a], sides[b])), "generator", vectors=False)
-    maps = _map_spectra(setup, cfg.eta, vectors=False)
+    with _serial_blas():
+        setup = _field_setup(cfg, cfg.h, cfg.length)
+        proto, sides = setup[:2]
+        generator = _block_spectra(sides, _generator_blocks(proto, sides),
+                                   "generator", vectors=False)
+        maps = _map_spectra(setup, cfg.eta)
     table = ResultTable(
         columns=["kind", "sector", "index", "re", "im", "peripheral"],
         metadata=_metadata(cfg, "spectrum"))
-    # in the order of _block_spectra, over the sides P = +1, P = -1
-    names = [rows + cols for rows in "+-" for cols in "+-"]
+    # in the order of _block_spectra, over the sides of _field_setup
+    labels = [f"{k}{'+' if p > 0 else '-'}"
+              for k, p in floquet.momentum_parity_sectors(cfg.length)]
+    names = [f"{rows}/{cols}" for rows in labels for cols in labels]
     for kind, spectra in (("generator", generator), ("map", maps)):
-        for name, sd in zip(names, spectra):
+        for name, sd in zip(names, spectra, strict=True):
             mask = sd.peripheral_mask()
             for i, lam in enumerate(sd.eigenvalues):
                 table.add(kind, name, i, lam.real, lam.imag, int(mask[i]))
@@ -511,7 +569,7 @@ def _sector_err(params: xy.XYParams, ham: np.ndarray) -> float:
     return max(_max_err(np.sort(np.linalg.eigvalsh(_restrict(ham, v))),
                         xy.free_fermion_sector_energies(params, sector))
                for sector, v in zip(("even", "odd"),
-                                    _parity_sides(params.length)))
+                                    parity_sides(params.length)))
 
 
 def _dephasing_spectrum_checks() -> list:

@@ -56,11 +56,16 @@ class KickedProtocol:
 
 def _kick_unitary(g: np.ndarray, error: float) -> np.ndarray:
     """exp(-i (pi + error) g) of a Hermitian g; a 1-D g is a diagonal."""
-    angle = np.pi + error
     if g.ndim == 1:
-        return np.exp(-1j * angle * g.real)
+        return _phases(g, error)
     evals, vecs = np.linalg.eigh(g)
-    return (vecs * np.exp(-1j * angle * evals)) @ vecs.conj().T
+    return (vecs * _phases(evals, error)) @ vecs.conj().T
+
+
+def _phases(g: np.ndarray, error: float) -> np.ndarray:
+    """exp(-i (pi + error) g) entrywise, for the diagonal entries g of a
+    Hermitian kick generator."""
+    return np.exp(-1j * (np.pi + error) * np.real(g))
 
 
 @dataclass(frozen=True)
@@ -141,24 +146,35 @@ def kicked(p: KickedProtocol, evolved: np.ndarray, block=None,
            generators=None) -> np.ndarray:
     """The kick (U_K o U_K^*), restricted to the block, applied to `evolved`.
 
-    `evolved` is the block's evolution(p, block). `generators`, if given,
-    is the kick generator restricted to the block's rows and to its cols
-    (lindblad._restrict), which do not depend on p.error: a caller that
-    kicks one block at many errors restricts each side once, and only the
-    unitaries exp(-i (pi + error) g) are formed here. The trace functional
-    is a left fixed point of the whole map and of every diagonal block: a
-    residual above PROPAGATOR_TRACE_TOL * d raises RuntimeError.
+    `evolved` is the block's evolution(p, block). With `generators` it is
+    a stack (m, n, n) of the evolutions of m blocks of n entries each,
+    kicked at once, for a kick generator G that is diagonal on every side:
+    `block` is then the list of the m blocks and `generators` the
+    diagonal of the commutator [G, .] on each, an (m, n) array whose entry
+    for r_ij is g_i - g_j, with g the diagonals of G restricted to the
+    block's rows and cols (lindblad._restrict). They do not depend on
+    p.error: a caller that kicks its blocks at many errors restricts G
+    once per side, and only the phases exp(-i (pi + error) (g_i - g_j))
+    are formed here.
+
+    The trace functional is a left fixed point of the whole map and of
+    every diagonal block: a residual above PROPAGATOR_TRACE_TOL * d on any
+    of them raises RuntimeError.
     """
     if generators is None:
         kick = _conjugation(p.kick_unitary).restrict(block)
+        prop = kick.columns(evolved)
+        blocks = [block]
     else:
-        u, w = (_kick_unitary(g, p.error) for g in generators)
-        kick = _Terms([(u, w.conj() if w.ndim == 1 else w.conj().T)])
-    prop = kick.columns(evolved)
-    if block is None or np.array_equal(*block):
-        d = int(round(np.sqrt(prop.shape[0])))
-        # <<1| prop sums the d rows of the diagonal entries: no BLAS call
-        resid = np.max(np.abs(prop[::d + 1].sum(0) - trace_functional(d)))
+        prop = _phases(generators, p.error)[:, :, None] * evolved
+        blocks = block
+    diagonal = [k for k, b in enumerate(blocks)
+                if b is None or b[0] is b[1] or np.array_equal(*b)]
+    if diagonal:
+        d = int(round(np.sqrt(prop.shape[-1])))
+        # <<1| x sums the d rows of the diagonal entries: no BLAS call
+        ones = prop.reshape(-1, d * d, d * d)[diagonal, ::d + 1].sum(1)
+        resid = np.max(np.abs(ones - trace_functional(d)))
         if resid > PROPAGATOR_TRACE_TOL * p.kick_generator.shape[0]:
             raise RuntimeError(f"propagator is not trace preserving "
                                f"(residual {resid:.2e})")
@@ -410,6 +426,26 @@ def momentum_sectors(length: int) -> tuple:
     return tuple(sectors)
 
 
+def momentum_parity_sectors(length: int) -> dict:
+    """The joint eigenspaces of T and the parity P = prod_r Z_r.
+
+    Maps (k, p), p = +1 or -1, to the columns of momentum_sectors(L)[k]
+    whose orbit has parity p: every state of an orbit has the same number
+    of down spins, so each column lies in one parity sector. Ordered by k,
+    then p = +1 before p = -1; an empty sector (k = 1, p = +1 at L = 2) is
+    left out.
+    """
+    parity = z_signs(length).prod(0)
+    out = {}
+    for k, v in enumerate(momentum_sectors(length)):
+        # the parity of each column's first basis state
+        col = parity[np.argmax(v != 0, axis=0)]
+        for p in (1, -1):
+            if np.any(col == p):
+                out[k, p] = v[:, col == p]
+    return out
+
+
 def reflection_even_sector(length: int) -> np.ndarray:
     """The isometry onto k = 0, R = +1: fixed by T and by the reflection R.
 
@@ -467,17 +503,26 @@ def disorder_susceptibility(sd: SpectralData, deltas, length: int, mu: int,
     sample of L amplitudes, which gives one DisorderSusceptibility, or an
     (n, L) array of n samples, which gives a list of n: the elements
     <<l| [Z_r, .] |r>> do not depend on the sample and are computed once.
+    Z_r keeps the parity but not a momentum sector, so each element is
+    taken between the whole-space operators rows l cols^dag and
+    rows r cols^dag, one site at a time.
     """
     deltas = np.asarray(deltas, dtype=float)
     if deltas.ndim not in (1, 2) or deltas.shape[-1] != length:
         raise ValueError("one disorder amplitude per site is required")
     sd.require_vectors()
     half = 0.5 * abs(sd.eigenvalues[mu])
+    left, right = sd.left[:, mu], sd.right[:, mu]
+    if block is None:
+        left, right = devectorize(left), devectorize(right)
+    else:
+        rows, cols = block
+        left, right = (rows @ x.reshape(rows.shape[1], cols.shape[1])
+                       @ cols.conj().T for x in (left, right))
     elements = np.empty(length, dtype=complex)
     for site, z in enumerate(z_signs(length)):
-        commutator = _Terms([(z, None), (None, -z)]).restrict(block)
-        elements[site] = np.vdot(sd.left[:, mu],
-                                 commutator.columns(sd.right[:, mu:mu + 1]))
+        # [Z_r, R] = Z_r R - R Z_r, with Z_r diagonal
+        elements[site] = np.vdot(left, z[:, None] * right - right * z)
     out = [DisorderSusceptibility(
         single_site=float(half * abs(elements[0]) * float(np.sum(row))),
         full_sum=float(half * abs(np.sum(row * elements))))

@@ -7,7 +7,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .operators import hermitize, sandwich
+from .operators import _kron_transposed, hermitize, sandwich
 
 HERMITICITY_TOL = 1e-10       # absolute, as all four; README "Tolerances"
 STATE_PSD_TOL = 1e-8
@@ -120,8 +120,7 @@ class _Terms:
         full = lambda f, n: (np.eye(n) if f is None
                              else np.diag(f) if f.ndim == 1 else f)
         # sandwich takes the factors of a square rho only
-        kron = (sandwich if rows == cols
-                else lambda a, b: np.kron(a, b.T))
+        kron = sandwich if rows == cols else _kron_transposed
         out = np.zeros((rows * cols,) * 2, dtype=complex)
         for a, b in self.pairs:
             out += kron(full(a, rows), full(b, cols))

@@ -18,8 +18,9 @@ import numpy as np
 
 UNITARITY_TOL = 1e-10         # absolute; README "Tolerances"
 # Dense kernels on matrices up to this dimension run on one BLAS thread;
-# README "BLAS threads" has the timings that chose it.
-SERIAL_BLAS_DIM = 256
+# README "BLAS threads" has the timings that chose it. It is the largest
+# block of the dense runners, 400 x 400 at L = 8.
+SERIAL_BLAS_DIM = 400
 
 _openblas = None              # [(get, set)] per loaded OpenBLAS, looked up once
 
@@ -76,7 +77,15 @@ def sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return np.kron(a, b.T)
+    return _kron_transposed(a, b)
+
+
+def _kron_transposed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """kron(a, b^T) of two square matrices, as one broadcast product: the
+    same entries as np.kron, without its per-call overhead."""
+    bt = np.ascontiguousarray(np.asarray(b).T)
+    (m, _), (n, _) = a.shape, bt.shape
+    return (a[:, None, :, None] * bt[None, :, None, :]).reshape(m * n, m * n)
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -140,8 +149,9 @@ def _openblas_threads() -> list:
 
 
 @contextlib.contextmanager
-def _serial_blas(dim: int):
-    """Run the body on one BLAS thread when dim <= SERIAL_BLAS_DIM.
+def _serial_blas(dim: int = 0):
+    """Run the body on one BLAS thread when dim <= SERIAL_BLAS_DIM; with no
+    dim, always.
 
     numpy and scipy each keep an OpenBLAS pool of nproc threads, and on
     small matrices the two pools stall each other; large matrices gain from
@@ -192,10 +202,18 @@ def z_signs(length: int) -> np.ndarray:
 
 def parity_sides(length: int) -> tuple:
     """The identity columns of P = prod_r Z_r = +1 and of P = -1, in that
-    order: isometries onto the two parity sectors."""
+    order: isometries onto the two parity sectors.
+
+    Each is built by placing its ones, so no d x d identity is formed.
+    """
     parity = z_signs(length).prod(0)
-    eye = np.eye(2 ** length, dtype=complex)
-    return tuple(eye[:, parity == sign] for sign in (1.0, -1.0))
+    sides = []
+    for sign in (1.0, -1.0):
+        rows = np.flatnonzero(parity == sign)
+        v = np.zeros((parity.size, rows.size), dtype=complex)
+        v[rows, np.arange(rows.size)] = 1.0
+        sides.append(v)
+    return tuple(sides)
 
 
 def magnetization(kind: str, length: int) -> np.ndarray:

@@ -7,7 +7,8 @@ subspace with its conserved quantities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -97,23 +98,26 @@ def decompose(s: np.ndarray, kind: str = "generator",
     exactly equal eigenvalues, such as a generator's zeros. Runs on one
     BLAS thread up to operators.SERIAL_BLAS_DIM.
 
-    With vectors=False only the eigenvalues are computed (scipy's eigvals,
-    on the real form when there is one), in the same order and with the
-    same cluster labels; `right`, `left` and `defective` are None.
+    With vectors=False only the eigenvalues are computed (?geev without
+    vectors, on the real form of each matrix that has one), in the same
+    order and with the same cluster labels; `right`, `left` and `defective`
+    are None. s may then also be a stack of equal-size matrices, shape
+    (m, n, n): the matrices with a real form go to one LAPACK stack, the
+    others to another, and the one spectrum lists the eigenvalues matrix
+    by matrix, each matrix's in decompose's order, with cluster labels
+    that never join two matrices. `split` cuts it into one per matrix.
     """
     if kind not in ("generator", "map"):
         raise ValueError(f"kind must be 'generator' or 'map', got {kind!r}")
     s = np.asarray(s, dtype=complex)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError("superoperator must be square")
-    with _serial_blas(s.shape[0]):
+    if s.ndim not in (2, 3) or s.shape[-1] != s.shape[-2]:
+        raise ValueError("superoperator must be square, or a stack of "
+                         "square ones")
+    if s.ndim == 3 and vectors:
+        raise ValueError("a stack is decomposed without vectors only")
+    with _serial_blas(s.shape[-1]):
         if not vectors:
-            real = _real_form(s)
-            w = scipy.linalg.eigvals(s if real is None else real[0])
-            w = w[_order(w)]
-            return SpectralData(eigenvalues=w, right=None, left=None,
-                                kind=kind, defective=None,
-                                clusters=_clusters(w)[1])
+            return _eigenvalues(s.reshape(-1, *s.shape[-2:]), kind)
         real = _real_eig(s)
         parts = None if real is None else _biorthonormal(*real)
         if parts is None or parts[-1].any():
@@ -124,7 +128,36 @@ def decompose(s: np.ndarray, kind: str = "generator",
                         defective=defective, clusters=clusters)
 
 
-def mirror(sd: SpectralData, shape: tuple) -> SpectralData:
+def _eigenvalues(stack: np.ndarray, kind: str) -> SpectralData:
+    """decompose(..., vectors=False) of a stack (m, n, n) of matrices."""
+    m, n = stack.shape[:2]
+    w = np.empty((m, n), dtype=complex)
+    real = _preserves_hermiticity(stack)
+    if real.any():
+        w[real] = np.linalg.eigvals(_to_real(stack[real]))
+    if not real.all():
+        w[~real] = np.linalg.eigvals(stack[~real])
+    group = np.repeat(np.arange(m), n)
+    w = w.reshape(-1)[_order(w.reshape(-1), group)]
+    return SpectralData(eigenvalues=w, right=None, left=None, kind=kind,
+                        defective=None, clusters=_clusters(w, group)[1])
+
+
+def split(sd: SpectralData, count: int) -> list:
+    """The spectra of the `count` matrices of a stack, from the one
+    spectrum that decompose(stack, vectors=False) returned, in stack
+    order; each as decompose gives it for its matrix alone."""
+    if sd.right is not None:
+        raise ValueError("only a spectrum without vectors is split")
+    # cluster labels run on from one matrix to the next
+    labels = sd.clusters.reshape(count, -1)
+    return [SpectralData(eigenvalues=w, right=None, left=None, kind=sd.kind,
+                         defective=None, clusters=c)
+            for w, c in zip(sd.eigenvalues.reshape(count, -1),
+                            labels - labels[:, :1])]
+
+
+def mirror(sd: SpectralData, shape: tuple, count: int = 1) -> SpectralData:
     """The spectrum of block (b, a) from sd, that of block (a, b).
 
     For a superoperator S that preserves Hermiticity, S(r^dag) = S(r)^dag,
@@ -134,31 +167,47 @@ def mirror(sd: SpectralData, shape: tuple) -> SpectralData:
     vectorized conjugate transpose of one of sd's. The result keeps every
     invariant of decompose: its order rule, cluster labels in first-member
     order, biorthonormal pairs and defective flags. A spectrum without
-    vectors gives one without vectors.
+    vectors gives one without vectors; it may also be that of a stack of
+    `count` blocks of one shape from decompose(stack, vectors=False), and
+    gives that of the stack of their mirrors.
     """
     w = sd.eigenvalues.conj()
-    order = _order(w)
+    order = _order(w, np.repeat(np.arange(count), sd.size // count))
     w = w[order]
+    # conjugation keeps every distance, so the clusters are sd's
+    clusters = _first_member_labels(sd.clusters[order])
     if sd.right is None:
-        return replace(sd, eigenvalues=w, clusters=_clusters(w)[1])
+        return SpectralData(eigenvalues=w, right=None, left=None,
+                            kind=sd.kind, defective=None, clusters=clusters)
+    if count != 1:
+        raise ValueError("only a spectrum without vectors is a stack")
     # entry (j, i) of a vector of block (b, a) is entry (i, j) of one of sd's
     rows = np.arange(sd.size).reshape(shape).T.reshape(-1)
     return SpectralData(eigenvalues=w,
                         right=sd.right[np.ix_(rows, order)].conj(),
                         left=sd.left[np.ix_(rows, order)].conj(),
                         kind=sd.kind, defective=sd.defective[order],
-                        clusters=_clusters(w)[1])
+                        clusters=clusters)
 
 
-def _order(w: np.ndarray) -> np.ndarray:
+def _first_member_labels(labels: np.ndarray) -> np.ndarray:
+    """Cluster labels 0, 1, ... renumbered in order of first member."""
+    _, first = np.unique(labels, return_index=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[labels]
+
+
+def _order(w: np.ndarray, group=None) -> np.ndarray:
     """decompose's order: by real part, then imaginary part, descending.
 
     The keys are rounded to SPECTRAL_TOL first, so rounding noise cannot
-    swap rows.
+    swap rows. A `group` label per value, if given, is the first key: each
+    group's values stay together, in group order.
     """
     tol = SPECTRAL_TOL
-    return np.lexsort((-w.imag, -w.real, -np.round(w.imag / tol),
-                       -np.round(w.real / tol)))
+    keys = (-w.imag, -w.real, -np.round(w.imag / tol), -np.round(w.real / tol))
+    return np.lexsort(keys if group is None else (*keys, group))
 
 
 def _biorthonormal(w: np.ndarray, vl: np.ndarray, vr: np.ndarray) -> tuple:
@@ -170,33 +219,61 @@ def _biorthonormal(w: np.ndarray, vl: np.ndarray, vr: np.ndarray) -> tuple:
     return w, vl, vr, clusters, _biorthonormalize(vl, vr, clusters)
 
 
-def _real_form(s: np.ndarray) -> tuple | None:
-    """s as a real matrix and the map back, (m, back); None if it can't be.
-
-    An n x n superoperator on d x d operators (n = d^2) that preserves
-    Hermiticity, S(r^dag) = S(r)^dag, equals its conjugate with rows and
-    columns permuted by the transpose r -> r^T. Within HERMITICITY_TOL of
-    that, S is real in the orthonormal Hermitian operator basis
-    {|i><i|, (|i><j| + |j><i|)/sqrt(2), i(|i><j| - |j><i|)/sqrt(2)},
-    i < j, the columns of a unitary T. m = T^dag S T then goes to real eig
-    (dgeev), whose conjugate pairs are exactly conjugate, and back(v) = T v
-    maps its left and right vectors to those of s. T has at most two
-    entries in a row or column, so both changes of basis are index
-    arithmetic.
-    """
-    n = s.shape[0]
+@functools.cache
+def _transposition(n: int) -> np.ndarray | None:
+    """The permutation r -> r^T of row-major vectorized d x d operators,
+    n = d^2; None if n is not a square."""
     d = int(round(np.sqrt(n)))
     if d * d != n:
         return None
     perm = np.arange(n).reshape(d, d).T.reshape(-1)
-    if np.max(np.abs(s - s[np.ix_(perm, perm)].conj())) > HERMITICITY_TOL:
+    perm.flags.writeable = False        # cached, so shared
+    return perm
+
+
+def _preserves_hermiticity(s: np.ndarray) -> np.ndarray:
+    """Whether each matrix of s, shape (..., n, n), preserves Hermiticity
+    within HERMITICITY_TOL: S(r^dag) = S(r)^dag, i.e. S equals its
+    conjugate with rows and columns permuted by the transpose r -> r^T.
+    All False when n is not a square."""
+    perm = _transposition(s.shape[-1])
+    if perm is None:
+        return np.zeros(s.shape[:-2], dtype=bool)
+    flipped = s[..., perm, :][..., perm].conj()
+    return np.max(np.abs(s - flipped), axis=(-2, -1)) <= HERMITICITY_TOL
+
+
+def _real_form(s: np.ndarray) -> tuple | None:
+    """s, shape (..., n, n), as real matrices and the map back, (m, back);
+    None if a matrix of s does not preserve Hermiticity.
+
+    An n x n superoperator on d x d operators (n = d^2) that preserves
+    Hermiticity (_preserves_hermiticity) is real in the orthonormal
+    Hermitian operator basis
+    {|i><i|, (|i><j| + |j><i|)/sqrt(2), i(|i><j| - |j><i|)/sqrt(2)},
+    i < j, the columns of a unitary T. m = T^dag S T then goes to real eig
+    (dgeev), whose conjugate pairs are exactly conjugate, and back(v) = T v
+    maps the left and right vectors of one such m to those of its s. T has
+    at most two entries in a row or column, so both changes of basis are
+    index arithmetic.
+    """
+    if not _preserves_hermiticity(s).all():
         return None
-    alpha, beta = _hermitian_basis(d)
-    # T[p, p] = alpha[p] and T[perm[p], p] = beta[p]
-    st = s * alpha + s[:, perm] * beta
-    m = (alpha.conj()[:, None] * st + beta.conj()[:, None] * st[perm]).real
+    perm = _transposition(s.shape[-1])
+    alpha, beta = _hermitian_basis(int(round(np.sqrt(s.shape[-1]))))
     # (T v)[p] = alpha[p] v[p] + beta[perm[p]] v[perm[p]]
-    return m, lambda v: alpha[:, None] * v + beta[perm, None] * v[perm]
+    return (_to_real(s),
+            lambda v: alpha[:, None] * v + beta[perm, None] * v[perm])
+
+
+def _to_real(s: np.ndarray) -> np.ndarray:
+    """T^dag S T of _real_form, for matrices s that preserve Hermiticity."""
+    perm = _transposition(s.shape[-1])
+    alpha, beta = _hermitian_basis(int(round(np.sqrt(s.shape[-1]))))
+    # T[p, p] = alpha[p] and T[perm[p], p] = beta[p]
+    st = s * alpha + s[..., perm] * beta
+    return (alpha.conj()[:, None] * st
+            + beta.conj()[:, None] * st[..., perm, :]).real
 
 
 def _real_eig(s: np.ndarray) -> tuple | None:
@@ -209,6 +286,7 @@ def _real_eig(s: np.ndarray) -> tuple | None:
     return w, back(vl), back(vr)
 
 
+@functools.cache
 def _hermitian_basis(d: int) -> tuple:
     """The entries (alpha, beta) of _real_form's T for operators on C^d.
 
@@ -221,6 +299,7 @@ def _hermitian_basis(d: int) -> tuple:
     r = np.sqrt(0.5)
     alpha = np.where(i < j, r, np.where(i > j, -1j * r, 0.5))
     beta = np.where(i < j, r, np.where(i > j, 1j * r, 0.5))
+    alpha.flags.writeable = beta.flags.writeable = False   # cached
     return alpha, beta
 
 
@@ -259,15 +338,17 @@ def _biorthonormalize(vl: np.ndarray, vr: np.ndarray,
     return defective
 
 
-def _clusters(w: np.ndarray) -> tuple:
+def _clusters(w: np.ndarray, group=None) -> tuple:
     """Connected components of |w_i - w_j| < SPECTRAL_TOL: (count, labels).
 
-    Labels are in order of each cluster's first member. Neighbours are
-    looked for after a sort by real part, among the values whose real
-    parts lie within 2 SPECTRAL_TOL (room for rounding), so no n x n array
-    is formed. Each component is then labelled by its smallest index: the
-    larger root of every pair with two roots is hooked onto the smaller,
-    then every index jumps to the root of its root until it points at one.
+    A `group` label per value, if given, keeps values of two groups out of
+    one component. Labels are in order of each cluster's first member.
+    Neighbours are looked for after a sort by real part, among the values
+    whose real parts lie within 2 SPECTRAL_TOL (room for rounding), so no
+    n x n array is formed. Each component is then labelled by its smallest
+    index: the larger root of every pair with two roots is hooked onto the
+    smaller, then every index jumps to the root of its root until it
+    points at one.
     """
     order = np.argsort(w.real, kind="stable")
     ws = w[order]
@@ -277,6 +358,10 @@ def _clusters(w: np.ndarray) -> tuple:
     i = np.repeat(np.arange(w.size), count)
     j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(count) - count, count)
     near = np.abs(ws[j] - ws[i]) < SPECTRAL_TOL
+    if group is not None:
+        near &= group[order[i]] == group[order[j]]
+    if not near.any():
+        return w.size, np.arange(w.size)
     i, j = order[i[near]], order[j[near]]
     root = np.arange(w.size)        # root[x] <= x, in the component of x
     while not np.array_equal(root[i], root[j]):
@@ -284,8 +369,9 @@ def _clusters(w: np.ndarray) -> tuple:
                       np.minimum(root[i], root[j]))
         while not np.array_equal(root, root[root]):
             root = root[root]
-    roots, labels = np.unique(root, return_inverse=True)
-    return roots.size, labels
+    # the roots, in index order, are the first members
+    first = root == np.arange(w.size)
+    return int(first.sum()), (np.cumsum(first) - 1)[root]
 
 
 def asymptotic_subspace(sd: SpectralData) -> AsymptoticSubspace:

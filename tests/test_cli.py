@@ -174,8 +174,8 @@ def test_unknown_key_exit_code(tmp_path):
 
 
 def test_spectrum_length_guard_exit_code(tmp_path, capsys):
-    # every dense runner refuses L=8 (a 65536 x 65536 map) before building
-    cfg = write_config(tmp_path, length=8)
+    # every dense runner refuses L=10 (a 2^20 x 2^20 map) before building
+    cfg = write_config(tmp_path, length=10)
     for command in ("spectrum", "sweep", "disorder"):
         out = tmp_path / f"{command}.csv"
         assert main([command, "--config", cfg, "--out", str(out)]) == 1

@@ -14,11 +14,10 @@ import scipy.sparse.linalg
 import opentc
 from opentc import floquet, lindblad, models, operators, spectral, xy
 from opentc.experiments import (ConfigError, ExperimentConfig, ResultTable,
-                                _block_spectra, _initial_state,
-                                _parity_sides, _protocol, _sweep_row,
-                                load_config, run_disorder, run_scaling,
-                                run_spectrum, run_sweep, run_trace,
-                                run_validate)
+                                _field_setup, _initial_state, _protocol,
+                                _shapes, _sweep_row, load_config,
+                                run_disorder, run_scaling, run_spectrum,
+                                run_sweep, run_trace, run_validate)
 from opentc.floquet import floquet_propagator
 from opentc.operators import (devectorize, hs_inner, magnetization_per_spin,
                               vectorize)
@@ -217,22 +216,36 @@ def spy(monkeypatch, fn, owner=None):
     return calls
 
 
-def test_default_dense_runners_decompose_parity_blocks(monkeypatch):
-    # the default L=4 runners never fall back to the full 256 x 256 map,
-    # and decompose three of the four parity blocks: (-, +) is mirrored
+def test_default_dense_runners_decompose_momentum_parity_blocks(
+        monkeypatch):
+    # the default L=4 runners hand decompose and matrix_exp the (k, P)
+    # blocks, at most 16 x 16 (a parity block was 64 x 64), one stack per
+    # block shape: one matrix_exp per shape and field, and one decompose
+    # per shape and eta (the generator's too, in spectrum), plus the
+    # star's block with vectors in disorder
     decomposed = spy(monkeypatch, spectral.decompose)
     exponentiated = spy(monkeypatch, floquet.matrix_exp)
     gen = xy.NumericGenerator
     built = spy(monkeypatch, gen.__init__, gen)
-    for run, calls in ((run_sweep, 75), (run_spectrum, 6), (run_disorder, 4)):
+    sides = _field_setup(ExperimentConfig(), 0.0, 4)[1]
+    shapes = len(_shapes(sides))
+    assert (len(sides), shapes) == (8, 5)
+    for run, calls in ((run_sweep, 25 * shapes), (run_spectrum, 2 * shapes),
+                       (run_disorder, shapes + 1)):
         decomposed.clear()
+        exponentiated.clear()
+        built.clear()
         run(ExperimentConfig())
         assert len(decomposed) == calls, run
-        assert max(max(np.shape(s)) for (s, *_), _ in decomposed) == 64, run
-        if run is run_sweep:
-            # one generator per h, one exp(L T) per h and built block
-            assert len(built) == 5
-            assert len(exponentiated) == 15
+        for spied in (decomposed, exponentiated):
+            assert max(np.shape(s)[-1] for (s, *_), _ in spied) == 16, run
+        # one generator, and one matrix_exp per shape, for each h
+        assert len(exponentiated) == len(built) * shapes, run
+        per_field = [[np.shape(s)[-1] for (s, *_), _ in
+                      exponentiated[k:k + shapes]]
+                     for k in range(0, len(exponentiated), shapes)]
+        assert all(len(set(n)) == shapes for n in per_field), run
+        assert len(built) == (5 if run is run_sweep else 1), run
 
 
 def test_only_disorder_computes_eigenvectors(monkeypatch):
@@ -255,25 +268,28 @@ def test_only_disorder_computes_eigenvectors(monkeypatch):
 
 
 def test_dense_runners_kick_one_set_up_per_field(monkeypatch):
-    # sweep, spectrum and disorder exponentiate each built block once per
-    # field and kick it per eta; none goes through floquet_propagator
+    # sweep, spectrum and disorder exponentiate each stack of built blocks
+    # once per field and kick it per eta; none goes through
+    # floquet_propagator or evolution. At L = 2 the (k, P) sides have 2, 1
+    # and 1 states, so the blocks a <= b come in 3 shapes
     built = spy(monkeypatch, floquet.floquet_propagator)
     evolved = spy(monkeypatch, floquet.evolution)
+    exponentiated = spy(monkeypatch, floquet.matrix_exp)
     kicked = spy(monkeypatch, floquet.kicked)
     for run, etas in ((run_sweep, 2), (run_spectrum, 1), (run_disorder, 1)):
-        evolved.clear()
+        exponentiated.clear()
         kicked.clear()
         run(small_config())
-        assert (len(evolved), len(kicked)) == (3, 3 * etas), run
-    assert not built
+        assert (len(exponentiated), len(kicked)) == (3, 3 * etas), run
+    assert not built and not evolved
 
 
 def test_default_sweep_restricts_each_side_once_per_field(monkeypatch):
     # per h: H and M_z of the generator and the kick generator M_z / 2, on
-    # each of the two parity sides; the etas only form the kick's phases
+    # each of the eight (k, P) sides; the etas only form the kick's phases
     restricted = spy(monkeypatch, lindblad._restrict)
     run_sweep(ExperimentConfig())
-    assert len(restricted) == 5 * 2 * 3
+    assert len(restricted) == 5 * 8 * 3
 
 
 def test_disorder_restricts_each_commutator_once_per_run(monkeypatch):
@@ -313,18 +329,28 @@ def test_trace_path_sees_only_the_momentum_block(monkeypatch):
 
 
 def test_sweep_rows_match_the_map_builder_at_each_point():
-    # the sweep kicks one exp(L T) per h and block; building every point's
-    # map with floquet_propagator from the same inputs gives the same bits
+    # the sweep kicks one exp(L T) per h and block, and exponentiates,
+    # kicks and decomposes the blocks of one shape as one stack; each
+    # point's blocks built one at a time from the same inputs, with
+    # floquet's builders and decompose, give the same bits
     cfg = ExperimentConfig(h_grid=(0.25, 1.0 / np.sqrt(2.0)),
                            eta_grid=(0.0, np.pi / 40, np.pi / 10))
     table = run_sweep(cfg)
     points = [(h, eta) for h in cfg.h_grid for eta in cfg.eta_grid]
     assert len(table.rows) == len(points)
-    sides = _parity_sides(cfg.length)
+    sides = tuple(floquet.momentum_parity_sectors(cfg.length).values())
     for row, (h, eta) in zip(table.rows, points):
         proto = _protocol(cfg, h, eta, cfg.length)[1]
-        spectra = _block_spectra(sides, lambda a, b: floquet_propagator(
-            proto, (sides[a], sides[b])))
+        g = [lindblad._restrict(proto.kick_generator, v) for v in sides]
+        spectra = []
+        for a in range(len(sides)):
+            for b in range(a, len(sides)):
+                block = (sides[a], sides[b])
+                s = floquet.kicked(
+                    proto, floquet.evolution(proto, block)[None], [block],
+                    np.subtract.outer(g[a], g[b]).reshape(1, -1))[0]
+                sd = spectral.decompose(s, "map", vectors=False)
+                spectra += [sd] if a == b else [sd, spectral.mirror(sd, None)]
         diag = floquet.find_star(*spectra, order=cfg.order,
                                  period=cfg.period)
         assert row == [h, eta, diag.floquet_gap, diag.tc_distance,
@@ -511,6 +537,16 @@ def test_run_disorder_seed_reproducible():
     assert a == b
 
 
+@pytest.mark.parametrize("seed", [0, 5])
+def test_default_disorder_rows_match_the_parity_path(seed):
+    # on the parity blocks every default row, seeds 0 and 5, had
+    # single_site exactly 0 and full_sum at most 2.6e-15
+    table = run_disorder(ExperimentConfig(seed=seed))
+    assert len(table.rows) == 20
+    assert table.column("single_site") == [0.0] * 20
+    assert all(0.0 <= f <= 1e-12 for f in table.column("full_sum"))
+
+
 def test_run_spectrum_contents():
     cfg = small_config()
     table = run_spectrum(cfg)
@@ -518,17 +554,32 @@ def test_run_spectrum_contents():
     assert len(table.rows) == 2 * dim ** 2
     kinds = set(table.column("kind"))
     assert kinds == {"generator", "map"}
-    # one parity block (P of the rows, P of the columns of rho) per row
+    # one (k, P) block per row, named by the (k, P) of the rows and of the
+    # columns of rho: at L = 2 the sides 0+, 0- and 1- have 2, 1 and 1
+    # states, and block (a, b) has n_a n_b eigenvalues
     assert table.columns[:3] == ["kind", "sector", "index"]
+    size = {"0+": 2, "0-": 1, "1-": 1}
+    want = {f"{a}/{b}": size[a] * size[b] for a in size for b in size}
     for kind in kinds:
         sectors = [s for k, s in zip(table.column("kind"),
                                      table.column("sector")) if k == kind]
-        assert {s: sectors.count(s) for s in set(sectors)} == dict.fromkeys(
-            ["++", "+-", "-+", "--"], dim ** 2 // 4)
+        assert {s: sectors.count(s) for s in set(sectors)} == want
     assert "floquet_gap" in table.metadata
     assert "tc_distance" in table.metadata
     with pytest.raises(ConfigError):
-        run_spectrum(ExperimentConfig(length=8))
+        run_spectrum(ExperimentConfig(length=10))
+
+
+@pytest.mark.big
+def test_default_spectrum_runs_at_length_8():
+    # 136 built (k, P) blocks, the largest 400 x 400: about 30 s and a peak
+    # RSS of about 530 MiB on 2 cores. At eta = 0 the kick is exactly the
+    # parity, so the star is -1
+    table = run_spectrum(ExperimentConfig(length=8))
+    assert len(table.rows) == 2 * 4 ** 8
+    assert set(table.column("kind")) == {"generator", "map"}
+    assert len(set(table.column("sector"))) == 16 ** 2
+    assert table.metadata["tc_distance"] < 1e-10
 
 
 def test_run_validate_all_pass():

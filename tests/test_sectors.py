@@ -1,14 +1,15 @@
 """Parity and momentum blocks of the Floquet map and of the stepper.
 
 The XY generators and the M_z kick keep the parity of each side of rho, and
-commute with the translation T and the reflection R, so the runners build,
-exponentiate and decompose the map one parity block (p, q) at a time, and
-the trace runner steps the k = 0, R = +1 block of its state only. Here the
-blocks are checked against the full map, which is the same builder with no
-block, and the block steppers against the whole-space stepper and each
-other.
+commute with the translation T and the reflection R, so the dense runners
+build, exponentiate and decompose the map one (k, P) block at a time, as
+stacks of blocks of one shape, and the trace runner steps the k = 0,
+R = +1 block of its state only. Here the blocks are checked against the
+parity blocks and the full map, which is the same builder with no block,
+and the block steppers against the whole-space stepper and each other.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,13 +18,13 @@ from scipy.optimize import linear_sum_assignment
 
 from opentc import experiments, floquet, lindblad, xy
 from opentc.experiments import (ExperimentConfig, _block_spectra,
-                                _field_setup, _initial_state, _parity_sides,
-                                _protocol, _trace_mx)
+                                _field_setup, _generator_blocks,
+                                _initial_state, _kick, _protocol, _trace_mx)
 from opentc.floquet import (KickedProtocol, find_star, floquet_propagator,
                             kicked, momentum_sectors, reflection_even_sector,
                             stroboscopic_evolve, translation_operator)
 from opentc.lindblad import LindbladModel
-from opentc.operators import pauli, z_signs
+from opentc.operators import parity_sides, pauli, z_signs
 from opentc.spectral import _clusters, _order, decompose, mirror
 from opentc.xy import BathSpec, NumericGenerator, XYParams, factorized_states
 
@@ -33,6 +34,12 @@ _SQ2 = 1.0 / np.sqrt(2.0)
 def blocks(sides):
     """Every block (rows, cols), in _block_spectra's order."""
     return [(rows, cols) for rows in sides for cols in sides]
+
+
+def stacked(sides, build):
+    """_block_spectra's build(pairs) from build(block) of one block."""
+    return lambda pairs: np.stack([build((sides[a], sides[b]))
+                                   for a, b in pairs])
 
 
 def to_block(rho, v):
@@ -71,7 +78,7 @@ def test_block_spectra_match_full_map(mode, length, h, eta, tol):
     _, proto = _protocol(cfg, h, eta, length)
     full = decompose(floquet_propagator(proto), kind="map")
     spectra = [decompose(floquet_propagator(proto, b), kind="map")
-               for b in blocks(_parity_sides(length))]
+               for b in blocks(parity_sides(length))]
     assert len(spectra) == 4
     assert all(sd.size == full.size // 4 for sd in spectra)
     union = np.concatenate([sd.eigenvalues for sd in spectra])
@@ -90,14 +97,13 @@ def test_block_spectra_match_full_map(mode, length, h, eta, tol):
 def test_mirrored_block_matches_direct_block(length, mode, kind):
     cfg = ExperimentConfig(length=length, dissipator_mode=mode)
     _, proto = _protocol(cfg, 0.5, np.pi / 20, length)
-    sides = _parity_sides(length)
+    sides = parity_sides(length)
 
     def build(block):
         return (floquet_propagator(proto, block) if kind == "map"
                 else proto.model.matrix(block))
 
-    mirrored = _block_spectra(
-        sides, lambda a, b: build((sides[a], sides[b])), kind)[2]
+    mirrored = _block_spectra(sides, stacked(sides, build), kind)[2]
     s = build((sides[1], sides[0]))
     direct = decompose(s, kind=kind)
     w = mirrored.eigenvalues
@@ -117,8 +123,8 @@ def test_mirrored_block_matches_direct_block(length, mode, kind):
     first = np.unique(mirrored.clusters, return_index=True)[1]
     assert np.all(np.diff(first) > 0)
     # without vectors: the eigenvalues of the explicitly built (-, +) block
-    bare = _block_spectra(sides, lambda a, b: build((sides[a], sides[b])),
-                          kind, vectors=False)[2]
+    bare = _block_spectra(sides, stacked(sides, build), kind,
+                          vectors=False)[2]
     assert bare.right is None and bare.left is None and bare.defective is None
     direct = decompose(s, kind=kind, vectors=False).eigenvalues
     assert multiset_distance(bare.eigenvalues, direct) < 1e-12
@@ -132,8 +138,8 @@ def test_mirror_of_rectangular_momentum_blocks():
     _, proto = _protocol(cfg, 0.9, np.pi / 40, 4)
     sides = momentum_sectors(4)
     n = len(sides)
-    spectra = _block_spectra(sides, lambda a, b: floquet_propagator(
-        proto, (sides[a], sides[b])))
+    spectra = _block_spectra(sides, stacked(
+        sides, lambda block: floquet_propagator(proto, block)))
     mirrored = 0
     for k, (rows, cols) in enumerate(blocks(sides)):
         a, b = divmod(k, n)
@@ -161,7 +167,7 @@ def test_block_maps_match_stepper_at_length_6():
     states = stroboscopic_evolve(proto, rho, 1)
     next(states)
     stepped = next(states)
-    for rows, cols in blocks(_parity_sides(6)):
+    for rows, cols in blocks(parity_sides(6)):
         got = floquet_propagator(proto, (rows, cols)) @ (
             rows.conj().T @ rho @ cols).reshape(-1)
         want = (rows.conj().T @ stepped @ cols).reshape(-1)
@@ -175,21 +181,18 @@ def test_block_maps_match_stepper_at_length_6():
 EIGENVALUES_ONLY_TOL = 1e-12
 
 
-@pytest.mark.big
 @pytest.mark.parametrize("mode", ["numeric", "independent", "collective"])
 def test_eigenvalues_only_blocks_match_full_blocks_at_length_6(mode):
-    # sweep's and spectrum's point h = 0, eta = pi/20, both ways
+    # sweep's and spectrum's point h = 0, eta = pi/20, both ways, on the
+    # (k, P) blocks of _field_setup
     cfg = ExperimentConfig(length=6, dissipator_mode=mode)
-    proto, sides, _, evolved = _field_setup(cfg, 0.0, 6)
-    at_eta = replace(proto, error=np.pi / 20)
-    builds = {
-        "generator": lambda a, b: proto.model.matrix((sides[a], sides[b])),
-        "map": lambda a, b: kicked(at_eta, evolved[a, b],
-                                   (sides[a], sides[b]))}
+    proto, sides, kicks, evolved = _field_setup(cfg, 0.0, 6)
+    builds = {"generator": _generator_blocks(proto, sides),
+              "map": _kick(proto, sides, kicks, evolved, np.pi / 20)}
     for kind, build in builds.items():
         full = _block_spectra(sides, build, kind)
         bare = _block_spectra(sides, build, kind, vectors=False)
-        for f, b in zip(full, bare):
+        for f, b in zip(full, bare, strict=True):
             cond = (np.linalg.norm(f.left, axis=0)
                     * np.linalg.norm(f.right, axis=0))
             cost = np.abs(f.eigenvalues[:, None] - b.eigenvalues[None, :])
@@ -202,6 +205,125 @@ def test_eigenvalues_only_blocks_match_full_blocks_at_length_6(mode):
     assert abs(got.star_eigenvalue - want.star_eigenvalue) < 1e-12
     assert abs(got.floquet_gap - want.floquet_gap) < 1e-12
     assert abs(got.tc_distance - want.tc_distance) < 1e-12
+
+
+@pytest.mark.parametrize("h", [0.0, 0.5])
+@pytest.mark.parametrize("mode", ["numeric", "independent", "collective"])
+@pytest.mark.parametrize("length", [2, 4])
+def test_momentum_parity_blocks_match_parity_blocks(length, mode, h):
+    # the union of the runners' (k, P) block spectra, eigenvalues only,
+    # against the parity blocks decomposed with vectors, for the generator
+    # and the map; an eigenvalue of condition number cond may move by
+    # EIGENVALUES_ONLY_TOL * cond with the basis (README "Tolerances")
+    cfg = ExperimentConfig(length=length, dissipator_mode=mode)
+    proto, sides, kicks, evolved = _field_setup(cfg, h, length)
+    at_eta = replace(proto, error=np.pi / 20)
+    parity = parity_sides(length)
+    builds = {
+        "generator": (_generator_blocks(proto, sides),
+                      lambda block: proto.model.matrix(block)),
+        "map": (_kick(proto, sides, kicks, evolved, np.pi / 20),
+                lambda block: floquet_propagator(at_eta, block))}
+    for kind, (build, direct) in builds.items():
+        want = _block_spectra(parity, stacked(parity, direct), kind)
+        got = _block_spectra(sides, build, kind, vectors=False)
+        assert [sd.size for sd in got] == [
+            rows.shape[1] * cols.shape[1] for rows, cols in blocks(sides)]
+        w = np.concatenate([sd.eigenvalues for sd in want])
+        cond = np.concatenate([np.linalg.norm(sd.left, axis=0)
+                               * np.linalg.norm(sd.right, axis=0)
+                               for sd in want])
+        union = np.concatenate([sd.eigenvalues for sd in got])
+        cost = np.abs(w[:, None] - union[None, :])
+        rows, cols = linear_sum_assignment(cost)
+        assert np.all(cost[rows, cols] <= EIGENVALUES_ONLY_TOL * cond[rows]), \
+            kind
+        if kind == "map":
+            star = find_star(*got, order=2, period=cfg.period)
+            assert abs(star.star_eigenvalue - find_star(
+                *want, order=2).star_eigenvalue) < 1e-12
+
+
+@pytest.mark.parametrize("mode", ["numeric", "independent"])
+def test_disorder_elements_on_a_momentum_block_match_the_parity_block(mode):
+    # the star's <<l| [Z_r, .] |r>>, from its (k, P) block's vectors lifted
+    # to the whole space, against the same elements on its parity block,
+    # where Z_r keeps the sector; non-zero-sum amplitudes, so full_sum
+    # weighs every site's element
+    cfg = ExperimentConfig(length=4, dissipator_mode=mode)
+    _, proto = _protocol(cfg, 0.5, np.pi / 20, 4)
+    deltas = np.random.default_rng(4).normal(size=(3, 4))
+    got = []
+    for sides in (tuple(floquet.momentum_parity_sectors(4).values()),
+                  parity_sides(4)):
+        pairs = blocks(sides)
+        spectra = [decompose(floquet_propagator(proto, b), kind="map")
+                   for b in pairs]
+        star = find_star(*spectra, order=2, period=cfg.period)
+        sd = spectra[star.block]
+        assert sd.cluster(star.index).size == 1
+        got.append(floquet.disorder_susceptibility(
+            sd, deltas, 4, star.index, pairs[star.block]))
+    for a, b in zip(*got, strict=True):
+        assert a.single_site == pytest.approx(b.single_site, rel=1e-10)
+        assert a.full_sum == pytest.approx(b.full_sum, rel=1e-10)
+        assert a.full_sum > 1e-6
+
+
+def test_stacked_kick_matches_each_block_kicked_alone():
+    # a _shapes group kicked as one stack, from the commutator diagonals
+    # g_i - g_j, against each block's map from floquet_propagator
+    cfg = ExperimentConfig()
+    proto, sides, kicks, evolved = _field_setup(cfg, 0.9, 4)
+    at_eta = replace(proto, error=np.pi / 40)
+    for pairs, stack in evolved.items():
+        blocks_ = [(sides[a], sides[b]) for a, b in pairs]
+        got = kicked(at_eta, stack, blocks_, kicks[pairs])
+        assert got.shape == stack.shape
+        for s, block in zip(got, blocks_, strict=True):
+            assert np.max(np.abs(s - floquet_propagator(at_eta, block))) \
+                < 1e-12
+
+
+@pytest.mark.parametrize("diagonal", [True, False])
+def test_stacked_kick_checks_every_diagonal_block(diagonal):
+    # a block whose exp(L T) does not keep the trace fails the check when
+    # it is a diagonal block of the stack, and only then
+    cfg = ExperimentConfig()
+    proto, sides, kicks, evolved = _field_setup(cfg, 0.9, 4)
+    pairs = next(p for p in evolved if len({a == b for a, b in p}) == 2)
+    k = next(k for k, (a, b) in enumerate(pairs) if (a == b) == diagonal)
+    stack = evolved[pairs].copy()
+    stack[k] *= 1.01
+    blocks_ = [(sides[a], sides[b]) for a, b in pairs]
+    if diagonal:
+        with pytest.raises(RuntimeError, match="trace preserving"):
+            kicked(proto, stack, blocks_, kicks[pairs])
+    else:
+        kicked(proto, stack, blocks_, kicks[pairs])
+
+
+@pytest.mark.parametrize("length", range(2, 11, 2))
+def test_momentum_parity_sectors_split_the_momentum_sectors(length):
+    # each V_k split into its columns of P = +1 and of P = -1, in order,
+    # each side a joint eigenspace of T and P; empty sides left out
+    sectors = floquet.momentum_parity_sectors(length)
+    parity = z_signs(length).prod(0)
+    t = translation_operator(length)
+    assert list(sectors) == [(k, p) for k in range(length) for p in (1, -1)
+                             if (k, p) in sectors]
+    for k, v in enumerate(momentum_sectors(length)):
+        split = [sectors[k, p] for p in (1, -1) if (k, p) in sectors]
+        assert sum(side.shape[1] for side in split) == v.shape[1]
+        # the same columns, in their order within each side
+        assert {tuple(c) for c in np.hstack(split).T} == {
+            tuple(c) for c in v.T}
+    for (k, p), v in sectors.items():
+        assert v.shape[1] > 0
+        assert np.array_equal(parity[:, None] * v, p * v)
+        assert np.max(np.abs(t @ v - np.exp(2j * np.pi * k / length) * v)) \
+            < 1e-12
+    assert ((1, 1) in sectors) == (length > 2)
 
 
 QUBIT_SIDES = (np.eye(2)[:, :1], np.eye(2)[:, 1:])
@@ -275,7 +397,7 @@ def test_momentum_sectors_are_translation_eigenspaces(length):
 
 @pytest.mark.parametrize("length", range(2, 11, 2))
 def test_parity_sides_partition_the_basis(length):
-    sides = _parity_sides(length)
+    sides = parity_sides(length)
     basis = np.hstack(sides)
     d = 2 ** length
     # identity columns, each basis state in exactly one side
@@ -285,6 +407,31 @@ def test_parity_sides_partition_the_basis(length):
     parity = z_signs(length).prod(0)
     for side, sign in zip(sides, (1.0, -1.0)):
         assert np.all(parity @ side == sign)
+
+
+@pytest.mark.parametrize("length", range(2, 11))
+def test_parity_sides_equal_the_sliced_identity(length):
+    # the sides as they were built, by slicing np.eye(2^L)
+    parity = z_signs(length).prod(0)
+    eye = np.eye(2 ** length, dtype=complex)
+    for got, sign in zip(parity_sides(length), (1.0, -1.0), strict=True):
+        want = eye[:, parity == sign]
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_parity_sides_form_no_square_array_at_length_12():
+    # at L = 12 a (2^L)^2 array of any dtype takes at least 16 MiB (256
+    # MiB for np.eye's complex one); beyond the two sides themselves, no
+    # more than that is ever held at once
+    d = 2 ** 12
+    tracemalloc.start()
+    try:
+        sides = parity_sides(12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [v.shape for v in sides] == [(d, d // 2)] * 2
+    assert peak - sum(v.nbytes for v in sides) < d * d
 
 
 @pytest.mark.parametrize("mode, h, eta", [
@@ -352,7 +499,7 @@ def test_state_touching_every_sector_evolves_whole():
     a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     rho = a @ a.conj().T
     rho /= np.trace(rho)
-    for sides in (_parity_sides(4), momentum_sectors(4)):
+    for sides in (parity_sides(4), momentum_sectors(4)):
         assert_block_evolves_as_whole(proto, rho, 2, np.hstack(sides))
 
 
@@ -362,7 +509,7 @@ def test_parity_definite_state_evolves_one_block():
     plus = factorized_states(params).parity_states[0]
     model = RecordingGenerator(proto.model)
     assert_block_evolves_as_whole(proto, np.outer(plus, plus.conj()), 3,
-                                  _parity_sides(4)[0], model)
+                                  parity_sides(4)[0], model)
     assert model.shapes == {(8, 8)}
 
 

@@ -10,17 +10,18 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from opentc import floquet
-from opentc.experiments import ExperimentConfig, _parity_sides, _protocol
+from opentc.experiments import (ExperimentConfig, _field_setup, _kick,
+                                _protocol, _shapes)
 from opentc.floquet import floquet_propagator
 from opentc.lindblad import (HERMITICITY_TOL, JumpChannel, LindbladModel,
                              liouvillian_matrix)
 from opentc.models import dfs_independent_model
-from opentc.operators import devectorize, pauli, vectorize
+from opentc.operators import devectorize, parity_sides, pauli, vectorize
 from opentc.spectral import (DEFECTIVE_COND, SPECTRAL_TOL, _biorthonormal,
                              _biorthonormalize, _clusters, _hermitian_basis,
                              _real_eig, _real_form, asymptotic_state,
                              asymptotic_subspace, decompose, dissipative_gap,
-                             dual_basis)
+                             dual_basis, mirror, split)
 
 
 def dephasing_generator(h=0.0, kappa=0.5):
@@ -297,7 +298,7 @@ def per_cluster_biorthonormalize(vl, vr, clusters):
 def l4_map_block():
     cfg = ExperimentConfig()
     _, proto = _protocol(cfg, 1.0 / np.sqrt(2.0), np.pi / 20, 4)
-    plus, minus = _parity_sides(4)
+    plus, minus = parity_sides(4)
     return floquet_propagator(proto, (plus, minus))
 
 
@@ -356,7 +357,7 @@ def _residual(vl, vr) -> float:
 def test_real_path_matches_complex_path_on_parity_blocks(length, mode):
     cfg = ExperimentConfig(dissipator_mode=mode)
     _, proto = _protocol(cfg, 0.5, np.pi / 20, length)
-    sides = _parity_sides(length)
+    sides = parity_sides(length)
     for kind in ("generator", "map"):
         for a, b in ((0, 0), (0, 1), (1, 1)):
             block = (sides[a], sides[b])
@@ -391,7 +392,7 @@ def test_real_path_matches_complex_path_on_parity_blocks(length, mode):
 def test_real_path_needs_hermiticity_preservation(monkeypatch):
     cfg = ExperimentConfig()
     _, proto = _protocol(cfg, 1.0 / np.sqrt(2.0), np.pi / 20, 4)
-    plus = _parity_sides(4)[0]
+    plus = parity_sides(4)[0]
     s = floquet_propagator(proto, (plus, plus))
     # entry (1, 2) is rho_01 -> rho_02; its partner is rho_10 -> rho_20
     kick = np.zeros_like(s)
@@ -415,7 +416,7 @@ def test_real_path_needs_hermiticity_preservation(monkeypatch):
 def test_real_path_gives_exact_conjugate_pairs():
     cfg = ExperimentConfig()
     _, proto = _protocol(cfg, 1.0 / np.sqrt(2.0), np.pi / 20, 4)
-    plus = _parity_sides(4)[0]
+    plus = parity_sides(4)[0]
     w = decompose(floquet_propagator(proto, (plus, plus)),
                   kind="map").eigenvalues
     pairs = w[w.imag != 0]
@@ -451,14 +452,15 @@ def assert_eigenvalues_only_matches(s, kind):
 
 @pytest.fixture
 def eigvals_inputs(monkeypatch):
-    """The dtype of every matrix decompose hands to scipy's eigvals."""
-    eigvals, seen = scipy.linalg.eigvals, []
+    """The dtype of every matrix, or stack of them, that decompose hands
+    to numpy's eigvals."""
+    eigvals, seen = np.linalg.eigvals, []
 
     def recording(a, *args, **kwargs):
         seen.append(a.dtype)
         return eigvals(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigvals", recording)
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
     return seen
 
 
@@ -507,10 +509,48 @@ def test_eigenvalues_only_takes_the_real_path_on_diagonal_blocks(
         eigvals_inputs):
     cfg = ExperimentConfig()
     _, proto = _protocol(cfg, 1.0 / np.sqrt(2.0), np.pi / 20, 4)
-    plus, minus = _parity_sides(4)
+    plus, minus = parity_sides(4)
     for block in ((plus, plus), (plus, minus), (minus, minus)):
         decompose(floquet_propagator(proto, block), kind="map", vectors=False)
     assert eigvals_inputs == [np.float64, np.complex128, np.float64]
+
+
+def test_stack_decomposes_as_each_matrix_alone(eigvals_inputs):
+    # the default L = 4 map's (k, P) blocks of 4 x 4 matrices mix diagonal
+    # blocks, which have a real form, with off-diagonal ones: one stack
+    # splits into each block's own eigenvalues and clusters, bit for bit
+    cfg = ExperimentConfig()
+    setup = _field_setup(cfg, 0.5, 4)
+    sides = setup[1]
+    pairs = next(p for p in _shapes(sides)
+                 if len({a == b for a, b in p}) == 2)
+    stack = _kick(*setup, np.pi / 20)(pairs)
+    sd = decompose(stack, kind="map", vectors=False)
+    assert eigvals_inputs == [np.float64, np.complex128]
+    assert sd.right is None and sd.defective is None
+    assert sd.size == stack.shape[0] * stack.shape[1]
+    parts = split(sd, len(pairs))
+    mirrored = split(mirror(sd, None, len(pairs)), len(pairs))
+    for s, part, m in zip(stack, parts, mirrored, strict=True):
+        alone = decompose(s, kind="map", vectors=False)
+        assert np.array_equal(part.eigenvalues, alone.eigenvalues)
+        assert np.array_equal(part.clusters, alone.clusters)
+        alone = mirror(alone, None)
+        assert np.array_equal(m.eigenvalues, alone.eigenvalues)
+        assert np.array_equal(m.clusters, alone.clusters)
+
+
+def test_stack_keeps_the_clusters_of_each_matrix_apart():
+    s = np.diag([0.5, 1.0, 0.5 + 1e-12])
+    sd = decompose(np.stack([s, s]), kind="map", vectors=False)
+    assert np.array_equal(sd.eigenvalues, [1.0, 0.5 + 1e-12, 0.5] * 2)
+    assert np.array_equal(sd.clusters, [0, 1, 1, 2, 3, 3])
+    for part in split(sd, 2):
+        assert np.array_equal(part.clusters, [0, 1, 1])
+    with pytest.raises(ValueError, match="without vectors"):
+        decompose(np.stack([s, s]), kind="map")
+    with pytest.raises(ValueError, match="without vectors"):
+        split(decompose(s, kind="map"), 1)
 
 
 _VECTOR_READERS = {
