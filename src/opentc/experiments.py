@@ -15,12 +15,13 @@ import numbers
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__, floquet, models, spectral, xy
-from .lindblad import (LindbladModel, _restrict, liouvillian_matrix,
-                       rk4_evolve, trace_distance)
+from .lindblad import (SECTOR_TOL, LindbladModel, _restrict,
+                       liouvillian_matrix, rk4_evolve, trace_distance)
 from .operators import (_serial_blas, devectorize, hs_inner, parity_sides,
                         pauli, trace_functional, vectorize, z_signs)
 from .spectral import SpectralData
@@ -227,68 +228,141 @@ def _protocol(cfg: ExperimentConfig, h: float, eta: float, length: int):
         kick_generator=z_signs(length).sum(0) / 2, error=eta)
 
 
-def _shapes(sides: tuple) -> list:
-    """The blocks (a, b), a <= b, that _block_spectra builds, grouped by
-    the shape of their matrices, n x n with n = n_a n_b the size of
-    r = sides[a]^dag rho sides[b]: one tuple of pairs per shape, in
-    row-major order."""
-    groups = {}
-    for a, rows in enumerate(sides):
-        for b in range(a, len(sides)):
-            n = rows.shape[1] * sides[b].shape[1]
-            groups.setdefault(n, []).append((a, b))
-    return [tuple(pairs) for pairs in groups.values()]
+class _Sectors(NamedTuple):
+    """The (k, P) sides of the dense runners at one length (_sectors)."""
+
+    labels: tuple       # (k, P) of each side
+    sides: tuple        # the isometries, read-only
+    partner: tuple      # partner[a]: the side that R maps side a onto
+
+
+@functools.cache
+def _sectors(length: int) -> _Sectors:
+    """floquet.momentum_parity_sectors(L) and its R-partner table, built
+    once per length.
+
+    R maps site r to L - 1 - r. It sends the orbit sum of V_k over the
+    orbit of s to that of V_{-k} over the reversed orbit, times a phase,
+    so R V_a = V_{partner[a]} Q_a with Q_a monomial: side (k, P) goes to
+    ((-k) mod L, P).
+    """
+    sectors = floquet.momentum_parity_sectors(length)
+    for v in sectors.values():
+        v.flags.writeable = False       # cached, so shared
+    labels = tuple(sectors)
+    return _Sectors(labels, tuple(sectors.values()),
+                    tuple(labels.index((-k % length, p)) for k, p in labels))
+
+
+def _classes(sides: tuple, partner: tuple | None = None) -> tuple:
+    """(groups, sources): which blocks _block_spectra builds, and where
+    each block's spectrum comes from.
+
+    The class of block (x, y) is {(x, y), (Rx, Ry), (y, x), (Ry, Rx)},
+    with Rx = partner[x]; partner None is Rx = x. Block (Rx, Ry) is block
+    (x, y) after the change of basis Q_x r Q_y^dag (_sectors), so it has
+    the same spectrum; (y, x) and (Ry, Rx) have the conjugate one
+    (spectral.mirror). Only the first member of each class in row-major
+    order is built; it has x <= y. groups: the built blocks grouped by the
+    shape of their matrices, n x n with n = n_x n_y the size of
+    r = sides[x]^dag rho sides[y], one tuple of pairs per shape, in
+    row-major order. sources: for each block in row-major order,
+    (a, b, conj): its spectrum is that of built block (a, b), mirrored if
+    conj.
+    """
+    return _class_table(tuple(v.shape[1] for v in sides), partner)
+
+
+@functools.cache
+def _class_table(sizes: tuple, partner: tuple | None) -> tuple:
+    """_classes of sides with sizes[x] columns, once per sizes."""
+    r = partner or range(len(sizes))
+    groups, sources = {}, []
+    for x, nx in enumerate(sizes):
+        for y, ny in enumerate(sizes):
+            a, b = min((x, y), (y, x), (r[x], r[y]), (r[y], r[x]))
+            sources.append((a, b, (x, y) not in ((a, b), (r[a], r[b]))))
+            if (a, b) == (x, y):
+                groups.setdefault(nx * ny, []).append((x, y))
+    return tuple(map(tuple, groups.values())), tuple(sources)
+
+
+def _shapes(sides: tuple, partner: tuple | None = None) -> tuple:
+    """The blocks that _block_spectra builds, one tuple of pairs per shape
+    (see _classes)."""
+    return _classes(sides, partner)[0]
 
 
 def _block_spectra(sides: tuple, build, kind: str = "map",
-                   vectors: bool = True) -> list:
+                   vectors: bool = True, partner: tuple | None = None) -> list:
     """Spectra of a map or generator, one per block, from build(pairs).
 
     Block (a, b) acts on sides[a]^dag rho sides[b], in row-major order, and
     build(pairs) returns the stacked matrices of the blocks in `pairs`, all
-    of one shape. The generators and the kick preserve Hermiticity, so
-    block (b, a) is block (a, b) under r -> r^dag: only the blocks with
-    a <= b are built and decomposed, one _shapes group per build call,
-    and each other one is their spectral.mirror. vectors=False computes
-    eigenvalues only, for callers that read no eigenvector, in one
-    decompose call per group; with vectors each block is decomposed alone.
+    of one shape: one _shapes group per call. The generators and the kick
+    preserve Hermiticity, so block (b, a) is block (a, b) under
+    r -> r^dag and has the spectral.mirror of its spectrum: only blocks
+    a <= b are built. With vectors each is decomposed alone.
+    vectors=False computes eigenvalues only, for callers that read no
+    eigenvector, in one decompose call per group. Given the sides' R
+    `partner` table as well (_sectors), it builds and decomposes one block
+    per reflection class (_classes) only, and lists each R image with its
+    class's eigenvalues.
     """
-    spectra = {}
-    for pairs in _shapes(sides):
+    if vectors and partner is not None:
+        raise ValueError("the R image of a block has other eigenvectors: "
+                         "reflection classes serve eigenvalues only")
+    groups, sources = _classes(sides, partner)
+    built = {}
+    for pairs in groups:
         stack = build(pairs)
         if vectors:
-            for (a, b), s in zip(pairs, stack):
-                spectra[a, b] = spectral.decompose(s, kind=kind)
-                if a != b:
-                    spectra[b, a] = _mirror(sides, spectra[a, b], b, a)
-            continue
-        sd = spectral.decompose(stack, kind=kind, vectors=False)
-        # the mirrors of the whole group at once, without vectors, which
-        # need no shape; those of blocks (a, a) are not used
-        mirrored = spectral.mirror(sd, None, len(pairs))
-        for (a, b), d, m in zip(pairs, spectral.split(sd, len(pairs)),
-                                spectral.split(mirrored, len(pairs))):
-            spectra[a, b] = d
-            if a != b:
-                spectra[b, a] = m
-    n = len(sides)
-    return [spectra[a, b] for a in range(n) for b in range(n)]
+            built.update((p, (spectral.decompose(s, kind=kind), None))
+                         for p, s in zip(pairs, stack))
+        else:
+            built.update(zip(pairs, _with_mirrors(spectral.decompose(
+                stack, kind=kind, vectors=False), len(pairs))))
+    return _assemble(sides, built, sources)
 
 
-def _block_spectrum(sides: tuple, build, a: int, b: int) -> SpectralData:
+def _with_mirrors(sd: SpectralData, count: int) -> zip:
+    """(spectrum, mirror) of each matrix of a stack of `count`, from the
+    stack's eigenvalues-only spectrum sd."""
+    return zip(spectral.split(sd, count),
+               spectral.split(spectral.mirror(sd, None, count), count))
+
+
+def _assemble(sides: tuple, built: dict, sources: tuple) -> list:
+    """Every block's spectrum, by the sources of _classes, from `built`:
+    (spectrum, mirror) of each built block, where a mirror left None is
+    formed here on first use."""
+    out = []
+    for a, b, conj in sources:
+        sd, mirrored = built[a, b]
+        if conj and mirrored is None:
+            mirrored = _mirror(sides, sd, b, a)
+            built[a, b] = sd, mirrored
+        out.append(mirrored if conj else sd)
+    return out
+
+
+def _block_spectrum(sides: tuple, build, a: int, b: int,
+                    partner: tuple | None = None) -> SpectralData:
     """The spectrum of block (a, b) of the map alone, with vectors, by
-    _block_spectra's rule: a block a > b is the mirror of block (b, a)."""
+    _block_spectra's rule: a block a > b is the mirror of block (b, a).
+    Block (min(a, b), max(a, b)) is one that _shapes(sides, partner)
+    builds."""
     if a > b:
-        return _mirror(sides, _block_spectrum(sides, build, b, a), a, b)
-    pairs = next(p for p in _shapes(sides) if (a, b) in p)
+        return _mirror(sides, _block_spectrum(sides, build, b, a, partner),
+                       a, b)
+    pairs = next(p for p in _shapes(sides, partner) if (a, b) in p)
     return spectral.decompose(build(pairs)[pairs.index((a, b))], kind="map")
 
 
-def _mirror(sides: tuple, partner: SpectralData, a: int,
-            b: int) -> SpectralData:
-    """Block (a, b)'s spectrum from that of its partner (b, a), which acts
+def _mirror(sides: tuple, sd: SpectralData, a: int, b: int) -> SpectralData:
+    """Block (a, b)'s spectrum from sd, that of block (b, a), which acts
     on n_b x n_a."""
-    return spectral.mirror(partner, (sides[b].shape[1], sides[a].shape[1]))
+    return spectral.mirror(sd, (sides[b].shape[1], sides[a].shape[1]))
 
 
 def _generator_blocks(proto: floquet.KickedProtocol, sides: tuple):
@@ -297,24 +371,49 @@ def _generator_blocks(proto: floquet.KickedProtocol, sides: tuple):
                                    for a, b in pairs])
 
 
+def _check_reflection(model, length: int) -> None:
+    """Raise ValueError unless the model commutes with the reflection R.
+
+    H, and each jump operator of a LindbladModel, is compared with its
+    bit-reversed gather f[rev][:, rev] by _restrict's rule: an entry of
+    the difference above SECTOR_TOL * max(1, max|f|) raises. That is
+    sufficient, not necessary: a jump that R maps to a phase times itself
+    leaves the generator R-invariant and is refused all the same.
+    NumericGenerator's D derives from H and M_z, and M_z and the kick are
+    R-invariant by construction.
+    """
+    rev = floquet._reversal(length)
+    for f in (model.hamiltonian,
+              *(j.operator for j in getattr(model, "jumps", ()))):
+        leak = np.abs(f - f[np.ix_(rev, rev)]).max(initial=0.0)
+        bound = SECTOR_TOL * max(1.0, np.abs(f).max(initial=0.0))
+        if leak > bound:
+            raise ValueError(f"the model does not commute with the "
+                             f"reflection R (entry {leak:.2e} > SECTOR_TOL "
+                             f"* max(1, max|f|) = {bound:.2e})")
+
+
 def _field_setup(cfg: ExperimentConfig, h: float, length: int) -> tuple:
     """(protocol, sides, kicks, evolved) at field h, for _kick.
 
-    The protocol at field h, the (k, P) sides of floquet.
-    momentum_parity_sectors, and for each _shapes group of the blocks
-    a <= b that _block_spectra builds: the diagonal of the kick's
+    The protocol at field h, the (k, P) sides of _sectors(L), and for each
+    _shapes group of the blocks that _block_spectra builds with their
+    partner table, one per reflection class: the diagonal of the kick's
     commutator [M_z / 2, .] on each block (`kicks`, see floquet.kicked),
     from M_z / 2 restricted once per side, and each block's exp(L T)
     (`evolved`), the group exponentiated as one stack. Neither depends on
-    the kick error, so one set-up serves every eta.
+    the kick error, so one set-up serves every eta. The classes rest on the
+    model commuting with R; _check_reflection raises ValueError where it
+    does not.
     """
     _, proto = _protocol(cfg, h, 0.0, length)
-    sides = tuple(floquet.momentum_parity_sectors(length).values())
+    _check_reflection(proto.model, length)
+    _, sides, partner = _sectors(length)
     # M_z / 2 stays diagonal on every side: each column is one orbit's sum
     g = [_restrict(proto.kick_generator, v) for v in sides]
     build = _generator_blocks(proto, sides)
     kicks, evolved = {}, {}
-    for pairs in _shapes(sides):
+    for pairs in _shapes(sides, partner):
         kicks[pairs] = np.stack([np.subtract.outer(g[a], g[b]).reshape(-1)
                                  for a, b in pairs])
         evolved[pairs] = floquet.matrix_exp(build(pairs), proto.period)
@@ -330,12 +429,6 @@ def _kick(proto: floquet.KickedProtocol, sides: tuple, kicks: dict,
     return lambda pairs: floquet.kicked(
         at_eta, evolved[pairs], [(sides[a], sides[b]) for a, b in pairs],
         kicks[pairs])
-
-
-def _map_spectra(setup: tuple, eta: float) -> list:
-    """The Floquet map's block spectra at kick error eta from _field_setup,
-    eigenvalues only (see _block_spectra)."""
-    return _block_spectra(setup[1], _kick(*setup, eta), vectors=False)
 
 
 def _initial_state(cfg: ExperimentConfig, params: xy.XYParams) -> np.ndarray:
@@ -387,18 +480,49 @@ def _require_initial_state(cfg: ExperimentConfig, command: str) -> None:
 def _sweep_row(cfg: ExperimentConfig, h: float, length: int) -> list:
     """The sweep rows at field h, one per eta of cfg.eta_grid.
 
-    Every eta kicks the row's one _field_setup. A failure to build the
-    generator or an exponential flags the whole row; any later one only
-    its point.
+    Every eta kicks the row's one _field_setup, and each _shapes group,
+    kicked at every eta, goes to decompose as one stack, eigenvalues only:
+    one call per shape and field. A failure to build the generator or an
+    exponential, or a failed eigenvalue solve of such a stack, flags every
+    point of the row; a failed kick, or a failure after the solve, only
+    its own point.
     """
+    etas = cfg.eta_grid
+    errors = [None] * len(etas)
+    built = [{} for _ in etas]
     try:
         setup = _field_setup(cfg, h, length)
+        kicks = [_kick(*setup, eta) for eta in etas]
+        for pairs, evolved in setup[3].items():
+            m = len(pairs)
+            stack = np.empty((len(etas) * m, *evolved.shape[1:]),
+                             dtype=complex)
+            done = []       # the etas kicked, in stack order
+            for k, kick in enumerate(kicks):
+                if errors[k] is None:
+                    try:
+                        j = len(done) * m
+                        stack[j:j + m] = kick(pairs)
+                        done.append(k)
+                    except Exception as exc:   # flags its own point
+                        errors[k] = exc
+            if done:
+                spectra = list(_with_mirrors(spectral.decompose(
+                    stack[:len(done) * m], "map", vectors=False),
+                    len(done) * m))
+                for j, k in enumerate(done):
+                    built[k].update(zip(pairs, spectra[j * m:(j + 1) * m]))
     except Exception as exc:   # row failures flagged, run continues
-        return [_failed_point(h, eta, exc) for eta in cfg.eta_grid]
+        return [_failed_point(h, eta, exc) for eta in etas]
+    sides = setup[1]
+    sources = _classes(sides, _sectors(length).partner)[1]
     rows = []
-    for eta in cfg.eta_grid:
+    for eta, error, spectra in zip(etas, errors, built):
+        if error is not None:
+            rows.append(_failed_point(h, eta, error))
+            continue
         try:
-            diag = floquet.find_star(*_map_spectra(setup, eta),
+            diag = floquet.find_star(*_assemble(sides, spectra, sources),
                                      order=cfg.order, period=cfg.period)
             rows.append([h, eta, diag.floquet_gap, diag.tc_distance,
                          diag.star_eigenvalue.real,
@@ -472,12 +596,15 @@ def run_disorder(cfg: ExperimentConfig) -> ResultTable:
         # the star is searched on eigenvalues; only its block is
         # decomposed with the vectors that its refinement and
         # susceptibility read, from its stack as kicked for the search
+        partner = _sectors(cfg.length).partner
         build = functools.cache(_kick(*setup, cfg.eta))
         star = floquet.find_star(
-            *_block_spectra(sides, build, vectors=False), order=cfg.order,
-            period=cfg.period)
-        a, b = divmod(star.block, len(sides))
-        sd = _block_spectrum(sides, build, a, b)
+            *_block_spectra(sides, build, vectors=False, partner=partner),
+            order=cfg.order, period=cfg.period)
+        # the built block of the star's class that has the star's spectrum
+        a, b, conj = _classes(sides, partner)[1][star.block]
+        a, b = (b, a) if conj else (a, b)
+        sd = _block_spectrum(sides, build, a, b, partner)
         mu = floquet.find_star(sd, order=cfg.order, period=cfg.period).index
         block = (sides[a], sides[b])
         sd = floquet.translation_refine(sd, cfg.length, mu, block)
@@ -501,21 +628,25 @@ def run_spectrum(cfg: ExperimentConfig) -> ResultTable:
 
     Each is the union of its (k, P) blocks; `sector` names the block as
     the (k, P) of the rows and of the columns of rho, e.g. "0+/1-", and
-    `index` counts within it.
+    `index` counts within it. Only one block of each reflection class is
+    decomposed (_classes): a block that R maps onto another lists that
+    one's eigenvalues, which are its own up to rounding.
     """
     _require_matrix_path(cfg, "spectrum")
+    sectors = _sectors(cfg.length)
     with _serial_blas():
         setup = _field_setup(cfg, cfg.h, cfg.length)
         proto, sides = setup[:2]
         generator = _block_spectra(sides, _generator_blocks(proto, sides),
-                                   "generator", vectors=False)
-        maps = _map_spectra(setup, cfg.eta)
+                                   "generator", vectors=False,
+                                   partner=sectors.partner)
+        maps = _block_spectra(sides, _kick(*setup, cfg.eta), vectors=False,
+                              partner=sectors.partner)
     table = ResultTable(
         columns=["kind", "sector", "index", "re", "im", "peripheral"],
         metadata=_metadata(cfg, "spectrum"))
     # in the order of _block_spectra, over the sides of _field_setup
-    labels = [f"{k}{'+' if p > 0 else '-'}"
-              for k, p in floquet.momentum_parity_sectors(cfg.length)]
+    labels = [f"{k}{'+' if p > 0 else '-'}" for k, p in sectors.labels]
     names = [f"{rows}/{cols}" for rows in labels for cols in labels]
     for kind, spectra in (("generator", generator), ("map", maps)):
         for name, sd in zip(names, spectra, strict=True):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -10,8 +11,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .lindblad import (HERMITICITY_TOL, TRACE_TOL, Generator, _Terms,
-                       check_state)
+from .lindblad import (HERMITICITY_TOL, TRACE_TOL, Generator, _sector_part,
+                       _Terms, check_state)
 from .operators import (UNITARITY_TOL, _serial_blas, devectorize, hermitize,
                         is_unitary, trace_functional, vectorize, z_signs)
 from .spectral import SpectralData
@@ -379,14 +380,6 @@ def _shift(length: int) -> np.ndarray:
     return (i >> 1) | ((i & 1) << (length - 1))
 
 
-def translation_operator(length: int) -> np.ndarray:
-    """One-site cyclic shift T with T Z_r T^dag = Z_{r+1 mod L}."""
-    d = 2 ** length
-    t = np.zeros((d, d), dtype=complex)
-    t[_shift(length), np.arange(d)] = 1.0
-    return t
-
-
 def _orbits(length: int) -> tuple:
     """(rep, offset, period) of every basis index i under the cyclic shift.
 
@@ -446,6 +439,16 @@ def momentum_parity_sectors(length: int) -> dict:
     return out
 
 
+@functools.cache
+def _reversal(length: int) -> np.ndarray:
+    """The basis index of R|i> for every basis index i: R maps site r to
+    L - 1 - r, so i to its bit reversal. Cached, so read-only."""
+    i = np.arange(2 ** length)
+    rev = sum(((i >> r) & 1) << (length - 1 - r) for r in range(length))
+    rev.flags.writeable = False
+    return rev
+
+
 def reflection_even_sector(length: int) -> np.ndarray:
     """The isometry onto k = 0, R = +1: fixed by T and by the reflection R.
 
@@ -459,7 +462,7 @@ def reflection_even_sector(length: int) -> np.ndarray:
     d = 2 ** length
     rep, _, period = _orbits(length)
     i = np.arange(d)
-    rev = sum(((i >> r) & 1) << (length - 1 - r) for r in range(length))
+    rev = _reversal(length)
     pair = np.minimum(rep, rep[rev])
     _, col = np.unique(pair, return_inverse=True)
     v = np.zeros((d, col.max() + 1), dtype=complex)
@@ -475,15 +478,28 @@ def translation_refine(sd: SpectralData, length: int, mu: int,
     elements of site operators independent of the site, which the single-site
     disorder reduction relies on. Non-degenerate targets pass through. sd
     is the spectrum of the map's block (rows, cols); None is the whole map.
-    T keeps parity, so restricting it to a parity block is exact.
+    T permutes the basis (_shift), so T rho T^dag is a gather of rho, and
+    on the block it is t_rows r t_cols^dag, t_v = v^dag T v restricted
+    from the gathers T v and v^dag T with lindblad._restrict's leak check.
+    T keeps parity and momentum, so that is exact on their blocks.
     """
     sd.require_vectors()
     cluster = sd.cluster(mu)
     if cluster.size == 1:
         return sd
-    tmat = sd.left[:, cluster].conj().T @ _conjugation(
-        translation_operator(length)).restrict(block).columns(
-        sd.right[:, cluster])
+    shift = _shift(length)
+    back = np.argsort(shift)            # T |back[i]> = |i>
+    cols = sd.right[:, cluster].T
+    if block is None:
+        d = 2 ** length
+        # (T rho T^dag)[i, j] = rho[back[i], back[j]]
+        moved = cols.reshape(-1, d, d)[:, back][:, :, back]
+    else:
+        t_rows, t_cols = (_sector_part(v, v[back], v.conj().T[:, shift], 1.0)
+                          for v in block)
+        moved = t_rows @ cols.reshape(-1, t_rows.shape[0], t_cols.shape[0]) \
+            @ t_cols.conj().T
+    tmat = sd.left[:, cluster].conj().T @ moved.reshape(cluster.size, -1).T
     tvals, tvecs = np.linalg.eig(tmat)
     right = sd.right.copy()
     left = sd.left.copy()

@@ -184,17 +184,25 @@ def _restrict(f, v):
     v_dag = v.conj().T
     fv = f[:, None] * v if f.ndim == 1 else f @ v
     vf = v_dag * f if f.ndim == 1 else v_dag @ f
+    out = _sector_part(v, fv, vf, np.abs(f).max(initial=0.0))
+    if f.ndim == 1 and np.count_nonzero(out) == np.count_nonzero(
+            np.diagonal(out)):
+        return np.diagonal(out).copy()
+    return out
+
+
+def _sector_part(v, fv, vf, scale: float) -> np.ndarray:
+    """v^dag f v from fv = f v and vf = v^dag f, with _restrict's leak
+    check; scale is max|f|."""
+    v_dag = v.conj().T
     out = v_dag @ fv
     leak = max(np.abs(fv - v @ out).max(initial=0.0),
                np.abs(vf - out @ v_dag).max(initial=0.0))
-    bound = SECTOR_TOL * max(1.0, np.abs(f).max(initial=0.0))
+    bound = SECTOR_TOL * max(1.0, scale)
     if leak > bound:
         raise ValueError(f"a factor couples the sector to its complement "
                          f"(entry {leak:.2e} > SECTOR_TOL * max(1, max|f|)"
                          f" = {bound:.2e})")
-    if f.ndim == 1 and np.count_nonzero(out) == np.count_nonzero(
-            np.diagonal(out)):
-        return np.diagonal(out).copy()
     return out
 
 

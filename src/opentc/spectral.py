@@ -18,6 +18,9 @@ from .operators import _serial_blas, devectorize, hs_inner, vectorize
 
 SPECTRAL_TOL = 1e-8           # clusters and peripheral modes; README table
 DEFECTIVE_COND = 1e10         # a condition number
+# decompose(stack, vectors=False) works through a stack in parts of at
+# most this many bytes, so its temporaries do not grow with the stack
+STACK_PART_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -29,8 +32,9 @@ class SpectralData:
     flagged as defective. `clusters` labels each eigenvalue with its
     degenerate cluster, the connected components of eigenvalues closer than
     peripheral_tolerance; it is the one degeneracy test downstream. A
-    spectrum from decompose(..., vectors=False) has `right`, `left` and
-    `defective` None; whatever reads them calls require_vectors first.
+    spectrum from decompose(..., vectors=False) has `right`, `left`,
+    `defective` and `clusters` None; whatever reads them calls
+    require_vectors first.
     """
 
     eigenvalues: np.ndarray
@@ -38,7 +42,7 @@ class SpectralData:
     left: np.ndarray | None
     kind: str
     defective: np.ndarray | None
-    clusters: np.ndarray
+    clusters: np.ndarray | None
     peripheral_tolerance = SPECTRAL_TOL     # a class constant, not a field
 
     @property
@@ -53,6 +57,7 @@ class SpectralData:
 
     def cluster(self, mu: int) -> np.ndarray:
         """Indices of the eigenvalues in the degenerate cluster of mu."""
+        self.require_vectors()
         return np.nonzero(self.clusters == self.clusters[mu])[0]
 
     def require_vectors(self) -> None:
@@ -100,12 +105,11 @@ def decompose(s: np.ndarray, kind: str = "generator",
 
     With vectors=False only the eigenvalues are computed (?geev without
     vectors, on the real form of each matrix that has one), in the same
-    order and with the same cluster labels; `right`, `left` and `defective`
-    are None. s may then also be a stack of equal-size matrices, shape
-    (m, n, n): the matrices with a real form go to one LAPACK stack, the
-    others to another, and the one spectrum lists the eigenvalues matrix
-    by matrix, each matrix's in decompose's order, with cluster labels
-    that never join two matrices. `split` cuts it into one per matrix.
+    order; `right`, `left`, `defective` and `clusters` are None. s may then
+    also be a stack of equal-size matrices, shape (m, n, n): the matrices
+    with a real form go to one LAPACK stack, the others to another, and the
+    one spectrum lists the eigenvalues matrix by matrix, each matrix's in
+    decompose's order. `split` cuts it into one per matrix.
     """
     if kind not in ("generator", "map"):
         raise ValueError(f"kind must be 'generator' or 'map', got {kind!r}")
@@ -129,18 +133,27 @@ def decompose(s: np.ndarray, kind: str = "generator",
 
 
 def _eigenvalues(stack: np.ndarray, kind: str) -> SpectralData:
-    """decompose(..., vectors=False) of a stack (m, n, n) of matrices."""
-    m, n = stack.shape[:2]
-    w = np.empty((m, n), dtype=complex)
-    real = _preserves_hermiticity(stack)
-    if real.any():
-        w[real] = np.linalg.eigvals(_to_real(stack[real]))
-    if not real.all():
-        w[~real] = np.linalg.eigvals(stack[~real])
-    group = np.repeat(np.arange(m), n)
-    w = w.reshape(-1)[_order(w.reshape(-1), group)]
-    return SpectralData(eigenvalues=w, right=None, left=None, kind=kind,
-                        defective=None, clusters=_clusters(w, group)[1])
+    """decompose(..., vectors=False) of a stack (m, n, n) of matrices,
+    in parts of at most STACK_PART_BYTES."""
+    w = np.empty(stack.shape[:2], dtype=complex)
+    step = max(1, STACK_PART_BYTES // max(1, stack[:1].nbytes))
+    for start in range(0, len(stack), step):
+        part, out = stack[start:start + step], w[start:start + step]
+        real = _preserves_hermiticity(part)
+        if real.any():
+            out[real] = np.linalg.eigvals(_to_real(part[real]))
+        if not real.all():
+            out[~real] = np.linalg.eigvals(part[~real])
+    return _unlabelled(w, kind)
+
+
+def _unlabelled(w: np.ndarray, kind: str) -> SpectralData:
+    """The spectrum without vectors, and so without clusters, of the
+    matrices whose eigenvalues are the rows of w, each row put in
+    decompose's order."""
+    return SpectralData(
+        eigenvalues=np.take_along_axis(w, _order(w), -1).reshape(-1),
+        right=None, left=None, kind=kind, defective=None, clusters=None)
 
 
 def split(sd: SpectralData, count: int) -> list:
@@ -149,12 +162,9 @@ def split(sd: SpectralData, count: int) -> list:
     order; each as decompose gives it for its matrix alone."""
     if sd.right is not None:
         raise ValueError("only a spectrum without vectors is split")
-    # cluster labels run on from one matrix to the next
-    labels = sd.clusters.reshape(count, -1)
     return [SpectralData(eigenvalues=w, right=None, left=None, kind=sd.kind,
-                         defective=None, clusters=c)
-            for w, c in zip(sd.eigenvalues.reshape(count, -1),
-                            labels - labels[:, :1])]
+                         defective=None, clusters=None)
+            for w in sd.eigenvalues.reshape(count, -1)]
 
 
 def mirror(sd: SpectralData, shape: tuple, count: int = 1) -> SpectralData:
@@ -171,16 +181,15 @@ def mirror(sd: SpectralData, shape: tuple, count: int = 1) -> SpectralData:
     `count` blocks of one shape from decompose(stack, vectors=False), and
     gives that of the stack of their mirrors.
     """
+    if sd.right is None:
+        return _unlabelled(sd.eigenvalues.conj().reshape(count, -1), sd.kind)
+    if count != 1:
+        raise ValueError("only a spectrum without vectors is a stack")
     w = sd.eigenvalues.conj()
-    order = _order(w, np.repeat(np.arange(count), sd.size // count))
+    order = _order(w)
     w = w[order]
     # conjugation keeps every distance, so the clusters are sd's
     clusters = _first_member_labels(sd.clusters[order])
-    if sd.right is None:
-        return SpectralData(eigenvalues=w, right=None, left=None,
-                            kind=sd.kind, defective=None, clusters=clusters)
-    if count != 1:
-        raise ValueError("only a spectrum without vectors is a stack")
     # entry (j, i) of a vector of block (b, a) is entry (i, j) of one of sd's
     rows = np.arange(sd.size).reshape(shape).T.reshape(-1)
     return SpectralData(eigenvalues=w,
@@ -198,16 +207,15 @@ def _first_member_labels(labels: np.ndarray) -> np.ndarray:
     return rank[labels]
 
 
-def _order(w: np.ndarray, group=None) -> np.ndarray:
+def _order(w: np.ndarray) -> np.ndarray:
     """decompose's order: by real part, then imaginary part, descending.
 
     The keys are rounded to SPECTRAL_TOL first, so rounding noise cannot
-    swap rows. A `group` label per value, if given, is the first key: each
-    group's values stay together, in group order.
+    swap rows. w may have more axes; each row of the last is ordered.
     """
     tol = SPECTRAL_TOL
-    keys = (-w.imag, -w.real, -np.round(w.imag / tol), -np.round(w.real / tol))
-    return np.lexsort(keys if group is None else (*keys, group))
+    return np.lexsort((-w.imag, -w.real, -np.round(w.imag / tol),
+                       -np.round(w.real / tol)))
 
 
 def _biorthonormal(w: np.ndarray, vl: np.ndarray, vr: np.ndarray) -> tuple:
@@ -338,11 +346,10 @@ def _biorthonormalize(vl: np.ndarray, vr: np.ndarray,
     return defective
 
 
-def _clusters(w: np.ndarray, group=None) -> tuple:
+def _clusters(w: np.ndarray) -> tuple:
     """Connected components of |w_i - w_j| < SPECTRAL_TOL: (count, labels).
 
-    A `group` label per value, if given, keeps values of two groups out of
-    one component. Labels are in order of each cluster's first member.
+    Labels are in order of each cluster's first member.
     Neighbours are looked for after a sort by real part, among the values
     whose real parts lie within 2 SPECTRAL_TOL (room for rounding), so no
     n x n array is formed. Each component is then labelled by its smallest
@@ -358,8 +365,6 @@ def _clusters(w: np.ndarray, group=None) -> tuple:
     i = np.repeat(np.arange(w.size), count)
     j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(count) - count, count)
     near = np.abs(ws[j] - ws[i]) < SPECTRAL_TOL
-    if group is not None:
-        near &= group[order[i]] == group[order[j]]
     if not near.any():
         return w.size, np.arange(w.size)
     i, j = order[i[near]], order[j[near]]

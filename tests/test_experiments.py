@@ -4,6 +4,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import scipy.sparse.linalg
 import opentc
 from opentc import floquet, lindblad, models, operators, spectral, xy
 from opentc.experiments import (ConfigError, ExperimentConfig, ResultTable,
-                                _field_setup, _initial_state, _protocol,
+                                _initial_state, _protocol, _sectors,
                                 _shapes, _sweep_row, load_config,
                                 run_disorder, run_scaling, run_spectrum,
                                 run_sweep, run_trace, run_validate)
@@ -220,21 +221,25 @@ def test_default_dense_runners_decompose_momentum_parity_blocks(
         monkeypatch):
     # the default L=4 runners hand decompose and matrix_exp the (k, P)
     # blocks, at most 16 x 16 (a parity block was 64 x 64), one stack per
-    # block shape: one matrix_exp per shape and field, and one decompose
-    # per shape and eta (the generator's too, in spectrum), plus the
-    # star's block with vectors in disorder
+    # block shape, and build only one block of each reflection class, 24
+    # of the 36 blocks a <= b: one matrix_exp per shape and field, and one
+    # decompose per shape and field in sweep, every eta at once (per shape
+    # and eta in spectrum, with the generator's), plus the star's block
+    # with vectors in disorder
     decomposed = spy(monkeypatch, spectral.decompose)
     exponentiated = spy(monkeypatch, floquet.matrix_exp)
     gen = xy.NumericGenerator
     built = spy(monkeypatch, gen.__init__, gen)
-    sides = _field_setup(ExperimentConfig(), 0.0, 4)[1]
-    shapes = len(_shapes(sides))
+    blocks = spy(monkeypatch, gen.matrix, gen)
+    sides, partner = _sectors(4)[1:]
+    shapes = len(_shapes(sides, partner))
     assert (len(sides), shapes) == (8, 5)
-    for run, calls in ((run_sweep, 25 * shapes), (run_spectrum, 2 * shapes),
+    for run, calls in ((run_sweep, 5 * shapes), (run_spectrum, 2 * shapes),
                        (run_disorder, shapes + 1)):
         decomposed.clear()
         exponentiated.clear()
         built.clear()
+        blocks.clear()
         run(ExperimentConfig())
         assert len(decomposed) == calls, run
         for spied in (decomposed, exponentiated):
@@ -246,6 +251,17 @@ def test_default_dense_runners_decompose_momentum_parity_blocks(
                      for k in range(0, len(exponentiated), shapes)]
         assert all(len(set(n)) == shapes for n in per_field), run
         assert len(built) == (5 if run is run_sweep else 1), run
+        # the class representatives only, once per field; spectrum builds
+        # the generator's blocks again for their spectrum
+        assert sum(len(s) for (s, *_), _ in exponentiated) \
+            == 24 * len(built), run
+        assert len(blocks) == 24 * len(built) * (
+            2 if run is run_spectrum else 1), run
+    # sweep: each stack holds every eta's kicked blocks of one shape
+    decomposed.clear()
+    run_sweep(ExperimentConfig())
+    sizes = [len(s) for (s, *_), _ in decomposed]
+    assert sizes == [5 * len(p) for p in _shapes(sides, partner)] * 5
 
 
 def test_only_disorder_computes_eigenvectors(monkeypatch):
@@ -290,6 +306,17 @@ def test_default_sweep_restricts_each_side_once_per_field(monkeypatch):
     restricted = spy(monkeypatch, lindblad._restrict)
     run_sweep(ExperimentConfig())
     assert len(restricted) == 5 * 8 * 3
+
+
+def test_dense_runners_build_the_sectors_once_per_length(monkeypatch):
+    # the (k, P) sides and their R-partner table are cached per length:
+    # one build serves every field of a sweep and the runners after it
+    _sectors.cache_clear()
+    built = spy(monkeypatch, floquet.momentum_parity_sectors)
+    for run in (run_sweep, run_spectrum, run_disorder):
+        run(ExperimentConfig())
+    assert len(built) == 1
+    assert _sectors(4) is _sectors(4)
 
 
 def test_disorder_restricts_each_commutator_once_per_run(monkeypatch):
@@ -509,6 +536,40 @@ def test_sweep_point_flags_failures(monkeypatch):
     assert np.all(np.isnan(failed[2:6]))
 
 
+def test_failed_stacked_solve_flags_its_own_row_only(monkeypatch):
+    # at L = 2 each row makes 3 decompose calls, one per block shape with
+    # every eta in it; the second row's second one fails after its first
+    # succeeded: every point of that row is flagged, and the row stops
+    # there, while the third row runs in full
+    decompose, calls = spectral.decompose, []
+
+    def failing(*args, **kwargs):
+        calls.append(args[0].shape)
+        if len(calls) == 5:
+            raise np.linalg.LinAlgError("injected")
+        return decompose(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "decompose", failing)
+    table = run_sweep(small_config(h_grid=(0.0, 0.5, 0.9)))
+    assert len(calls) == 8 and all(shape[0] % 2 == 0 for shape in calls)
+    status = table.column("status")
+    assert status == ["ok"] * 2 + ["error: injected"] * 2 + ["ok"] * 2
+    assert np.all(np.isnan(np.array(table.rows)[2:4, 2:6].astype(float)))
+    assert table.metadata["failures"] == 2
+
+
+@pytest.mark.parametrize("mode", ["numeric", "collective"])
+def test_eta_stacked_rows_equal_each_eta_alone(mode):
+    # one decompose of every eta's kicked blocks gives each point the bits
+    # that a row of that eta alone gives
+    cfg = ExperimentConfig(dissipator_mode=mode)
+    for h in (0.25, 0.9):
+        rows = _sweep_row(cfg, h, cfg.length)
+        alone = [_sweep_row(replace(cfg, eta_grid=(eta,)), h, cfg.length)[0]
+                 for eta in cfg.eta_grid]
+        assert rows == alone
+
+
 def test_run_scaling_rows_and_trend():
     cfg = small_config()
     table = run_scaling(cfg)
@@ -572,9 +633,9 @@ def test_run_spectrum_contents():
 
 @pytest.mark.big
 def test_default_spectrum_runs_at_length_8():
-    # 136 built (k, P) blocks, the largest 400 x 400: about 30 s and a peak
-    # RSS of about 530 MiB on 2 cores. At eta = 0 the kick is exactly the
-    # parity, so the star is -1
+    # 76 built (k, P) blocks, one per reflection class, the largest
+    # 400 x 400: about 14 s and a peak RSS of about 245 MiB on 2 cores. At
+    # eta = 0 the kick is exactly the parity, so the star is -1
     table = run_spectrum(ExperimentConfig(length=8))
     assert len(table.rows) == 2 * 4 ** 8
     assert set(table.column("kind")) == {"generator", "map"}

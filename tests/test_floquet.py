@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from opentc import floquet
 from opentc.floquet import (KickedProtocol, _period_operator,
                             check_observation6,
                             disorder_susceptibility, find_star,
                             floquet_propagator, matrix_exp,
                             rotation_error_map, stroboscopic_evolve,
-                            susceptibility, translation_operator,
-                            translation_refine)
+                            susceptibility, translation_refine)
 from opentc.lindblad import (JumpChannel, LindbladModel, liouvillian_matrix,
                              rk4_evolve, trace_distance)
 from opentc.models import bell_basis, dfs_collective_model
@@ -426,7 +426,17 @@ def test_observation6_without_peripheral_eigenvalue_fails():
     assert report.kick_asymptotic_eigenvalues.size == 0
 
 
+def translation_operator(length):
+    """The one-site cyclic shift T, T|i> = |_shift(L)[i]>, as a dense
+    d x d matrix."""
+    d = 2 ** length
+    t = np.zeros((d, d), dtype=complex)
+    t[floquet._shift(length), np.arange(d)] = 1.0
+    return t
+
+
 def test_translation_operator():
+    # the shift that translation_refine gathers by moves Z_r to Z_{r+1}
     t = translation_operator(3)
     for r in range(3):
         z = site_operator("Z", r, 3)
@@ -477,10 +487,10 @@ def test_disorder_susceptibility_of_many_samples_is_each_sample_alone():
             disorder_susceptibility(sd, bad, length, mu, block)
 
 
-# The kick, the rotation-error map, the observation-6 check and the
-# translation refinement go through one sandwich evaluator. Their former
-# kron(U, U*) and sandwich formulas are kept here as references, for a
-# diagonal kick given as 1-D and for a dense one.
+# The kick, the rotation-error map and the observation-6 check go through
+# one sandwich evaluator, and the translation refinement gathers by the
+# shift. Their former kron(U, U*) and sandwich formulas are kept here as
+# references, for a diagonal kick given as 1-D and for a dense one.
 
 def full(f):
     return np.diag(f) if f.ndim == 1 else f
@@ -586,3 +596,40 @@ def test_translation_refine_matches_kron_formula(kind):
         assert np.max(np.abs(block - np.diag(np.diag(block)))) < 1e-12
         gram = ref.left[:, cluster].conj().T @ ref.right[:, cluster]
         assert np.max(np.abs(gram - np.eye(cluster.size))) < 1e-12
+
+
+@pytest.mark.parametrize("pair", [None, (0, 0), (0, 1), (1, 1)])
+def test_translation_refine_matches_the_dense_shift(pair):
+    # the refinement restricts T by gathers; restricting the dense d x d T
+    # by products, as before, gives the same vectors. Independent Z
+    # dephasing on four sites keeps T and P and has degenerate clusters in
+    # the whole map and in each parity block
+    length = 4
+    model = LindbladModel(
+        hamiltonian=0.3 * magnetization("X", length) @ magnetization(
+            "X", length),
+        jumps=tuple((site_operator("Z", r, length), 0.05)
+                    for r in range(length)))
+    proto = KickedProtocol(model=model, period=2.0,
+                           kick_generator=z_signs(length).sum(0) / 2)
+    sides = parity_sides(length)
+    block = None if pair is None else (sides[pair[0]], sides[pair[1]])
+    sd = decompose(floquet_propagator(proto, block), kind="map")
+    tsup = floquet._conjugation(translation_operator(length)).restrict(block)
+    degenerate = {tuple(sd.cluster(mu)) for mu in range(sd.size)
+                  if sd.cluster(mu).size > 1}
+    assert degenerate
+    for cluster in map(list, degenerate):
+        ref = translation_refine(sd, length, cluster[0], block)
+        tmat = sd.left[:, cluster].conj().T @ tsup.columns(
+            sd.right[:, cluster])
+        tvecs = np.linalg.eig(tmat)[1]
+        right = sd.right[:, cluster] @ tvecs
+        left = sd.left[:, cluster] @ np.linalg.inv(tvecs).conj().T
+        assert np.max(np.abs(ref.right[:, cluster] - right)) < 1e-12
+        assert np.max(np.abs(ref.left[:, cluster] - left)) < 1e-12
+    if pair == (0, 0):
+        # a side that T does not keep fails _restrict's leak check
+        half = np.eye(2 ** length)[:, :8]
+        with pytest.raises(ValueError, match="couples the sector"):
+            translation_refine(sd, length, cluster[0], (half, half))

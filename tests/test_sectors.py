@@ -22,13 +22,23 @@ from opentc.experiments import (ExperimentConfig, _block_spectra,
                                 _initial_state, _kick, _protocol, _trace_mx)
 from opentc.floquet import (KickedProtocol, find_star, floquet_propagator,
                             kicked, momentum_sectors, reflection_even_sector,
-                            stroboscopic_evolve, translation_operator)
+                            stroboscopic_evolve)
 from opentc.lindblad import LindbladModel
-from opentc.operators import parity_sides, pauli, z_signs
+from opentc.operators import (magnetization, parity_sides, pauli,
+                              site_operator, z_signs)
 from opentc.spectral import _clusters, _order, decompose, mirror
 from opentc.xy import BathSpec, NumericGenerator, XYParams, factorized_states
 
 _SQ2 = 1.0 / np.sqrt(2.0)
+
+
+def translation_operator(length):
+    """The one-site cyclic shift T, T|i> = |_shift(L)[i]>, as a dense
+    d x d matrix."""
+    d = 2 ** length
+    t = np.zeros((d, d), dtype=complex)
+    t[floquet._shift(length), np.arange(d)] = 1.0
+    return t
 
 
 def blocks(sides):
@@ -128,7 +138,7 @@ def test_mirrored_block_matches_direct_block(length, mode, kind):
     assert bare.right is None and bare.left is None and bare.defective is None
     direct = decompose(s, kind=kind, vectors=False).eigenvalues
     assert multiset_distance(bare.eigenvalues, direct) < 1e-12
-    assert np.array_equal(bare.clusters, _clusters(bare.eigenvalues)[1])
+    assert bare.clusters is None
 
 
 def test_mirror_of_rectangular_momentum_blocks():
@@ -181,17 +191,25 @@ def test_block_maps_match_stepper_at_length_6():
 EIGENVALUES_ONLY_TOL = 1e-12
 
 
-@pytest.mark.parametrize("mode", ["numeric", "independent", "collective"])
-def test_eigenvalues_only_blocks_match_full_blocks_at_length_6(mode):
-    # sweep's and spectrum's point h = 0, eta = pi/20, both ways, on the
-    # (k, P) blocks of _field_setup
-    cfg = ExperimentConfig(length=6, dissipator_mode=mode)
-    proto, sides, kicks, evolved = _field_setup(cfg, 0.0, 6)
-    builds = {"generator": _generator_blocks(proto, sides),
-              "map": _kick(proto, sides, kicks, evolved, np.pi / 20)}
-    for kind, build in builds.items():
-        full = _block_spectra(sides, build, kind)
-        bare = _block_spectra(sides, build, kind, vectors=False)
+def assert_classes_match_direct_blocks(length, mode, h, eta):
+    """Every block's spectrum, as _block_spectra reports it without vectors
+    from the runners' set-up, one block per reflection class built, against
+    that block built from its own sides and decomposed with vectors: the
+    same multiset within EIGENVALUES_ONLY_TOL * cond, for the generator and
+    the map. Returns the two lists of map spectra."""
+    cfg = ExperimentConfig(length=length, dissipator_mode=mode)
+    proto, sides, kicks, evolved = _field_setup(cfg, h, length)
+    partner = experiments._sectors(length).partner
+    at_eta = replace(proto, error=eta)
+    builds = {
+        "generator": (_generator_blocks(proto, sides), proto.model.matrix),
+        "map": (_kick(proto, sides, kicks, evolved, eta),
+                lambda block: floquet_propagator(at_eta, block))}
+    for kind, (build, direct) in builds.items():
+        bare = _block_spectra(sides, build, kind, vectors=False,
+                              partner=partner)
+        full = [decompose(direct(block), kind=kind)
+                for block in blocks(sides)]
         for f, b in zip(full, bare, strict=True):
             cond = (np.linalg.norm(f.left, axis=0)
                     * np.linalg.norm(f.right, axis=0))
@@ -199,12 +217,102 @@ def test_eigenvalues_only_blocks_match_full_blocks_at_length_6(mode):
             rows, cols = linear_sum_assignment(cost)
             assert np.all(cost[rows, cols]
                           <= EIGENVALUES_ONLY_TOL * cond[rows]), kind
-    # the last kind is the map: the sweep row's diagnostics
+    return full, bare
+
+
+@pytest.mark.parametrize("mode", ["numeric", "independent", "collective"])
+def test_eigenvalues_only_blocks_match_full_blocks_at_length_6(mode):
+    # sweep's and spectrum's point h = 0, eta = pi/20, both ways, on the
+    # (k, P) blocks of _field_setup: 46 of the 78 blocks a <= b are built
+    cfg = ExperimentConfig(length=6, dissipator_mode=mode)
+    full, bare = assert_classes_match_direct_blocks(6, mode, 0.0, np.pi / 20)
+    # the sweep row's diagnostics
     want = find_star(*full, order=cfg.order, period=cfg.period)
     got = find_star(*bare, order=cfg.order, period=cfg.period)
     assert abs(got.star_eigenvalue - want.star_eigenvalue) < 1e-12
     assert abs(got.floquet_gap - want.floquet_gap) < 1e-12
     assert abs(got.tc_distance - want.tc_distance) < 1e-12
+
+
+@pytest.mark.parametrize("h, eta", [(0.5, np.pi / 20), (0.9, np.pi / 40)])
+@pytest.mark.parametrize("mode", ["numeric", "independent", "collective"])
+@pytest.mark.parametrize("length", [2, 4])
+def test_reflection_classes_match_each_block_built_directly(length, mode, h,
+                                                            eta):
+    assert_classes_match_direct_blocks(length, mode, h, eta)
+
+
+def test_reflection_images_are_the_partner_sides():
+    # R V_a = V_{partner[a]} Q_a with Q_a monomial: each column of R V_a
+    # is one column of the partner side times a phase
+    for length in (2, 4, 6, 8):
+        labels, sides, partner = experiments._sectors(length)
+        rev = floquet._reversal(length)
+        assert [labels[partner[a]] for a in range(len(labels))] == [
+            (-k % length, p) for k, p in labels]
+        for v, w in zip(sides, (sides[b] for b in partner)):
+            q = w.conj().T @ v[rev]
+            assert np.max(np.abs(w @ q - v[rev])) < 1e-12
+            assert np.array_equal(np.count_nonzero(np.abs(q) > 1e-12, 0),
+                                  np.ones(v.shape[1]))
+            assert np.allclose(np.abs(q).max(0), 1.0)
+        assert not any(v.flags.writeable for v in sides)
+    # the built blocks: one per class, 24 of 36, 46 of 78 and 76 of 136
+    for length, count, total in ((4, 24, 36), (6, 46, 78), (8, 76, 136)):
+        sides, partner = experiments._sectors(length)[1:]
+        assert sum(map(len, experiments._shapes(sides, partner))) == count
+        assert sum(map(len, experiments._shapes(sides))) == total
+
+
+def chiral_model(length, part):
+    """A LindbladModel that keeps T and P but not R: the chiral term
+    C = sum_r (X_r Y_{r+1} - Y_r X_{r+1}), which R maps to -C, as its
+    Hamiltonian, or its one jump C + M_z next to an R-invariant Ising
+    Hamiltonian."""
+    bonds = [(r, (r + 1) % length) for r in range(length)]
+    chiral = sum(site_operator("X", r, length) @ site_operator("Y", s, length)
+                 - site_operator("Y", r, length) @ site_operator("X", s, length)
+                 for r, s in bonds)
+    ising = sum(site_operator("Z", r, length) @ site_operator("Z", s, length)
+                for r, s in bonds)
+    mz = magnetization("Z", length)
+    if part == "hamiltonian":
+        return LindbladModel(hamiltonian=chiral, jumps=((mz, 0.1),))
+    return LindbladModel(hamiltonian=ising, jumps=((chiral + mz, 0.1),))
+
+
+@pytest.mark.parametrize("part", ["hamiltonian", "jump"])
+@pytest.mark.parametrize("length", [4, 6])
+def test_dense_set_up_refuses_a_model_that_breaks_reflection(
+        monkeypatch, length, part):
+    model = chiral_model(length, part)
+    sides = experiments._sectors(length).sides
+    # it keeps every (k, P) side, so no leak check of _restrict sees it
+    for f in (model.hamiltonian, model.jumps[0].operator):
+        for v in sides:
+            lindblad._restrict(f, v)
+    cfg = ExperimentConfig(length=length, h_grid=(0.5,))
+
+    def protocol(cfg, h, eta, length):
+        return None, KickedProtocol(model=model, period=cfg.period,
+                                    kick_generator=z_signs(length).sum(0) / 2,
+                                    error=eta)
+
+    monkeypatch.setattr(experiments, "_protocol", protocol)
+    with pytest.raises(ValueError, match="reflection R"):
+        _field_setup(cfg, 0.5, length)
+    table = experiments.run_sweep(cfg)
+    assert table.metadata["failures"] == len(cfg.eta_grid)
+    assert all("reflection R" in s for s in table.column("status"))
+
+
+@pytest.mark.parametrize("mode", ["numeric", "independent", "collective"])
+@pytest.mark.parametrize("length", [2, 4, 6, 8])
+def test_xy_protocols_pass_the_reflection_guard(length, mode):
+    cfg = ExperimentConfig(length=length, dissipator_mode=mode)
+    for h in (0.0, 0.9):
+        experiments._check_reflection(
+            _protocol(cfg, h, 0.0, length)[1].model, length)
 
 
 @pytest.mark.parametrize("h", [0.0, 0.5])
@@ -226,7 +334,8 @@ def test_momentum_parity_blocks_match_parity_blocks(length, mode, h):
                 lambda block: floquet_propagator(at_eta, block))}
     for kind, (build, direct) in builds.items():
         want = _block_spectra(parity, stacked(parity, direct), kind)
-        got = _block_spectra(sides, build, kind, vectors=False)
+        got = _block_spectra(sides, build, kind, vectors=False,
+                             partner=experiments._sectors(length).partner)
         assert [sd.size for sd in got] == [
             rows.shape[1] * cols.shape[1] for rows, cols in blocks(sides)]
         w = np.concatenate([sd.eigenvalues for sd in want])

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from opentc import floquet
+from opentc import floquet, spectral
 from opentc.experiments import (ExperimentConfig, _field_setup, _kick,
-                                _protocol, _shapes)
+                                _protocol, _sectors, _shapes)
 from opentc.floquet import floquet_propagator
 from opentc.lindblad import (HERMITICITY_TOL, JumpChannel, LindbladModel,
                              liouvillian_matrix)
@@ -441,13 +441,14 @@ def test_hermitian_basis_is_unitary_and_hermitian():
 
 def assert_eigenvalues_only_matches(s, kind):
     """decompose(s, vectors=False) against decompose(s): the same
-    eigenvalues within 1e-12, in the same order, with the same clusters."""
+    eigenvalues within 1e-12, in the same order, and no vectors or
+    cluster labels."""
     full = decompose(s, kind=kind)
     bare = decompose(s, kind=kind, vectors=False)
     assert bare.right is None and bare.left is None
-    assert bare.defective is None and bare.kind == kind
+    assert bare.defective is None and bare.clusters is None
+    assert bare.kind == kind
     assert np.max(np.abs(bare.eigenvalues - full.eigenvalues)) < 1e-12
-    assert np.array_equal(bare.clusters, full.clusters)
 
 
 @pytest.fixture
@@ -518,11 +519,11 @@ def test_eigenvalues_only_takes_the_real_path_on_diagonal_blocks(
 def test_stack_decomposes_as_each_matrix_alone(eigvals_inputs):
     # the default L = 4 map's (k, P) blocks of 4 x 4 matrices mix diagonal
     # blocks, which have a real form, with off-diagonal ones: one stack
-    # splits into each block's own eigenvalues and clusters, bit for bit
+    # splits into each block's own eigenvalues, bit for bit
     cfg = ExperimentConfig()
     setup = _field_setup(cfg, 0.5, 4)
     sides = setup[1]
-    pairs = next(p for p in _shapes(sides)
+    pairs = next(p for p in _shapes(sides, _sectors(4).partner)
                  if len({a == b for a, b in p}) == 2)
     stack = _kick(*setup, np.pi / 20)(pairs)
     sd = decompose(stack, kind="map", vectors=False)
@@ -534,19 +535,40 @@ def test_stack_decomposes_as_each_matrix_alone(eigvals_inputs):
     for s, part, m in zip(stack, parts, mirrored, strict=True):
         alone = decompose(s, kind="map", vectors=False)
         assert np.array_equal(part.eigenvalues, alone.eigenvalues)
-        assert np.array_equal(part.clusters, alone.clusters)
-        alone = mirror(alone, None)
-        assert np.array_equal(m.eigenvalues, alone.eigenvalues)
-        assert np.array_equal(m.clusters, alone.clusters)
+        assert np.array_equal(m.eigenvalues, mirror(alone, None).eigenvalues)
+        assert part.clusters is None and m.clusters is None
 
 
-def test_stack_keeps_the_clusters_of_each_matrix_apart():
+def test_stack_in_parts_gives_the_same_bits(monkeypatch, eigvals_inputs):
+    # a stack larger than STACK_PART_BYTES goes to LAPACK in parts, each
+    # with its own real and complex stacks; the eigenvalues do not change
+    cfg = ExperimentConfig()
+    setup = _field_setup(cfg, 0.5, 4)
+    pairs = next(p for p in _shapes(setup[1], _sectors(4).partner)
+                 if len({a == b for a, b in p}) == 2)
+    stack = np.concatenate([_kick(*setup, eta)(pairs)
+                            for eta in (0.0, np.pi / 40, np.pi / 20)])
+    whole = decompose(stack, kind="map", vectors=False).eigenvalues
+    assert len(eigvals_inputs) == 2
+    monkeypatch.setattr(spectral, "STACK_PART_BYTES", 5 * stack[0].nbytes)
+    eigvals_inputs.clear()
+    parts = decompose(stack, kind="map", vectors=False).eigenvalues
+    assert len(eigvals_inputs) > 2 * (len(stack) // 5)
+    assert np.array_equal(parts, whole)
+    assert decompose(stack[:0], kind="map", vectors=False).size == 0
+
+
+def test_stack_lists_each_matrix_in_decompose_order():
     s = np.diag([0.5, 1.0, 0.5 + 1e-12])
-    sd = decompose(np.stack([s, s]), kind="map", vectors=False)
-    assert np.array_equal(sd.eigenvalues, [1.0, 0.5 + 1e-12, 0.5] * 2)
-    assert np.array_equal(sd.clusters, [0, 1, 1, 2, 3, 3])
-    for part in split(sd, 2):
-        assert np.array_equal(part.clusters, [0, 1, 1])
+    sd = decompose(np.stack([s, 1j * s]), kind="map", vectors=False)
+    assert np.array_equal(sd.eigenvalues,
+                          [1.0, 0.5 + 1e-12, 0.5, 1j, 0.5j + 1e-12j, 0.5j])
+    first, second = split(sd, 2)
+    assert np.array_equal(first.eigenvalues, [1.0, 0.5 + 1e-12, 0.5])
+    assert np.array_equal(second.eigenvalues, [1j, 0.5j + 1e-12j, 0.5j])
+    # the mirror of the stack orders each matrix's conjugates
+    assert np.array_equal(mirror(sd, None, 2).eigenvalues,
+                          [1.0, 0.5 + 1e-12, 0.5, -0.5j, -0.5j - 1e-12j, -1j])
     with pytest.raises(ValueError, match="without vectors"):
         decompose(np.stack([s, s]), kind="map")
     with pytest.raises(ValueError, match="without vectors"):
