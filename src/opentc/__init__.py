@@ -14,7 +14,7 @@ from .models import (bell_basis, dephasing_model, dephasing_perp_field_spectrum,
                      expected_ham_conserved, expected_jump_conserved,
                      suppression_by_hamiltonian_model,
                      suppression_by_jump_model)
-from .operators import (devectorize, hs_inner, kron, magnetization,
+from .operators import (Sector, devectorize, hs_inner, kron, magnetization,
                         magnetization_per_spin, pauli, sandwich, site_operator,
                         unitary_conjugation, vectorize, z_signs)
 from .spectral import (AsymptoticSubspace, SpectralData, asymptotic_state,

@@ -15,15 +15,14 @@ import numbers
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__, floquet, models, spectral, xy
 from .lindblad import (SECTOR_TOL, LindbladModel, _restrict,
                        liouvillian_matrix, rk4_evolve, trace_distance)
-from .operators import (_serial_blas, devectorize, hs_inner, parity_sides,
-                        pauli, trace_functional, vectorize, z_signs)
+from .operators import (Sector, _reversal, _serial_blas, devectorize,
+                        hs_inner, pauli, trace_functional, vectorize, z_signs)
 from .spectral import SpectralData
 
 MAX_LENGTH = 10
@@ -228,30 +227,24 @@ def _protocol(cfg: ExperimentConfig, h: float, eta: float, length: int):
         kick_generator=z_signs(length).sum(0) / 2, error=eta)
 
 
-class _Sectors(NamedTuple):
-    """The (k, P) sides of the dense runners at one length (_sectors)."""
+def _sectors(length: int) -> tuple:
+    """The (k, P) Sectors of the dense runners: k = 0..L-1, P = +1 before
+    P = -1, an empty one (k = 1, P = +1 at L = 2) left out."""
+    sectors = (Sector(length, k=k, parity=p)
+               for k in range(length) for p in (1, -1))
+    return tuple(s for s in sectors if s.isometry.shape[1])
 
-    labels: tuple       # (k, P) of each side
-    sides: tuple        # the isometries, read-only
-    partner: tuple      # partner[a]: the side that R maps side a onto
 
-
-@functools.cache
-def _sectors(length: int) -> _Sectors:
-    """floquet.momentum_parity_sectors(L) and its R-partner table, built
-    once per length.
+def _partner(length: int) -> tuple:
+    """partner[a]: the side of _sectors(L) that R maps side a onto.
 
     R maps site r to L - 1 - r. It sends the orbit sum of V_k over the
     orbit of s to that of V_{-k} over the reversed orbit, times a phase,
     so R V_a = V_{partner[a]} Q_a with Q_a monomial: side (k, P) goes to
     ((-k) mod L, P).
     """
-    sectors = floquet.momentum_parity_sectors(length)
-    for v in sectors.values():
-        v.flags.writeable = False       # cached, so shared
-    labels = tuple(sectors)
-    return _Sectors(labels, tuple(sectors.values()),
-                    tuple(labels.index((-k % length, p)) for k, p in labels))
+    sectors = _sectors(length)
+    return tuple(sectors.index(replace(s, k=-s.k % length)) for s in sectors)
 
 
 def _classes(sides: tuple, partner: tuple | None = None) -> tuple:
@@ -260,7 +253,7 @@ def _classes(sides: tuple, partner: tuple | None = None) -> tuple:
 
     The class of block (x, y) is {(x, y), (Rx, Ry), (y, x), (Ry, Rx)},
     with Rx = partner[x]; partner None is Rx = x. Block (Rx, Ry) is block
-    (x, y) after the change of basis Q_x r Q_y^dag (_sectors), so it has
+    (x, y) after the change of basis Q_x r Q_y^dag (_partner), so it has
     the same spectrum; (y, x) and (Ry, Rx) have the conjugate one
     (spectral.mirror). Only the first member of each class in row-major
     order is built; it has x <= y. groups: the built blocks grouped by the
@@ -305,7 +298,7 @@ def _block_spectra(sides: tuple, build, kind: str = "map",
     a <= b are built. With vectors each is decomposed alone.
     vectors=False computes eigenvalues only, for callers that read no
     eigenvector, in one decompose call per group. Given the sides' R
-    `partner` table as well (_sectors), it builds and decomposes one block
+    `partner` table as well (_partner), it builds and decomposes one block
     per reflection class (_classes) only, and lists each R image with its
     class's eigenvalues.
     """
@@ -320,14 +313,15 @@ def _block_spectra(sides: tuple, build, kind: str = "map",
             built.update((p, (spectral.decompose(s, kind=kind), None))
                          for p, s in zip(pairs, stack))
         else:
-            built.update(zip(pairs, _with_mirrors(spectral.decompose(
-                stack, kind=kind, vectors=False), len(pairs))))
+            built.update(zip(pairs, _with_mirrors(stack, kind)))
     return _assemble(sides, built, sources)
 
 
-def _with_mirrors(sd: SpectralData, count: int) -> zip:
-    """(spectrum, mirror) of each matrix of a stack of `count`, from the
-    stack's eigenvalues-only spectrum sd."""
+def _with_mirrors(stack: np.ndarray, kind: str) -> zip:
+    """(spectrum, mirror) of each matrix of a stack, eigenvalues only, from
+    one decompose call."""
+    sd = spectral.decompose(stack, kind=kind, vectors=False)
+    count = len(stack)
     return zip(spectral.split(sd, count),
                spectral.split(spectral.mirror(sd, None, count), count))
 
@@ -382,7 +376,7 @@ def _check_reflection(model, length: int) -> None:
     NumericGenerator's D derives from H and M_z, and M_z and the kick are
     R-invariant by construction.
     """
-    rev = floquet._reversal(length)
+    rev = _reversal(length)
     for f in (model.hamiltonian,
               *(j.operator for j in getattr(model, "jumps", ()))):
         leak = np.abs(f - f[np.ix_(rev, rev)]).max(initial=0.0)
@@ -393,30 +387,37 @@ def _check_reflection(model, length: int) -> None:
                              f"* max(1, max|f|) = {bound:.2e})")
 
 
-def _field_setup(cfg: ExperimentConfig, h: float, length: int) -> tuple:
+def _field_setup(cfg: ExperimentConfig, h: float, length: int,
+                 generator: dict | None = None) -> tuple:
     """(protocol, sides, kicks, evolved) at field h, for _kick.
 
-    The protocol at field h, the (k, P) sides of _sectors(L), and for each
-    _shapes group of the blocks that _block_spectra builds with their
-    partner table, one per reflection class: the diagonal of the kick's
-    commutator [M_z / 2, .] on each block (`kicks`, see floquet.kicked),
-    from M_z / 2 restricted once per side, and each block's exp(L T)
-    (`evolved`), the group exponentiated as one stack. Neither depends on
-    the kick error, so one set-up serves every eta. The classes rest on the
-    model commuting with R; _check_reflection raises ValueError where it
-    does not.
+    The protocol at field h, the isometries of the Sectors of _sectors(L),
+    and for each _shapes group of the blocks that _block_spectra builds
+    with their partner table, one per reflection class: the diagonal of
+    the kick's commutator [M_z / 2, .] on each block (`kicks`, see
+    floquet.kicked), from M_z / 2 restricted once per side, and each
+    block's exp(L T) (`evolved`), the group exponentiated as one stack.
+    Neither depends on the kick error, so one set-up serves every eta.
+    Given a dict `generator`, each group's generator stack is also
+    decomposed, eigenvalues only, into it as _block_spectra's table of
+    built blocks, so no generator block is built twice. The classes rest
+    on the model commuting with R; _check_reflection raises ValueError
+    where it does not.
     """
     _, proto = _protocol(cfg, h, 0.0, length)
     _check_reflection(proto.model, length)
-    _, sides, partner = _sectors(length)
+    sides = tuple(s.isometry for s in _sectors(length))
     # M_z / 2 stays diagonal on every side: each column is one orbit's sum
     g = [_restrict(proto.kick_generator, v) for v in sides]
     build = _generator_blocks(proto, sides)
     kicks, evolved = {}, {}
-    for pairs in _shapes(sides, partner):
+    for pairs in _shapes(sides, _partner(length)):
         kicks[pairs] = np.stack([np.subtract.outer(g[a], g[b]).reshape(-1)
                                  for a, b in pairs])
-        evolved[pairs] = floquet.matrix_exp(build(pairs), proto.period)
+        stack = build(pairs)
+        if generator is not None:
+            generator.update(zip(pairs, _with_mirrors(stack, "generator")))
+        evolved[pairs] = floquet.matrix_exp(stack, proto.period)
     return proto, sides, kicks, evolved
 
 
@@ -446,11 +447,11 @@ def _trace_mx(cfg: ExperimentConfig, length: int, n_periods: int) -> list:
 
     Both initial states are invariant under the translation and the
     reflection of the chain, so the stepper evolves their k = 0, R = +1
-    block r = v^dag rho v only, v = reflection_even_sector(L), and
+    block r = v^dag rho v only, v the isometry of that Sector, and
     m_x = tr(v^dag M_x v r) / L.
     """
     params, proto = _protocol(cfg, cfg.h, cfg.eta, length)
-    v = floquet.reflection_even_sector(length)
+    v = Sector(length, k=0, reflection=1).isometry
     psi = v.conj().T @ _initial_state(cfg, params)
     # X_r |i> = |i ^ (1 << r)>, so row i of X_r v is row i ^ (1 << r) of v
     i = np.arange(2 ** length)
@@ -507,15 +508,13 @@ def _sweep_row(cfg: ExperimentConfig, h: float, length: int) -> list:
                     except Exception as exc:   # flags its own point
                         errors[k] = exc
             if done:
-                spectra = list(_with_mirrors(spectral.decompose(
-                    stack[:len(done) * m], "map", vectors=False),
-                    len(done) * m))
+                spectra = list(_with_mirrors(stack[:len(done) * m], "map"))
                 for j, k in enumerate(done):
                     built[k].update(zip(pairs, spectra[j * m:(j + 1) * m]))
     except Exception as exc:   # row failures flagged, run continues
         return [_failed_point(h, eta, exc) for eta in etas]
     sides = setup[1]
-    sources = _classes(sides, _sectors(length).partner)[1]
+    sources = _classes(sides, _partner(length))[1]
     rows = []
     for eta, error, spectra in zip(etas, errors, built):
         if error is not None:
@@ -596,7 +595,7 @@ def run_disorder(cfg: ExperimentConfig) -> ResultTable:
         # the star is searched on eigenvalues; only its block is
         # decomposed with the vectors that its refinement and
         # susceptibility read, from its stack as kicked for the search
-        partner = _sectors(cfg.length).partner
+        partner = _partner(cfg.length)
         build = functools.cache(_kick(*setup, cfg.eta))
         star = floquet.find_star(
             *_block_spectra(sides, build, vectors=False, partner=partner),
@@ -626,27 +625,28 @@ def run_disorder(cfg: ExperimentConfig) -> ResultTable:
 def run_spectrum(cfg: ExperimentConfig) -> ResultTable:
     """Full generator and Floquet-map spectra at one parameter point.
 
-    Each is the union of its (k, P) blocks; `sector` names the block as
-    the (k, P) of the rows and of the columns of rho, e.g. "0+/1-", and
-    `index` counts within it. Only one block of each reflection class is
-    decomposed (_classes): a block that R maps onto another lists that
-    one's eigenvalues, which are its own up to rounding.
+    Each is the union of its (k, P) blocks; `sector` names the block by
+    the labels of the Sectors of the rows and of the columns of rho, e.g.
+    "0+/1-", and `index` counts within it. Only one block of each
+    reflection class is decomposed (_classes): a block that R maps onto
+    another lists that one's eigenvalues, which are its own up to
+    rounding. Each generator block is built once, in _field_setup.
     """
     _require_matrix_path(cfg, "spectrum")
-    sectors = _sectors(cfg.length)
+    partner = _partner(cfg.length)
+    built = {}
     with _serial_blas():
-        setup = _field_setup(cfg, cfg.h, cfg.length)
-        proto, sides = setup[:2]
-        generator = _block_spectra(sides, _generator_blocks(proto, sides),
-                                   "generator", vectors=False,
-                                   partner=sectors.partner)
+        setup = _field_setup(cfg, cfg.h, cfg.length, built)
+        sides = setup[1]
+        generator = _assemble(sides, built, _classes(sides, partner)[1])
         maps = _block_spectra(sides, _kick(*setup, cfg.eta), vectors=False,
-                              partner=sectors.partner)
+                              partner=partner)
     table = ResultTable(
         columns=["kind", "sector", "index", "re", "im", "peripheral"],
         metadata=_metadata(cfg, "spectrum"))
     # in the order of _block_spectra, over the sides of _field_setup
-    labels = [f"{k}{'+' if p > 0 else '-'}" for k, p in sectors.labels]
+    labels = [f"{s.k}{'+' if s.parity > 0 else '-'}"
+              for s in _sectors(cfg.length)]
     names = [f"{rows}/{cols}" for rows in labels for cols in labels]
     for kind, spectra in (("generator", generator), ("map", maps)):
         for name, sd in zip(names, spectra, strict=True):
@@ -697,10 +697,10 @@ def _conserved_err(model: LindbladModel, expected: list) -> float:
 
 def _sector_err(params: xy.XYParams, ham: np.ndarray) -> float:
     """Exact parity-sector spectra of ham against the free-fermion oracle."""
-    return max(_max_err(np.sort(np.linalg.eigvalsh(_restrict(ham, v))),
-                        xy.free_fermion_sector_energies(params, sector))
-               for sector, v in zip(("even", "odd"),
-                                    parity_sides(params.length)))
+    return max(_max_err(np.sort(np.linalg.eigvalsh(_restrict(
+        ham, Sector(params.length, parity=p).isometry))),
+        xy.free_fermion_sector_energies(params, sector))
+        for sector, p in (("even", 1), ("odd", -1)))
 
 
 def _dephasing_spectrum_checks() -> list:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -13,14 +12,16 @@ import scipy.sparse.linalg
 
 from .lindblad import (HERMITICITY_TOL, TRACE_TOL, Generator, _sector_part,
                        _Terms, check_state)
-from .operators import (UNITARITY_TOL, _serial_blas, devectorize, hermitize,
-                        is_unitary, trace_functional, vectorize, z_signs)
+from .operators import (UNITARITY_TOL, _serial_blas, _shift, devectorize,
+                        hermitize, is_unitary, trace_functional, vectorize,
+                        z_signs)
 from .spectral import SpectralData
 
 PROPAGATOR_TRACE_TOL = 1e-9   # times the dimension d; README "Tolerances"
 ROOT_OF_UNITY_TOL = 1e-6
-# The stepper refuses a period whose bound on ||L T||_1 is larger: the
-# generator applications of expm_multiply grow with it; README "Tolerances"
+# The stepper refuses a period whose bound on ||L T||_1, taken in the
+# evolved block's own basis, is larger: the generator applications of
+# expm_multiply grow with it; README "Tolerances"
 PERIOD_NORM_MAX = 1e5
 
 
@@ -159,8 +160,9 @@ def kicked(p: KickedProtocol, evolved: np.ndarray, block=None,
     are formed here.
 
     The trace functional is a left fixed point of the whole map and of
-    every diagonal block: a residual above PROPAGATOR_TRACE_TOL * d on any
-    of them raises RuntimeError.
+    every diagonal block, a block whose rows and cols are one object (as
+    the one isometry of a Sector): a residual above PROPAGATOR_TRACE_TOL *
+    d on any of them raises RuntimeError.
     """
     if generators is None:
         kick = _conjugation(p.kick_unitary).restrict(block)
@@ -169,8 +171,7 @@ def kicked(p: KickedProtocol, evolved: np.ndarray, block=None,
     else:
         prop = _phases(generators, p.error)[:, :, None] * evolved
         blocks = block
-    diagonal = [k for k, b in enumerate(blocks)
-                if b is None or b[0] is b[1] or np.array_equal(*b)]
+    diagonal = [k for k, b in enumerate(blocks) if b is None or b[0] is b[1]]
     if diagonal:
         d = int(round(np.sqrt(prop.shape[-1])))
         # <<1| x sums the d rows of the diagonal entries: no BLAS call
@@ -372,102 +373,6 @@ def check_observation6(map_sd: SpectralData, u_kick: np.ndarray,
                               kick_block_preserving=cond2,
                               kick_subharmonic=on_roots and nontrivial,
                               kick_asymptotic_eigenvalues=uvals)
-
-
-def _shift(length: int) -> np.ndarray:
-    """The basis index of T|i> for every basis index i."""
-    i = np.arange(2 ** length)
-    return (i >> 1) | ((i & 1) << (length - 1))
-
-
-def _orbits(length: int) -> tuple:
-    """(rep, offset, period) of every basis index i under the cyclic shift.
-
-    rep[i] is the smallest basis index of the orbit of i, T^offset[i] |rep>
-    = |i>, and period[i] the number of states in the orbit.
-    """
-    d = 2 ** length
-    shift = _shift(length)
-    orbit = [np.arange(d)]                  # orbit[j][i]: index of T^j |i>
-    for _ in range(length - 1):
-        orbit.append(shift[orbit[-1]])
-    orbit = np.array(orbit)
-    period = length // np.sum(orbit == orbit[0], axis=0)
-    rep = orbit.min(axis=0)
-    offset = np.argmax(orbit[:, rep] == orbit[0], axis=0)  # T^offset rep = i
-    return rep, offset, period
-
-
-def momentum_sectors(length: int) -> tuple:
-    """The eigenspaces of T as isometries V_k, T V_k = e^(2 pi i k / L) V_k.
-
-    One V_k for each k = 0..L-1. Each column is the Fourier sum over one
-    orbit of the cyclic shift, sum_j e^(-2 pi i k j / L) T^j |s> / sqrt(p)
-    over the orbit's p states, |s> its smallest basis state; an orbit has a
-    column in V_k when k p is a multiple of L. Columns are ordered by s.
-    """
-    d = 2 ** length
-    rep, offset, period = _orbits(length)
-    sectors = []
-    for k in range(length):
-        keep = (k * period) % length == 0
-        _, col = np.unique(rep[keep], return_inverse=True)
-        v = np.zeros((d, col.max() + 1), dtype=complex)
-        v[keep, col] = (np.exp(-2j * np.pi * k * offset[keep] / length)
-                        / np.sqrt(period[keep]))
-        sectors.append(v)
-    return tuple(sectors)
-
-
-def momentum_parity_sectors(length: int) -> dict:
-    """The joint eigenspaces of T and the parity P = prod_r Z_r.
-
-    Maps (k, p), p = +1 or -1, to the columns of momentum_sectors(L)[k]
-    whose orbit has parity p: every state of an orbit has the same number
-    of down spins, so each column lies in one parity sector. Ordered by k,
-    then p = +1 before p = -1; an empty sector (k = 1, p = +1 at L = 2) is
-    left out.
-    """
-    parity = z_signs(length).prod(0)
-    out = {}
-    for k, v in enumerate(momentum_sectors(length)):
-        # the parity of each column's first basis state
-        col = parity[np.argmax(v != 0, axis=0)]
-        for p in (1, -1):
-            if np.any(col == p):
-                out[k, p] = v[:, col == p]
-    return out
-
-
-@functools.cache
-def _reversal(length: int) -> np.ndarray:
-    """The basis index of R|i> for every basis index i: R maps site r to
-    L - 1 - r, so i to its bit reversal. Cached, so read-only."""
-    i = np.arange(2 ** length)
-    rev = sum(((i >> r) & 1) << (length - 1 - r) for r in range(length))
-    rev.flags.writeable = False
-    return rev
-
-
-def reflection_even_sector(length: int) -> np.ndarray:
-    """The isometry onto k = 0, R = +1: fixed by T and by the reflection R.
-
-    R maps site r to L - 1 - r, so a basis index to its bit reversal, and
-    the k = 0 orbit sum |s> of momentum_sectors to the orbit sum of rev(s)
-    with phase +1. The columns are |s> for an orbit that R maps to itself
-    and (|s> + |rev s>) / sqrt(2) for a pair of orbits: an even
-    superposition of the one or two orbits' basis states, ordered by their
-    smallest. There is one column per binary bracelet of length L.
-    """
-    d = 2 ** length
-    rep, _, period = _orbits(length)
-    i = np.arange(d)
-    rev = _reversal(length)
-    pair = np.minimum(rep, rep[rev])
-    _, col = np.unique(pair, return_inverse=True)
-    v = np.zeros((d, col.max() + 1), dtype=complex)
-    v[i, col] = 1.0 / np.sqrt(period * np.where(rep == rep[rev], 1, 2))
-    return v
 
 
 def translation_refine(sd: SpectralData, length: int, mu: int,

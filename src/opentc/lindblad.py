@@ -228,9 +228,10 @@ class _SectorGenerator:
     A generator supplies _parts(v): K and the factors (A_k) and (B_k) on
     one side, the isometry v (None is the whole space), built from its own
     factors restricted by _restrict. Each side is built once per isometry
-    object; a block (rows, cols) is the pairs (K on rows, 1),
-    (1, K^dag on cols) and (A_k on rows, B_k on cols), and the last block's
-    are kept by identity, so a caller passing one block assembles it once.
+    object, so once per operators.Sector, whose equal values share one; a
+    block (rows, cols) is the pairs (K on rows, 1), (1, K^dag on cols) and
+    (A_k on rows, B_k on cols), and the last block's are kept by identity,
+    so a caller passing one block assembles it once.
     """
 
     def _side(self, v) -> tuple:

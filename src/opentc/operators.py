@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -200,20 +202,103 @@ def z_signs(length: int) -> np.ndarray:
     return 1.0 - 2.0 * bits
 
 
-def parity_sides(length: int) -> tuple:
-    """The identity columns of P = prod_r Z_r = +1 and of P = -1, in that
-    order: isometries onto the two parity sectors.
+@dataclass(frozen=True)
+class Sector:
+    """A symmetry sector of the chain of `length` qubits, by its labels.
 
-    Each is built by placing its ones, so no d x d identity is formed.
+    k: the momentum, T = e^(2 pi i k / L) with T the cyclic shift by one
+    site (_shift); parity: P = prod_r Z_r = +1 or -1; reflection: R = +1,
+    with R the bit reversal of the basis index (_reversal), built for k = 0
+    only. An unset label puts no condition. Other labels raise ValueError.
+    `isometry` is the d x n matrix of the sector's orthonormal basis.
     """
-    parity = z_signs(length).prod(0)
-    sides = []
-    for sign in (1.0, -1.0):
-        rows = np.flatnonzero(parity == sign)
-        v = np.zeros((parity.size, rows.size), dtype=complex)
-        v[rows, np.arange(rows.size)] = 1.0
-        sides.append(v)
-    return tuple(sides)
+
+    length: int
+    k: int | None = None
+    parity: int | None = None
+    reflection: int | None = None
+
+    def __post_init__(self):
+        if (self.length < 1
+                or (self.k is not None and self.k not in range(self.length))
+                or self.parity not in (None, 1, -1)
+                or self.reflection not in (None, 1)
+                or (self.reflection is not None and self.k != 0)):
+            raise ValueError(f"no such sector: {self}; reflection is "
+                             f"built for R = +1 at k = 0 only")
+
+    @property
+    def isometry(self) -> np.ndarray:
+        """Built once per value and read-only: equal sectors share it."""
+        return _isometry(self)
+
+
+@functools.cache
+def _isometry(sector: Sector) -> np.ndarray:
+    """Sector.isometry: one column per group of basis states, ordered by
+    its smallest index.
+
+    A group is a single state with k unset; with k, an orbit of T whose p
+    states satisfy k p = 0 (mod L), with entries e^(-2 pi i k j / L) /
+    sqrt(p) on T^j |s>, |s> its smallest state; with R = +1, an orbit
+    together with its reversed orbit, with entries 1 / sqrt(p) or
+    1 / sqrt(2 p) when the two differ. A parity keeps its states only. No
+    d x d array is formed; an empty sector has no columns.
+    """
+    length, k = sector.length, sector.k
+    d = 2 ** length
+    if k is None:
+        group, amp, keep = np.arange(d), np.ones(d), np.ones(d, dtype=bool)
+    else:
+        group, offset, period = _orbits(length)
+        keep = (k * period) % length == 0
+        if sector.reflection is None:
+            amp = np.exp(-2j * np.pi * k * offset / length) / np.sqrt(period)
+        else:
+            mirror = group[_reversal(length)]
+            amp = 1.0 / np.sqrt(period * np.where(group == mirror, 1, 2))
+            group = np.minimum(group, mirror)
+    if sector.parity is not None:
+        keep &= z_signs(length).prod(0) == sector.parity
+    firsts, col = np.unique(group[keep], return_inverse=True)
+    v = np.zeros((d, firsts.size), dtype=complex)
+    v[keep, col] = amp[keep]
+    v.flags.writeable = False
+    return v
+
+
+def _shift(length: int) -> np.ndarray:
+    """The basis index of T|i> for every basis index i."""
+    i = np.arange(2 ** length)
+    return (i >> 1) | ((i & 1) << (length - 1))
+
+
+def _orbits(length: int) -> tuple:
+    """(rep, offset, period) of every basis index i under the cyclic shift.
+
+    rep[i] is the smallest basis index of the orbit of i, T^offset[i] |rep>
+    = |i>, and period[i] the number of states in the orbit.
+    """
+    d = 2 ** length
+    shift = _shift(length)
+    orbit = [np.arange(d)]                  # orbit[j][i]: index of T^j |i>
+    for _ in range(length - 1):
+        orbit.append(shift[orbit[-1]])
+    orbit = np.array(orbit)
+    period = length // np.sum(orbit == orbit[0], axis=0)
+    rep = orbit.min(axis=0)
+    offset = np.argmax(orbit[:, rep] == orbit[0], axis=0)  # T^offset rep = i
+    return rep, offset, period
+
+
+@functools.cache
+def _reversal(length: int) -> np.ndarray:
+    """The basis index of R|i> for every basis index i: R maps site r to
+    L - 1 - r, so i to its bit reversal. Cached, so read-only."""
+    i = np.arange(2 ** length)
+    rev = sum(((i >> r) & 1) << (length - 1 - r) for r in range(length))
+    rev.flags.writeable = False
+    return rev
 
 
 def magnetization(kind: str, length: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lindblad import JumpChannel, LindbladModel, _restrict, _SectorGenerator
-from .operators import parity_sides, z_signs
+from .operators import Sector, z_signs
 
 BOHR_CLUSTER_TOL = 1e-6       # times |J|; README "Tolerances" has them all
 ENERGY_CLUSTER_TOL = 1e-8     # times max(1, max |E|)
@@ -175,7 +175,8 @@ def ground_state_pair(p: XYParams):
     """
     ham = xy_hamiltonian(p)
     out = []
-    for v in parity_sides(p.length):
+    for parity in (1, -1):
+        v = Sector(p.length, parity=parity).isometry
         evals, vecs = np.linalg.eigh(_restrict(ham, v))
         state = v @ vecs[:, 0]
         k = np.argmax(np.abs(state))

@@ -7,6 +7,7 @@ import pytest
 
 from opentc import cli, experiments, floquet
 from opentc.cli import main
+from opentc.operators import Sector
 
 
 def write_config(tmp_path, **values):
@@ -200,7 +201,7 @@ def test_default_trace_norms_stay_under_the_bound(length):
     # the default config of trace, and of scaling up to L = 10
     cfg = experiments.ExperimentConfig(length=length)
     _, proto = experiments._protocol(cfg, cfg.h, cfg.eta, length)
-    v = floquet.reflection_even_sector(length)
+    v = Sector(length, k=0, reflection=1).isometry
     bound = proto.period * proto.model.norm_bound((v, v))
     assert bound <= floquet.PERIOD_NORM_MAX
 

@@ -15,8 +15,8 @@ import scipy.sparse.linalg
 import opentc
 from opentc import floquet, lindblad, models, operators, spectral, xy
 from opentc.experiments import (ConfigError, ExperimentConfig, ResultTable,
-                                _initial_state, _protocol, _sectors,
-                                _shapes, _sweep_row, load_config,
+                                _initial_state, _partner, _protocol,
+                                _sectors, _shapes, _sweep_row, load_config,
                                 run_disorder, run_scaling, run_spectrum,
                                 run_sweep, run_trace, run_validate)
 from opentc.floquet import floquet_propagator
@@ -225,13 +225,15 @@ def test_default_dense_runners_decompose_momentum_parity_blocks(
     # of the 36 blocks a <= b: one matrix_exp per shape and field, and one
     # decompose per shape and field in sweep, every eta at once (per shape
     # and eta in spectrum, with the generator's), plus the star's block
-    # with vectors in disorder
+    # with vectors in disorder; spectrum decomposes each generator stack
+    # that it exponentiates, so every block is built once
     decomposed = spy(monkeypatch, spectral.decompose)
     exponentiated = spy(monkeypatch, floquet.matrix_exp)
     gen = xy.NumericGenerator
     built = spy(monkeypatch, gen.__init__, gen)
     blocks = spy(monkeypatch, gen.matrix, gen)
-    sides, partner = _sectors(4)[1:]
+    sides = tuple(s.isometry for s in _sectors(4))
+    partner = _partner(4)
     shapes = len(_shapes(sides, partner))
     assert (len(sides), shapes) == (8, 5)
     for run, calls in ((run_sweep, 5 * shapes), (run_spectrum, 2 * shapes),
@@ -251,12 +253,10 @@ def test_default_dense_runners_decompose_momentum_parity_blocks(
                      for k in range(0, len(exponentiated), shapes)]
         assert all(len(set(n)) == shapes for n in per_field), run
         assert len(built) == (5 if run is run_sweep else 1), run
-        # the class representatives only, once per field; spectrum builds
-        # the generator's blocks again for their spectrum
+        # the class representatives only, once per field
         assert sum(len(s) for (s, *_), _ in exponentiated) \
             == 24 * len(built), run
-        assert len(blocks) == 24 * len(built) * (
-            2 if run is run_spectrum else 1), run
+        assert len(blocks) == 24 * len(built), run
     # sweep: each stack holds every eta's kicked blocks of one shape
     decomposed.clear()
     run_sweep(ExperimentConfig())
@@ -308,15 +308,23 @@ def test_default_sweep_restricts_each_side_once_per_field(monkeypatch):
     assert len(restricted) == 5 * 8 * 3
 
 
-def test_dense_runners_build_the_sectors_once_per_length(monkeypatch):
-    # the (k, P) sides and their R-partner table are cached per length:
-    # one build serves every field of a sweep and the runners after it
-    _sectors.cache_clear()
-    built = spy(monkeypatch, floquet.momentum_parity_sectors)
+def test_default_sweep_compares_no_isometries(monkeypatch):
+    # floquet.kicked finds the diagonal blocks of a stack by their rows
+    # and cols being one isometry, not by comparing their entries
+    compared = spy(monkeypatch, np.array_equal, np)
+    run_sweep(ExperimentConfig())
+    assert compared == []
+
+
+def test_dense_runners_build_the_sectors_once_per_length():
+    # each (k, P) Sector's isometry is built once per value: one build
+    # serves every field of a sweep and the runners after it
+    operators._isometry.cache_clear()
     for run in (run_sweep, run_spectrum, run_disorder):
         run(ExperimentConfig())
-    assert len(built) == 1
-    assert _sectors(4) is _sectors(4)
+    assert operators._isometry.cache_info().misses == len(_sectors(4)) == 8
+    assert all(s.isometry is operators.Sector(4, s.k, s.parity).isometry
+               for s in _sectors(4))
 
 
 def test_disorder_restricts_each_commutator_once_per_run(monkeypatch):
@@ -365,7 +373,7 @@ def test_sweep_rows_match_the_map_builder_at_each_point():
     table = run_sweep(cfg)
     points = [(h, eta) for h in cfg.h_grid for eta in cfg.eta_grid]
     assert len(table.rows) == len(points)
-    sides = tuple(floquet.momentum_parity_sectors(cfg.length).values())
+    sides = tuple(s.isometry for s in _sectors(cfg.length))
     for row, (h, eta) in zip(table.rows, points):
         proto = _protocol(cfg, h, eta, cfg.length)[1]
         g = [lindblad._restrict(proto.kick_generator, v) for v in sides]

@@ -16,7 +16,7 @@ from opentc.floquet import (KickedProtocol, _period_operator,
 from opentc.lindblad import (JumpChannel, LindbladModel, liouvillian_matrix,
                              rk4_evolve, trace_distance)
 from opentc.models import bell_basis, dfs_collective_model
-from opentc.operators import (devectorize, magnetization, parity_sides,
+from opentc.operators import (Sector, _shift, devectorize, magnetization,
                               pauli, sandwich, site_operator,
                               unitary_conjugation, vectorize, z_signs)
 from opentc.spectral import decompose
@@ -431,7 +431,7 @@ def translation_operator(length):
     d x d matrix."""
     d = 2 ** length
     t = np.zeros((d, d), dtype=complex)
-    t[floquet._shift(length), np.arange(d)] = 1.0
+    t[_shift(length), np.arange(d)] = 1.0
     return t
 
 
@@ -474,7 +474,7 @@ def test_disorder_susceptibility_of_many_samples_is_each_sample_alone():
     proto = KickedProtocol(model=NumericGenerator(params, BathSpec()),
                            period=10.0, error=0.05,
                            kick_generator=z_signs(length).sum(0) / 2)
-    block = parity_sides(length)
+    block = tuple(Sector(length, parity=p).isometry for p in (1, -1))
     sd = decompose(floquet_propagator(proto, block), kind="map")
     mu = find_star(sd, order=2).index
     sd = translation_refine(sd, length, mu, block)
@@ -612,7 +612,7 @@ def test_translation_refine_matches_the_dense_shift(pair):
                     for r in range(length)))
     proto = KickedProtocol(model=model, period=2.0,
                            kick_generator=z_signs(length).sum(0) / 2)
-    sides = parity_sides(length)
+    sides = tuple(Sector(length, parity=p).isometry for p in (1, -1))
     block = None if pair is None else (sides[pair[0]], sides[pair[1]])
     sd = decompose(floquet_propagator(proto, block), kind="map")
     tsup = floquet._conjugation(translation_operator(length)).restrict(block)

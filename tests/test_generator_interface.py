@@ -12,9 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opentc.floquet import momentum_sectors
 from opentc.lindblad import JumpChannel, LindbladModel, _Terms
-from opentc.operators import devectorize, vectorize
+from opentc.operators import Sector, devectorize, vectorize
 from opentc.xy import BathSpec, NumericGenerator, XYParams, secular_liouvillian
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -259,7 +258,7 @@ def test_restricted_block_matches_full_matrix(name):
 @pytest.mark.parametrize("name", BLOCK_GENERATORS)
 def test_block_methods_match_block_matrix(name):
     gen = GENERATORS[name]()
-    sectors = momentum_sectors(4)
+    sectors = [Sector(4, k=k).isometry for k in range(4)]
     rng = np.random.default_rng(9)
     for rows, cols in ((sectors[0], sectors[1]), (sectors[2], sectors[2])):
         mat = gen.matrix((rows, cols))

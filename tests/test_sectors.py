@@ -1,12 +1,15 @@
-"""Parity and momentum blocks of the Floquet map and of the stepper.
+"""Symmetry sectors of the chain, and the blocks of the Floquet map and of
+the stepper on them.
 
-The XY generators and the M_z kick keep the parity of each side of rho, and
-commute with the translation T and the reflection R, so the dense runners
-build, exponentiate and decompose the map one (k, P) block at a time, as
-stacks of blocks of one shape, and the trace runner steps the k = 0,
-R = +1 block of its state only. Here the blocks are checked against the
-parity blocks and the full map, which is the same builder with no block,
-and the block steppers against the whole-space stepper and each other.
+Every sector is an operators.Sector. The XY generators and the M_z kick
+keep the parity of each side of rho, and commute with the translation T
+and the reflection R, so the dense runners build, exponentiate and
+decompose the map one (k, P) block at a time, as stacks of blocks of one
+shape, and the trace runner steps the k = 0, R = +1 block of its state
+only. Here the Sectors are checked against the symmetries, the blocks
+against the parity blocks and the full map, which is the same builder
+with no block, and the block steppers against the whole-space stepper and
+each other.
 """
 
 import tracemalloc
@@ -21,11 +24,10 @@ from opentc.experiments import (ExperimentConfig, _block_spectra,
                                 _field_setup, _generator_blocks,
                                 _initial_state, _kick, _protocol, _trace_mx)
 from opentc.floquet import (KickedProtocol, find_star, floquet_propagator,
-                            kicked, momentum_sectors, reflection_even_sector,
-                            stroboscopic_evolve)
+                            kicked, stroboscopic_evolve)
 from opentc.lindblad import LindbladModel
-from opentc.operators import (magnetization, parity_sides, pauli,
-                              site_operator, z_signs)
+from opentc.operators import (Sector, _isometry, _reversal, _shift,
+                              magnetization, pauli, site_operator, z_signs)
 from opentc.spectral import _clusters, _order, decompose, mirror
 from opentc.xy import BathSpec, NumericGenerator, XYParams, factorized_states
 
@@ -37,8 +39,23 @@ def translation_operator(length):
     d x d matrix."""
     d = 2 ** length
     t = np.zeros((d, d), dtype=complex)
-    t[floquet._shift(length), np.arange(d)] = 1.0
+    t[_shift(length), np.arange(d)] = 1.0
     return t
+
+
+def parity_sides(length):
+    """The isometries of the P = +1 and P = -1 Sectors."""
+    return tuple(Sector(length, parity=p).isometry for p in (1, -1))
+
+
+def momentum_sides(length):
+    """The isometries of the Sectors k = 0..L-1."""
+    return tuple(Sector(length, k=k).isometry for k in range(length))
+
+
+def runner_sides(length):
+    """The isometries of the dense runners' (k, P) Sectors."""
+    return tuple(s.isometry for s in experiments._sectors(length))
 
 
 def blocks(sides):
@@ -146,7 +163,7 @@ def test_mirror_of_rectangular_momentum_blocks():
     # rectangular and differently shaped
     cfg = ExperimentConfig(length=4)
     _, proto = _protocol(cfg, 0.9, np.pi / 40, 4)
-    sides = momentum_sectors(4)
+    sides = momentum_sides(4)
     n = len(sides)
     spectra = _block_spectra(sides, stacked(
         sides, lambda block: floquet_propagator(proto, block)))
@@ -199,7 +216,7 @@ def assert_classes_match_direct_blocks(length, mode, h, eta):
     the map. Returns the two lists of map spectra."""
     cfg = ExperimentConfig(length=length, dissipator_mode=mode)
     proto, sides, kicks, evolved = _field_setup(cfg, h, length)
-    partner = experiments._sectors(length).partner
+    partner = experiments._partner(length)
     at_eta = replace(proto, error=eta)
     builds = {
         "generator": (_generator_blocks(proto, sides), proto.model.matrix),
@@ -246,10 +263,12 @@ def test_reflection_images_are_the_partner_sides():
     # R V_a = V_{partner[a]} Q_a with Q_a monomial: each column of R V_a
     # is one column of the partner side times a phase
     for length in (2, 4, 6, 8):
-        labels, sides, partner = experiments._sectors(length)
-        rev = floquet._reversal(length)
-        assert [labels[partner[a]] for a in range(len(labels))] == [
-            (-k % length, p) for k, p in labels]
+        sectors = experiments._sectors(length)
+        sides = runner_sides(length)
+        partner = experiments._partner(length)
+        rev = _reversal(length)
+        assert [(sectors[b].k, sectors[b].parity) for b in partner] == [
+            (-s.k % length, s.parity) for s in sectors]
         for v, w in zip(sides, (sides[b] for b in partner)):
             q = w.conj().T @ v[rev]
             assert np.max(np.abs(w @ q - v[rev])) < 1e-12
@@ -259,7 +278,7 @@ def test_reflection_images_are_the_partner_sides():
         assert not any(v.flags.writeable for v in sides)
     # the built blocks: one per class, 24 of 36, 46 of 78 and 76 of 136
     for length, count, total in ((4, 24, 36), (6, 46, 78), (8, 76, 136)):
-        sides, partner = experiments._sectors(length)[1:]
+        sides, partner = runner_sides(length), experiments._partner(length)
         assert sum(map(len, experiments._shapes(sides, partner))) == count
         assert sum(map(len, experiments._shapes(sides))) == total
 
@@ -286,7 +305,7 @@ def chiral_model(length, part):
 def test_dense_set_up_refuses_a_model_that_breaks_reflection(
         monkeypatch, length, part):
     model = chiral_model(length, part)
-    sides = experiments._sectors(length).sides
+    sides = runner_sides(length)
     # it keeps every (k, P) side, so no leak check of _restrict sees it
     for f in (model.hamiltonian, model.jumps[0].operator):
         for v in sides:
@@ -335,7 +354,7 @@ def test_momentum_parity_blocks_match_parity_blocks(length, mode, h):
     for kind, (build, direct) in builds.items():
         want = _block_spectra(parity, stacked(parity, direct), kind)
         got = _block_spectra(sides, build, kind, vectors=False,
-                             partner=experiments._sectors(length).partner)
+                             partner=experiments._partner(length))
         assert [sd.size for sd in got] == [
             rows.shape[1] * cols.shape[1] for rows, cols in blocks(sides)]
         w = np.concatenate([sd.eigenvalues for sd in want])
@@ -363,8 +382,7 @@ def test_disorder_elements_on_a_momentum_block_match_the_parity_block(mode):
     _, proto = _protocol(cfg, 0.5, np.pi / 20, 4)
     deltas = np.random.default_rng(4).normal(size=(3, 4))
     got = []
-    for sides in (tuple(floquet.momentum_parity_sectors(4).values()),
-                  parity_sides(4)):
+    for sides in (runner_sides(4), parity_sides(4)):
         pairs = blocks(sides)
         spectra = [decompose(floquet_propagator(proto, b), kind="map")
                    for b in pairs]
@@ -414,25 +432,19 @@ def test_stacked_kick_checks_every_diagonal_block(diagonal):
 
 @pytest.mark.parametrize("length", range(2, 11, 2))
 def test_momentum_parity_sectors_split_the_momentum_sectors(length):
-    # each V_k split into its columns of P = +1 and of P = -1, in order,
-    # each side a joint eigenspace of T and P; empty sides left out
-    sectors = floquet.momentum_parity_sectors(length)
+    # each k Sector split into its columns of P = +1 and of P = -1, in
+    # order; the runners' _sectors lists the non-empty ones, k then P
+    sectors = experiments._sectors(length)
+    assert [(s.k, s.parity) for s in sectors] == [
+        (k, p) for k in range(length) for p in (1, -1)
+        if Sector(length, k=k, parity=p).isometry.shape[1]]
     parity = z_signs(length).prod(0)
-    t = translation_operator(length)
-    assert list(sectors) == [(k, p) for k in range(length) for p in (1, -1)
-                             if (k, p) in sectors]
-    for k, v in enumerate(momentum_sectors(length)):
-        split = [sectors[k, p] for p in (1, -1) if (k, p) in sectors]
-        assert sum(side.shape[1] for side in split) == v.shape[1]
-        # the same columns, in their order within each side
-        assert {tuple(c) for c in np.hstack(split).T} == {
-            tuple(c) for c in v.T}
-    for (k, p), v in sectors.items():
-        assert v.shape[1] > 0
-        assert np.array_equal(parity[:, None] * v, p * v)
-        assert np.max(np.abs(t @ v - np.exp(2j * np.pi * k / length) * v)) \
-            < 1e-12
-    assert ((1, 1) in sectors) == (length > 2)
+    for k, v in enumerate(momentum_sides(length)):
+        col = parity[np.argmax(v != 0, axis=0)]     # each column's parity
+        for p in (1, -1):
+            assert np.array_equal(Sector(length, k=k, parity=p).isometry,
+                                  v[:, col == p])
+    assert (Sector(length, k=1, parity=1) in sectors) == (length > 2)
 
 
 QUBIT_SIDES = (np.eye(2)[:, :1], np.eye(2)[:, 1:])
@@ -463,7 +475,7 @@ def test_large_coupling_keeps_exact_momentum_sectors(mode):
     params, proto = _protocol(cfg, cfg.h, cfg.eta, 4)
     psi = _initial_state(cfg, params)
     assert_block_evolves_as_whole(proto, np.outer(psi, psi.conj()), 2,
-                                  momentum_sectors(4)[0])
+                                  momentum_sides(4)[0])
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e4])
@@ -493,7 +505,7 @@ def test_find_star_searches_the_union_of_spectra():
 
 @pytest.mark.parametrize("length", range(2, 11))
 def test_momentum_sectors_are_translation_eigenspaces(length):
-    sectors = momentum_sectors(length)
+    sectors = momentum_sides(length)
     assert len(sectors) == length
     basis = np.hstack(sectors)
     assert np.max(np.abs(basis.conj().T @ basis - np.eye(2 ** length))) \
@@ -528,19 +540,92 @@ def test_parity_sides_equal_the_sliced_identity(length):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-def test_parity_sides_form_no_square_array_at_length_12():
+def sector_kinds(length):
+    """One Sector of every kind and label at this length."""
+    yield from (Sector(length, parity=p) for p in (1, -1))
+    for k in range(length):
+        yield Sector(length, k=k)
+        yield from (Sector(length, k=k, parity=p) for p in (1, -1))
+    yield Sector(length, k=0, reflection=1)
+    yield from (Sector(length, k=0, parity=p, reflection=1) for p in (1, -1))
+
+
+@pytest.mark.parametrize("length", range(2, 11))
+def test_every_sector_is_an_orthonormal_symmetry_eigenspace(length):
+    back = np.argsort(_shift(length))       # (T v)[i] = v[back[i]]
+    parity = z_signs(length).prod(0)
+    for s in sector_kinds(length):
+        v = s.isometry
+        assert v.dtype == complex and not v.flags.writeable, s
+        err = np.abs(v.conj().T @ v - np.eye(v.shape[1])).max(initial=0.0)
+        assert err < 1e-12, s
+        if s.k is not None:
+            phase = np.exp(2j * np.pi * s.k / length)
+            assert np.abs(v[back] - phase * v).max(initial=0.0) < 1e-12, s
+        if s.parity is not None:
+            assert np.array_equal(parity[:, None] * v, s.parity * v), s
+        if s.reflection is not None:
+            assert np.abs(v[_reversal(length)] - v).max(initial=0.0) \
+                < 1e-12, s
+
+
+# the number of binary necklaces of length L (OEIS A000031)
+@pytest.mark.parametrize("length, size", [(2, 3), (4, 6), (6, 14), (8, 36),
+                                          (10, 108)])
+def test_momentum_zero_sector_counts_necklaces(length, size):
+    assert Sector(length, k=0).isometry.shape == (2 ** length, size)
+
+
+def test_sectors_form_no_square_array_at_length_12():
     # at L = 12 a (2^L)^2 array of any dtype takes at least 16 MiB (256
-    # MiB for np.eye's complex one); beyond the two sides themselves, no
-    # more than that is ever held at once
+    # MiB for np.eye's complex one); beyond the isometry itself, no more
+    # than that is ever held at once while a Sector of any kind is built
     d = 2 ** 12
-    tracemalloc.start()
-    try:
-        sides = parity_sides(12)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert [v.shape for v in sides] == [(d, d // 2)] * 2
-    assert peak - sum(v.nbytes for v in sides) < d * d
+    shapes = []
+    for sector in (Sector(12, parity=-1), Sector(12, k=5),
+                   Sector(12, k=3, parity=1), Sector(12, k=0, reflection=1)):
+        _isometry.cache_clear()             # built, not looked up
+        tracemalloc.start()
+        try:
+            v = sector.isometry
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            _isometry.cache_clear()
+        assert peak - v.nbytes < d * d, sector
+        shapes.append(v.shape)
+        del v
+    assert shapes == [(d, d // 2), (d, 335), (d, 166), (d, 224)]
+
+
+def test_equal_sectors_share_one_isometry_and_one_generator_side(
+        monkeypatch):
+    a, b = Sector(6, k=1, parity=-1), Sector(6, k=1, parity=-1)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a.isometry is b.isometry
+    gen = NumericGenerator(XYParams(gamma=np.sqrt(1.0 - 0.81), h=0.9,
+                                    length=6), BathSpec())
+    built, parts = [], gen._parts
+    monkeypatch.setattr(gen, "_parts", lambda v: built.append(v) or parts(v))
+    gen.matrix((a.isometry, b.isometry))
+    gen.norm_bound((Sector(6, k=1, parity=-1).isometry,) * 2)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("labels", [
+    dict(k=0, reflection=-1), dict(k=1, reflection=1), dict(reflection=1),
+    dict(parity=1, reflection=1), dict(k=4), dict(k=-1), dict(parity=0)])
+def test_invalid_sector_labels_raise(labels):
+    with pytest.raises(ValueError, match="no such sector"):
+        Sector(4, **labels)
+
+
+def test_empty_sector_has_no_columns():
+    # at L = 2 both states of the orbit of |01> have P = -1
+    v = Sector(2, k=1, parity=1).isometry
+    assert v.shape == (4, 0) and v.dtype == complex
+    assert [(s.k, s.parity) for s in experiments._sectors(2)] == [
+        (0, 1), (0, -1), (1, -1)]
 
 
 @pytest.mark.parametrize("mode, h, eta", [
@@ -549,7 +634,7 @@ def test_parity_sides_form_no_square_array_at_length_12():
 def test_momentum_block_spectra_match_full_map(mode, h, eta):
     cfg = ExperimentConfig(length=4, dissipator_mode=mode)
     _, proto = _protocol(cfg, h, eta, 4)
-    sides = momentum_sectors(4)
+    sides = momentum_sides(4)
     assert len({v.shape[1] for v in sides}) > 1
     full = decompose(floquet_propagator(proto), kind="map")
     spectra = [decompose(floquet_propagator(proto, b), kind="map")
@@ -593,7 +678,7 @@ def test_momentum_stepper_matches_whole_space(length, mode, initial_state):
                            initial_state=initial_state)
     params, proto = _protocol(cfg, 0.9, np.pi / 40, length)
     psi = _initial_state(cfg, params)
-    v = momentum_sectors(length)[0]
+    v = momentum_sides(length)[0]
     model = RecordingGenerator(proto.model)
     assert_block_evolves_as_whole(proto, np.outer(psi, psi.conj()), 3, v,
                                   model)
@@ -608,7 +693,7 @@ def test_state_touching_every_sector_evolves_whole():
     a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     rho = a @ a.conj().T
     rho /= np.trace(rho)
-    for sides in (parity_sides(4), momentum_sectors(4)):
+    for sides in (parity_sides(4), momentum_sides(4)):
         assert_block_evolves_as_whole(proto, rho, 2, np.hstack(sides))
 
 
@@ -625,7 +710,7 @@ def test_parity_definite_state_evolves_one_block():
 def test_state_in_two_momentum_sectors_evolves_their_union():
     cfg = ExperimentConfig(length=4, dissipator_mode="independent")
     _, proto = _protocol(cfg, 0.9, np.pi / 40, 4)
-    v0, v1 = momentum_sectors(4)[:2]
+    v0, v1 = momentum_sides(4)[:2]
     rng = np.random.default_rng(6)
     psi = (v0 @ rng.normal(size=v0.shape[1])
            + v1 @ (rng.normal(size=v1.shape[1]) * 1j))
@@ -640,7 +725,7 @@ def test_state_outside_the_block_is_rejected():
     # psi with weight in k = 1: its k = 0 block has trace below 1
     cfg = ExperimentConfig(length=4)
     _, proto = _protocol(cfg, 0.9, np.pi / 40, 4)
-    v0, v1 = momentum_sectors(4)[:2]
+    v0, v1 = momentum_sides(4)[:2]
     psi = v0[:, 0] + 1e-3 * v1[:, 0]
     psi /= np.linalg.norm(psi)
     r = to_block(np.outer(psi, psi.conj()), v0)
@@ -656,10 +741,10 @@ def test_initial_states_lie_in_momentum_zero(length, initial_state):
     params, _ = _protocol(cfg, cfg.h, cfg.eta, length)
     psi = _initial_state(cfg, params)
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-15)
-    for v in momentum_sectors(length)[1:]:
+    for v in momentum_sides(length)[1:]:
         assert np.abs(v.conj().T @ psi).max(initial=0.0) <= 1e-15
     # and in its reflection-even part, which the trace runner evolves
-    v = reflection_even_sector(length)
+    v = Sector(length, k=0, reflection=1).isometry
     assert np.linalg.norm(psi - v @ (v.conj().T @ psi)) <= 1e-15
 
 
@@ -678,7 +763,7 @@ def test_sector_dissipator_is_the_restricted_dissipator(length, h, j, beta):
     scale = max(np.abs(whole).max(), gen.bath.kappa0 * j)
     parity = z_signs(length).prod(0)
     eye = np.eye(p.dim)
-    for u in (momentum_sectors(length)[0], eye[:, parity > 0],
+    for u in (momentum_sides(length)[0], eye[:, parity > 0],
               eye[:, parity < 0]):
         _, _, (d, _) = gen._side(u)     # the right factors (D, M_z)
         assert np.abs(d - u.conj().T @ whole @ u).max() <= 1e-13 * scale
@@ -697,7 +782,7 @@ def test_momentum_block_never_builds_the_whole_space(monkeypatch):
     monkeypatch.setattr(xy, "_dissipator", recording)
     p = XYParams(gamma=np.sqrt(1.0 - 0.81), h=0.9, length=10)
     gen = NumericGenerator(p, BathSpec())
-    u = momentum_sectors(10)[0]
+    u = momentum_sides(10)[0]
     block = (u, u)
     rho = np.eye(u.shape[1]) / u.shape[1]
     gen.action(rho, block)
@@ -722,7 +807,7 @@ def test_momentum_block_restricts_each_factor_once(monkeypatch, mode):
     restrict = lindblad._restrict
     monkeypatch.setattr(lindblad, "_restrict", recording)
     monkeypatch.setattr(xy, "_restrict", recording)
-    u = momentum_sectors(8)[0]
+    u = momentum_sides(8)[0]
     block = (u, u)
     rho = np.eye(u.shape[1]) / u.shape[1]
     gen.action(rho, block)
@@ -745,20 +830,21 @@ def reflection(length):
 @pytest.mark.parametrize("length, size", [(2, 3), (4, 6), (6, 13), (8, 30),
                                           (10, 78), (12, 224)])
 def test_reflection_even_sector_counts_bracelets(length, size):
-    assert reflection_even_sector(length).shape == (2 ** length, size)
+    v = Sector(length, k=0, reflection=1).isometry
+    assert v.shape == (2 ** length, size)
 
 
 @pytest.mark.parametrize("length", range(2, 11))
 def test_reflection_even_sector_is_fixed_by_translation_and_reflection(
         length):
-    v = reflection_even_sector(length)
+    v = Sector(length, k=0, reflection=1).isometry
     n = v.shape[1]
     assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < 1e-12
     assert np.max(np.abs(translation_operator(length) @ v - v)) < 1e-12
     assert np.max(np.abs(v[reflection(length)] - v)) < 1e-12
     if length <= 8:
         # it spans all of k = 0, R = +1: the projector V0 V0^dag (1 + R) / 2
-        v0 = momentum_sectors(length)[0]
+        v0 = momentum_sides(length)[0]
         p0 = v0 @ v0.conj().T
         want = 0.5 * (p0 + p0[:, reflection(length)])
         assert np.max(np.abs(v @ v.conj().T - want)) < 1e-12
@@ -772,7 +858,7 @@ def test_generators_restrict_to_the_reflection_even_sector(length, h, mode):
     # generator M_z / 2 stays a 1-D diagonal
     cfg = ExperimentConfig(length=length, dissipator_mode=mode)
     _, proto = _protocol(cfg, h, 0.0, length)
-    v = reflection_even_sector(length)
+    v = Sector(length, k=0, reflection=1).isometry
     assert np.isfinite(proto.model.norm_bound((v, v)))
     assert lindblad._restrict(proto.kick_generator, v).shape == (v.shape[1],)
 
@@ -788,8 +874,8 @@ def assert_trace_matches_momentum_stepper(monkeypatch, cfg, n_periods,
         at = replace(cfg, initial_state=initial_state)
         got = _trace_mx(at, cfg.length, n_periods)
         with monkeypatch.context() as m:
-            m.setattr(floquet, "reflection_even_sector",
-                      lambda length: momentum_sectors(length)[0])
+            m.setattr(experiments, "Sector",
+                      lambda length, **labels: Sector(length, k=0))
             want = _trace_mx(at, cfg.length, n_periods)
         assert len(got) == n_periods + 1
         assert np.max(np.abs(np.subtract(got, want))) < 1e-12, initial_state

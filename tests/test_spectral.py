@@ -11,12 +11,12 @@ from scipy.sparse.csgraph import connected_components
 
 from opentc import floquet, spectral
 from opentc.experiments import (ExperimentConfig, _field_setup, _kick,
-                                _protocol, _sectors, _shapes)
+                                _partner, _protocol, _shapes)
 from opentc.floquet import floquet_propagator
 from opentc.lindblad import (HERMITICITY_TOL, JumpChannel, LindbladModel,
                              liouvillian_matrix)
 from opentc.models import dfs_independent_model
-from opentc.operators import devectorize, parity_sides, pauli, vectorize
+from opentc.operators import Sector, devectorize, pauli, vectorize
 from opentc.spectral import (DEFECTIVE_COND, SPECTRAL_TOL, _biorthonormal,
                              _biorthonormalize, _clusters, _hermitian_basis,
                              _real_eig, _real_form, asymptotic_state,
@@ -295,6 +295,11 @@ def per_cluster_biorthonormalize(vl, vr, clusters):
     return vl, defective
 
 
+def parity_sides(length):
+    """The isometries of the P = +1 and P = -1 Sectors."""
+    return tuple(Sector(length, parity=p).isometry for p in (1, -1))
+
+
 def l4_map_block():
     cfg = ExperimentConfig()
     _, proto = _protocol(cfg, 1.0 / np.sqrt(2.0), np.pi / 20, 4)
@@ -523,7 +528,7 @@ def test_stack_decomposes_as_each_matrix_alone(eigvals_inputs):
     cfg = ExperimentConfig()
     setup = _field_setup(cfg, 0.5, 4)
     sides = setup[1]
-    pairs = next(p for p in _shapes(sides, _sectors(4).partner)
+    pairs = next(p for p in _shapes(sides, _partner(4))
                  if len({a == b for a, b in p}) == 2)
     stack = _kick(*setup, np.pi / 20)(pairs)
     sd = decompose(stack, kind="map", vectors=False)
@@ -544,7 +549,7 @@ def test_stack_in_parts_gives_the_same_bits(monkeypatch, eigvals_inputs):
     # with its own real and complex stacks; the eigenvalues do not change
     cfg = ExperimentConfig()
     setup = _field_setup(cfg, 0.5, 4)
-    pairs = next(p for p in _shapes(setup[1], _sectors(4).partner)
+    pairs = next(p for p in _shapes(setup[1], _partner(4))
                  if len({a == b for a, b in p}) == 2)
     stack = np.concatenate([_kick(*setup, eta)(pairs)
                             for eta in (0.0, np.pi / 40, np.pi / 20)])
