@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -20,9 +22,19 @@ from .spectral import SpectralData
 PROPAGATOR_TRACE_TOL = 1e-9   # times the dimension d; README "Tolerances"
 ROOT_OF_UNITY_TOL = 1e-6
 # The stepper refuses a period whose bound on ||L T||_1, taken in the
-# evolved block's own basis, is larger: the generator applications of
-# expm_multiply grow with it; README "Tolerances"
+# evolved block's own basis, is larger: its sub-steps, and so its
+# generator applications, grow in proportion to it; README "Tolerances"
 PERIOD_NORM_MAX = 1e5
+# The stepper splits a period into the fewest sub-steps t = T / k whose
+# bound on ||t (L - mu)||_1, mu = tr L / n^2 the shift expm_multiply
+# applies, is at most this. It is the right-hand side of eq. (3.13) of
+# Al-Mohy & Higham (2011), 2 ell p_max (p_max + 3) theta_m_max / (n0 m_max),
+# at scipy's ell = 2, p_max = 8, m_max = 55, theta_55 = 9.9 and one column
+# n0 = 1: below it expm_multiply picks its Taylor degree and scaling from
+# ||A||_1 alone and estimates no norm of a power of A. Evaluated in scipy's
+# order, so that its own test of (3.13) holds at the constant; README
+# "Tolerances"
+STEP_NORM = 2 * 2 * 8 * (8 + 3) * (9.9 / 55)
 
 
 @dataclass(frozen=True)
@@ -270,15 +282,20 @@ def stroboscopic_evolve(p: KickedProtocol, rho0: np.ndarray, n: int,
 
     With block = (v, v), v an isometry onto a sector that the model and the
     kick keep, rho0 and every yielded state are the block r = v^dag rho v;
-    None is the whole of rho. Each period is one scipy expm_multiply on the
-    generator's action and adjoint action on the block, scaled by the
-    period, with traceA from its trace(), followed by the kick; the state
-    is hermitized after every period. A block of columns, such as the norm
-    estimator's probes, reaches the generator as one stack of operators in
-    one call. Arguments are checked when called, rho0 by check_state; a
-    non-finite trace, or one drifting from 1 by more than TRACE_TOL,
-    raises RuntimeError.
+    None is the whole of rho. Each period is k sub-steps of t = T / k,
+    each one scipy expm_multiply on the generator's action and adjoint
+    action on the block, scaled by t, with traceA from its trace(),
+    followed by the kick; the state is hermitized after every period. k is
+    the fewest sub-steps whose bound on the shifted ||t L||_1 is at most
+    STEP_NORM, so that expm_multiply estimates no norm of a power of t L.
+    A block of columns, such as the norm estimator's probes, reaches the
+    generator as one stack of operators in one call. Arguments are checked
+    when called: n must be an int >= 0 (not a bool), rho0 passes
+    check_state. A non-finite trace, or one drifting from 1 by more than
+    TRACE_TOL, raises RuntimeError.
     """
+    if type(n) is bool or not isinstance(n, numbers.Integral):
+        raise TypeError(f"number of periods must be an integer, got {n!r}")
     if n < 0:
         raise ValueError("number of periods must be >= 0")
     check_state(rho0)
@@ -298,12 +315,16 @@ def _stroboscopic_states(p: KickedProtocol, rho: np.ndarray, n: int,
                            f"{norm:.3g}, above PERIOD_NORM_MAX = "
                            f"{PERIOD_NORM_MAX:g}: a period would take too "
                            f"many generator applications")
-    op = _period_operator(gen, p.period, block, rho.shape[0])
+    d = rho.shape[0]
     tra = complex(gen.trace(block)) * p.period
+    steps = max(1, math.ceil((norm + abs(tra) / d ** 2) / STEP_NORM))
+    op = _period_operator(gen, p.period / steps, block, d)
     kick = _conjugation(p.kick_unitary).restrict(block)
     vec = vectorize(rho)
     for _ in range(n):
-        vec = scipy.sparse.linalg.expm_multiply(op, vec, traceA=tra)
+        for _ in range(steps):
+            vec = scipy.sparse.linalg.expm_multiply(op, vec,
+                                                    traceA=tra / steps)
         rho = hermitize(kick.action(devectorize(vec)))
         trace = np.trace(rho)
         if not (np.isfinite(trace) and abs(trace - 1.0) <= TRACE_TOL):
@@ -315,7 +336,8 @@ def _stroboscopic_states(p: KickedProtocol, rho: np.ndarray, n: int,
 
 def _period_operator(gen: Generator, t: float, block,
                      d: int) -> scipy.sparse.linalg.LinearOperator:
-    """t L on row-major vectorized d x d operators, L the generator's block.
+    """t L on row-major vectorized d x d operators, L the generator's block,
+    t the stepper's sub-step.
 
     rmatvec is t times the adjoint action. matmat and rmatmat hand the
     columns to the generator as one stack of d x d operators, one call.

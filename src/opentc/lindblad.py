@@ -364,9 +364,12 @@ def rk4_evolve(model: Generator, rho0: np.ndarray, t_total: float,
 
     `model` is any Generator; only its action is used, so the d^2 x d^2
     matrix is never materialized. The state is hermitized after every step.
+    A negative or non-finite t_total raises ValueError.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    if not 0 <= t_total < np.inf:       # also rejects NaN
+        raise ValueError(f"t_total must be >= 0 and finite, got {t_total}")
     check_state(rho0)
     rho = np.asarray(rho0, dtype=complex).copy()
     if t_total == 0:

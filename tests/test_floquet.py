@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 from opentc import floquet
 from opentc.floquet import (KickedProtocol, _period_operator,
@@ -377,10 +378,37 @@ def test_period_operator_blocks_match_columns(mode):
 
 def test_stroboscopic_checks_arguments_when_called():
     proto = x_kick_protocol()
+    rho0 = np.diag([0.8, 0.2])
     with pytest.raises(ValueError):
-        stroboscopic_evolve(proto, np.diag([0.8, 0.2]), -1)
+        stroboscopic_evolve(proto, rho0, -1)
     with pytest.raises(ValueError):
         stroboscopic_evolve(proto, np.diag([0.8, 0.3]), 2)
+    for n in (2.5, 2.0, True, None):
+        with pytest.raises(TypeError):
+            stroboscopic_evolve(proto, rho0, n)
+    assert len(list(stroboscopic_evolve(proto, rho0, np.int64(2)))) == 3
+
+
+def test_step_norm_is_the_bound_of_condition_3_13():
+    # the one private scipy name the stepper relies on: below STEP_NORM
+    # expm_multiply takes (3.13) to hold and estimates no power's norm
+    from scipy.sparse.linalg._expm_multiply import _condition_3_13
+    assert _condition_3_13(floquet.STEP_NORM, 1, 55, 2)
+    assert not _condition_3_13(1.01 * floquet.STEP_NORM, 1, 55, 2)
+
+
+def test_period_under_step_norm_is_one_expm_multiply(monkeypatch):
+    proto = x_kick_protocol()
+    assert proto.period * proto.model.norm_bound() < floquet.STEP_NORM
+    calls, expm = [], scipy.sparse.linalg.expm_multiply
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return expm(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", counting)
+    assert len(list(stroboscopic_evolve(proto, np.diag([0.8, 0.2]), 4))) == 5
+    assert len(calls) == 4
 
 
 def test_trace_loss_is_reported():

@@ -172,6 +172,10 @@ def test_rk4_rejects_bad_input():
         rk4_evolve(model, rho0, 1.0, dt=-0.1)
     with pytest.raises(ValueError):
         rk4_evolve(model, np.diag([0.9, 0.9]), 1.0, dt=0.1)
+    # a negative time took one backward step to a state that is not PSD
+    for t_total in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="t_total"):
+            rk4_evolve(model, rho0, t_total, dt=0.1)
 
 
 def test_evolution_invariants_along_trajectory():

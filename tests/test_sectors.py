@@ -17,6 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.optimize import linear_sum_assignment
 
 from opentc import experiments, floquet, lindblad, xy
@@ -647,19 +648,25 @@ class RecordingGenerator:
     """Forwards to a generator and records the operator shapes it is given.
 
     The stepper hands the norm estimator's probes over as one stack
-    (n, r, c), so the shape of each operator in it, (r, c), is recorded.
+    (n, r, c), so the shape of each operator in it, (r, c), is recorded,
+    and `applied` counts the operators of a stack one by one.
     """
 
     def __init__(self, gen):
         self.gen = gen
         self.shapes = set()
+        self.applied = 0
+
+    def _record(self, x):
+        self.shapes.add(x.shape[-2:])
+        self.applied += int(np.prod(x.shape[:-2]))
 
     def action(self, rho, block=None):
-        self.shapes.add(rho.shape[-2:])
+        self._record(rho)
         return self.gen.action(rho, block)
 
     def adjoint_action(self, a, block=None):
-        self.shapes.add(a.shape[-2:])
+        self._record(a)
         return self.gen.adjoint_action(a, block)
 
     def trace(self, block=None):
@@ -683,6 +690,53 @@ def test_momentum_stepper_matches_whole_space(length, mode, initial_state):
     assert_block_evolves_as_whole(proto, np.outer(psi, psi.conj()), 3, v,
                                   model)
     assert model.shapes == {(v.shape[1], v.shape[1])}
+
+
+def count_expm_multiply(monkeypatch):
+    """A list that grows by one entry per scipy expm_multiply call."""
+    calls, expm = [], scipy.sparse.linalg.expm_multiply
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return expm(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", counting)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["numeric", "independent", "collective"])
+@pytest.mark.parametrize("length", [4, 6])
+def test_sub_stepped_periods_match_the_block_map(monkeypatch, length, mode):
+    # the trace runner's block, whose bound needs k >= 2 sub-steps a period
+    cfg = ExperimentConfig(length=length, dissipator_mode=mode)
+    params, proto = _protocol(cfg, 0.9, np.pi / 40, length)
+    v = Sector(length, k=0, reflection=1).isometry
+    psi = v.conj().T @ _initial_state(cfg, params)
+    r = np.outer(psi, psi.conj())
+    n = 3
+    calls = count_expm_multiply(monkeypatch)
+    states = list(stroboscopic_evolve(proto, r, n, (v, v)))
+    assert len(calls) % n == 0 and len(calls) // n >= 2
+    ef = floquet_propagator(proto, (v, v))
+    vec = r.reshape(-1)
+    for state in states:
+        assert np.max(np.abs(state.reshape(-1) - vec)) < 1e-12
+        vec = ef @ vec
+
+
+def test_trace_length_8_period_applications(monkeypatch):
+    # one period at the benchmark's trace-L8 point; in one expm_multiply
+    # call, which estimates ||A^p||_1 for p = 2..8 first, it takes 730
+    cfg = ExperimentConfig(length=8, h=0.9, eta=np.pi / 40)
+    params, proto = _protocol(cfg, cfg.h, cfg.eta, 8)
+    v = Sector(8, k=0, reflection=1).isometry
+    psi = v.conj().T @ _initial_state(cfg, params)
+    model = RecordingGenerator(proto.model)
+    calls = count_expm_multiply(monkeypatch)
+    list(stroboscopic_evolve(replace(proto, model=model),
+                             np.outer(psi, psi.conj()), 1, (v, v)))
+    assert len(calls) >= 2
+    assert model.applied <= 450
 
 
 def test_state_touching_every_sector_evolves_whole():
