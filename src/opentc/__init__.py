@@ -15,13 +15,12 @@ from .models import (bell_basis, dephasing_model, dephasing_perp_field_spectrum,
                      suppression_by_hamiltonian_model,
                      suppression_by_jump_model)
 from .operators import (Sector, devectorize, hs_inner, kron, magnetization,
-                        magnetization_per_spin, pauli, sandwich, site_operator,
-                        unitary_conjugation, vectorize, z_signs)
-from .spectral import (AsymptoticSubspace, SpectralData, asymptotic_state,
-                       asymptotic_subspace, decompose, dissipative_gap,
-                       dual_basis)
-from .xy import (BathSpec, NumericGenerator, XYParams, bogoliubov_angle,
-                 brillouin_zone, dispersion, factorized_states,
+                        pauli, sandwich, site_operator, unitary_conjugation,
+                        vectorize, z_signs)
+from .spectral import (AsymptoticSubspace, SpectralData, asymptotic_subspace,
+                       decompose, dual_basis)
+from .xy import (BathSpec, NumericGenerator, XYParams, brillouin_zone,
+                 dispersion, factorized_states,
                  free_fermion_sector_energies, ground_state_pair,
                  secular_liouvillian, theoretical_amplitude, xy_hamiltonian)
 

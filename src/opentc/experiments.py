@@ -247,29 +247,29 @@ def _partner(length: int) -> tuple:
     return tuple(sectors.index(replace(s, k=-s.k % length)) for s in sectors)
 
 
-def _classes(sides: tuple, partner: tuple | None = None) -> tuple:
-    """(groups, sources): which blocks _block_spectra builds, and where
+def _classes(sides: tuple, partner: tuple) -> tuple:
+    """(groups, sources): which blocks the dense runners build, and where
     each block's spectrum comes from.
 
     The class of block (x, y) is {(x, y), (Rx, Ry), (y, x), (Ry, Rx)},
-    with Rx = partner[x]; partner None is Rx = x. Block (Rx, Ry) is block
-    (x, y) after the change of basis Q_x r Q_y^dag (_partner), so it has
-    the same spectrum; (y, x) and (Ry, Rx) have the conjugate one
-    (spectral.mirror). Only the first member of each class in row-major
-    order is built; it has x <= y. groups: the built blocks grouped by the
-    shape of their matrices, n x n with n = n_x n_y the size of
-    r = sides[x]^dag rho sides[y], one tuple of pairs per shape, in
-    row-major order. sources: for each block in row-major order,
-    (a, b, conj): its spectrum is that of built block (a, b), mirrored if
-    conj.
+    with Rx = partner[x] (_partner; the identity table on sides that R
+    maps onto themselves). Block (Rx, Ry) is block (x, y) after the change
+    of basis Q_x r Q_y^dag, so it has the same spectrum; (y, x) and
+    (Ry, Rx) have the conjugate one (spectral.mirror). Only the first
+    member of each class in row-major order is built; it has x <= y.
+    groups: the built blocks grouped by the shape of their matrices,
+    n x n with n = n_x n_y the size of r = sides[x]^dag rho sides[y], one
+    tuple of pairs per shape, in row-major order. sources: for each block
+    in row-major order, (a, b, conj): its spectrum is that of built block
+    (a, b), mirrored if conj.
     """
     return _class_table(tuple(v.shape[1] for v in sides), partner)
 
 
 @functools.cache
-def _class_table(sizes: tuple, partner: tuple | None) -> tuple:
+def _class_table(sizes: tuple, partner: tuple) -> tuple:
     """_classes of sides with sizes[x] columns, once per sizes."""
-    r = partner or range(len(sizes))
+    r = partner
     groups, sources = {}, []
     for x, nx in enumerate(sizes):
         for y, ny in enumerate(sizes):
@@ -280,41 +280,37 @@ def _class_table(sizes: tuple, partner: tuple | None) -> tuple:
     return tuple(map(tuple, groups.values())), tuple(sources)
 
 
-def _shapes(sides: tuple, partner: tuple | None = None) -> tuple:
-    """The blocks that _block_spectra builds, one tuple of pairs per shape
-    (see _classes)."""
-    return _classes(sides, partner)[0]
+def _map_spectra(setup: tuple, length: int, kicks: list) -> list:
+    """The Floquet map's block spectra, eigenvalues only, at each kick of
+    `kicks`: one build(pairs) per kick error, _kick of `setup` (a
+    _field_setup at chain length `length`).
 
-
-def _block_spectra(sides: tuple, build, kind: str = "map",
-                   vectors: bool = True, partner: tuple | None = None) -> list:
-    """Spectra of a map or generator, one per block, from build(pairs).
-
-    Block (a, b) acts on sides[a]^dag rho sides[b], in row-major order, and
-    build(pairs) returns the stacked matrices of the blocks in `pairs`, all
-    of one shape: one _shapes group per call. The generators and the kick
-    preserve Hermiticity, so block (b, a) is block (a, b) under
-    r -> r^dag and has the spectral.mirror of its spectrum: only blocks
-    a <= b are built. With vectors each is decomposed alone.
-    vectors=False computes eigenvalues only, for callers that read no
-    eigenvector, in one decompose call per group. Given the sides' R
-    `partner` table as well (_partner), it builds and decomposes one block
-    per reflection class (_classes) only, and lists each R image with its
-    class's eigenvalues.
+    Each group of _classes, kicked by every kick, goes to decompose as one
+    stack: one call per shape. For each kick: every block's spectrum in
+    row-major order (_assemble), or the exception that its kick raised;
+    a kick that failed on one group is left out of the later ones. A
+    failed eigenvalue solve raises.
     """
-    if vectors and partner is not None:
-        raise ValueError("the R image of a block has other eigenvectors: "
-                         "reflection classes serve eigenvalues only")
-    groups, sources = _classes(sides, partner)
-    built = {}
+    groups, sources = _classes(setup[1], _partner(length))
+    built = [{} for _ in kicks]
     for pairs in groups:
-        stack = build(pairs)
-        if vectors:
-            built.update((p, (spectral.decompose(s, kind=kind), None))
-                         for p, s in zip(pairs, stack))
-        else:
-            built.update(zip(pairs, _with_mirrors(stack, kind)))
-    return _assemble(sides, built, sources)
+        m = len(pairs)
+        stack = np.empty((len(kicks) * m, *setup[3][pairs].shape[1:]),
+                         dtype=complex)
+        done = []       # the kicks applied, in stack order
+        for k, kick in enumerate(kicks):
+            if isinstance(built[k], dict):
+                try:
+                    stack[len(done) * m:(len(done) + 1) * m] = kick(pairs)
+                    done.append(k)
+                except Exception as exc:   # fails its own kick only
+                    built[k] = exc
+        if done:
+            spectra = list(_with_mirrors(stack[:len(done) * m], "map"))
+            for j, k in enumerate(done):
+                built[k].update(zip(pairs, spectra[j * m:(j + 1) * m]))
+    return [b if isinstance(b, Exception) else _assemble(b, sources)
+            for b in built]
 
 
 def _with_mirrors(stack: np.ndarray, kind: str) -> zip:
@@ -326,43 +322,22 @@ def _with_mirrors(stack: np.ndarray, kind: str) -> zip:
                spectral.split(spectral.mirror(sd, None, count), count))
 
 
-def _assemble(sides: tuple, built: dict, sources: tuple) -> list:
+def _assemble(built: dict, sources: tuple) -> list:
     """Every block's spectrum, by the sources of _classes, from `built`:
-    (spectrum, mirror) of each built block, where a mirror left None is
-    formed here on first use."""
-    out = []
-    for a, b, conj in sources:
-        sd, mirrored = built[a, b]
-        if conj and mirrored is None:
-            mirrored = _mirror(sides, sd, b, a)
-            built[a, b] = sd, mirrored
-        out.append(mirrored if conj else sd)
-    return out
+    (spectrum, mirror) of each built block, from _with_mirrors."""
+    return [built[a, b][conj] for a, b, conj in sources]
 
 
 def _block_spectrum(sides: tuple, build, a: int, b: int,
-                    partner: tuple | None = None) -> SpectralData:
-    """The spectrum of block (a, b) of the map alone, with vectors, by
-    _block_spectra's rule: a block a > b is the mirror of block (b, a).
-    Block (min(a, b), max(a, b)) is one that _shapes(sides, partner)
-    builds."""
+                    partner: tuple) -> SpectralData:
+    """The spectrum of block (a, b) of the map alone, with vectors: a
+    block a > b is the spectral.mirror of block (b, a). Block
+    (min(a, b), max(a, b)) is one that _classes(sides, partner) builds."""
     if a > b:
-        return _mirror(sides, _block_spectrum(sides, build, b, a, partner),
-                       a, b)
-    pairs = next(p for p in _shapes(sides, partner) if (a, b) in p)
+        sd = _block_spectrum(sides, build, b, a, partner)
+        return spectral.mirror(sd, (sides[b].shape[1], sides[a].shape[1]))
+    pairs = next(p for p in _classes(sides, partner)[0] if (a, b) in p)
     return spectral.decompose(build(pairs)[pairs.index((a, b))], kind="map")
-
-
-def _mirror(sides: tuple, sd: SpectralData, a: int, b: int) -> SpectralData:
-    """Block (a, b)'s spectrum from sd, that of block (b, a), which acts
-    on n_b x n_a."""
-    return spectral.mirror(sd, (sides[b].shape[1], sides[a].shape[1]))
-
-
-def _generator_blocks(proto: floquet.KickedProtocol, sides: tuple):
-    """build(pairs) of the generator's blocks, for _block_spectra."""
-    return lambda pairs: np.stack([proto.model.matrix((sides[a], sides[b]))
-                                   for a, b in pairs])
 
 
 def _check_reflection(model, length: int) -> None:
@@ -392,15 +367,15 @@ def _field_setup(cfg: ExperimentConfig, h: float, length: int,
     """(protocol, sides, kicks, evolved) at field h, for _kick.
 
     The protocol at field h, the isometries of the Sectors of _sectors(L),
-    and for each _shapes group of the blocks that _block_spectra builds
-    with their partner table, one per reflection class: the diagonal of
-    the kick's commutator [M_z / 2, .] on each block (`kicks`, see
-    floquet.kicked), from M_z / 2 restricted once per side, and each
-    block's exp(L T) (`evolved`), the group exponentiated as one stack.
+    and for each group of _classes with the sides' partner table, one
+    block per reflection class: the diagonal of the kick's commutator
+    [M_z / 2, .] on each block (`kicks`, see floquet.kicked), from M_z / 2
+    restricted once per side, and each block's exp(L T) (`evolved`), the
+    group exponentiated as one stack.
     Neither depends on the kick error, so one set-up serves every eta.
     Given a dict `generator`, each group's generator stack is also
-    decomposed, eigenvalues only, into it as _block_spectra's table of
-    built blocks, so no generator block is built twice. The classes rest
+    decomposed, eigenvalues only, into it as _assemble's table of built
+    blocks, so no generator block is built twice. The classes rest
     on the model commuting with R; _check_reflection raises ValueError
     where it does not.
     """
@@ -409,12 +384,12 @@ def _field_setup(cfg: ExperimentConfig, h: float, length: int,
     sides = tuple(s.isometry for s in _sectors(length))
     # M_z / 2 stays diagonal on every side: each column is one orbit's sum
     g = [_restrict(proto.kick_generator, v) for v in sides]
-    build = _generator_blocks(proto, sides)
     kicks, evolved = {}, {}
-    for pairs in _shapes(sides, _partner(length)):
+    for pairs in _classes(sides, _partner(length))[0]:
         kicks[pairs] = np.stack([np.subtract.outer(g[a], g[b]).reshape(-1)
                                  for a, b in pairs])
-        stack = build(pairs)
+        stack = np.stack([proto.model.matrix((sides[a], sides[b]))
+                          for a, b in pairs])
         if generator is not None:
             generator.update(zip(pairs, _with_mirrors(stack, "generator")))
         evolved[pairs] = floquet.matrix_exp(stack, proto.period)
@@ -424,8 +399,8 @@ def _field_setup(cfg: ExperimentConfig, h: float, length: int,
 def _kick(proto: floquet.KickedProtocol, sides: tuple, kicks: dict,
           evolved: dict, eta: float):
     """build(pairs) of the Floquet map's blocks at kick error eta, for
-    _block_spectra, from a _field_setup: the blocks of a _shapes group are
-    kicked as one stack."""
+    _map_spectra, from a _field_setup: the blocks of a group of _classes
+    are kicked as one stack."""
     at_eta = replace(proto, error=eta)
     return lambda pairs: floquet.kicked(
         at_eta, evolved[pairs], [(sides[a], sides[b]) for a, b in pairs],
@@ -481,48 +456,27 @@ def _require_initial_state(cfg: ExperimentConfig, command: str) -> None:
 def _sweep_row(cfg: ExperimentConfig, h: float, length: int) -> list:
     """The sweep rows at field h, one per eta of cfg.eta_grid.
 
-    Every eta kicks the row's one _field_setup, and each _shapes group,
-    kicked at every eta, goes to decompose as one stack, eigenvalues only:
-    one call per shape and field. A failure to build the generator or an
+    Every eta kicks the row's one _field_setup, and _map_spectra hands
+    decompose every eta's kicked blocks of one shape as one stack: one
+    call per shape and field. A failure to build the generator or an
     exponential, or a failed eigenvalue solve of such a stack, flags every
     point of the row; a failed kick, or a failure after the solve, only
     its own point.
     """
     etas = cfg.eta_grid
-    errors = [None] * len(etas)
-    built = [{} for _ in etas]
     try:
         setup = _field_setup(cfg, h, length)
-        kicks = [_kick(*setup, eta) for eta in etas]
-        for pairs, evolved in setup[3].items():
-            m = len(pairs)
-            stack = np.empty((len(etas) * m, *evolved.shape[1:]),
-                             dtype=complex)
-            done = []       # the etas kicked, in stack order
-            for k, kick in enumerate(kicks):
-                if errors[k] is None:
-                    try:
-                        j = len(done) * m
-                        stack[j:j + m] = kick(pairs)
-                        done.append(k)
-                    except Exception as exc:   # flags its own point
-                        errors[k] = exc
-            if done:
-                spectra = list(_with_mirrors(stack[:len(done) * m], "map"))
-                for j, k in enumerate(done):
-                    built[k].update(zip(pairs, spectra[j * m:(j + 1) * m]))
+        maps = _map_spectra(setup, length,
+                            [_kick(*setup, eta) for eta in etas])
     except Exception as exc:   # row failures flagged, run continues
         return [_failed_point(h, eta, exc) for eta in etas]
-    sides = setup[1]
-    sources = _classes(sides, _partner(length))[1]
     rows = []
-    for eta, error, spectra in zip(etas, errors, built):
-        if error is not None:
-            rows.append(_failed_point(h, eta, error))
-            continue
+    for eta, spectra in zip(etas, maps):
         try:
-            diag = floquet.find_star(*_assemble(sides, spectra, sources),
-                                     order=cfg.order, period=cfg.period)
+            if isinstance(spectra, Exception):
+                raise spectra
+            diag = floquet.find_star(*spectra, order=cfg.order,
+                                     period=cfg.period)
             rows.append([h, eta, diag.floquet_gap, diag.tc_distance,
                          diag.star_eigenvalue.real,
                          diag.star_eigenvalue.imag, "ok"])
@@ -597,9 +551,11 @@ def run_disorder(cfg: ExperimentConfig) -> ResultTable:
         # susceptibility read, from its stack as kicked for the search
         partner = _partner(cfg.length)
         build = functools.cache(_kick(*setup, cfg.eta))
-        star = floquet.find_star(
-            *_block_spectra(sides, build, vectors=False, partner=partner),
-            order=cfg.order, period=cfg.period)
+        spectra, = _map_spectra(setup, cfg.length, [build])
+        if isinstance(spectra, Exception):
+            raise spectra
+        star = floquet.find_star(*spectra, order=cfg.order,
+                                 period=cfg.period)
         # the built block of the star's class that has the star's spectrum
         a, b, conj = _classes(sides, partner)[1][star.block]
         a, b = (b, a) if conj else (a, b)
@@ -638,13 +594,14 @@ def run_spectrum(cfg: ExperimentConfig) -> ResultTable:
     with _serial_blas():
         setup = _field_setup(cfg, cfg.h, cfg.length, built)
         sides = setup[1]
-        generator = _assemble(sides, built, _classes(sides, partner)[1])
-        maps = _block_spectra(sides, _kick(*setup, cfg.eta), vectors=False,
-                              partner=partner)
+        generator = _assemble(built, _classes(sides, partner)[1])
+        maps, = _map_spectra(setup, cfg.length, [_kick(*setup, cfg.eta)])
+        if isinstance(maps, Exception):
+            raise maps
     table = ResultTable(
         columns=["kind", "sector", "index", "re", "im", "peripheral"],
         metadata=_metadata(cfg, "spectrum"))
-    # in the order of _block_spectra, over the sides of _field_setup
+    # in row-major block order, over the sides of _field_setup
     labels = [f"{s.k}{'+' if s.parity > 0 else '-'}"
               for s in _sectors(cfg.length)]
     names = [f"{rows}/{cols}" for rows in labels for cols in labels]

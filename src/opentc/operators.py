@@ -309,7 +309,3 @@ def magnetization(kind: str, length: int) -> np.ndarray:
     for r in range(length):
         total += site_operator(kind, r, length)
     return total
-
-
-def magnetization_per_spin(kind: str, length: int) -> np.ndarray:
-    return magnetization(kind, length) / length

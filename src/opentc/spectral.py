@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .lindblad import HERMITICITY_TOL
-from .operators import _serial_blas, devectorize, hs_inner, vectorize
+from .operators import _serial_blas, devectorize, vectorize
 
 SPECTRAL_TOL = 1e-8           # clusters and peripheral modes; README table
 DEFECTIVE_COND = 1e10         # a condition number
@@ -410,24 +410,3 @@ def dual_basis(asy: AsymptoticSubspace, targets) -> list:
         raise ValueError("targets do not span the asymptotic subspace")
     duals = jmat @ np.linalg.inv(coeff).conj().T
     return [devectorize(duals[:, k]) for k in range(duals.shape[1])]
-
-
-def dissipative_gap(sd: SpectralData) -> float:
-    """Smallest decay rate min |Re lambda| over decaying modes; inf if none."""
-    if sd.kind != "generator":
-        raise ValueError("dissipative gap is defined for generator spectra")
-    decaying = sd.eigenvalues[sd.eigenvalues.real < -sd.peripheral_tolerance]
-    if decaying.size == 0:
-        return np.inf
-    return float(np.min(np.abs(decaying.real)))
-
-
-def asymptotic_state(asy: AsymptoticSubspace, rho0: np.ndarray,
-                     t: float = 0.0) -> np.ndarray:
-    """sum_mu e^{i phi_mu t} tr(j_mu^dag rho0) Psi_mu, phi_mu = Im lambda_mu."""
-    rho0 = np.asarray(rho0, dtype=complex)
-    out = np.zeros_like(rho0)
-    for lam, psi, j in zip(asy.eigenvalues, asy.states, asy.conserved):
-        phi = lam.imag
-        out = out + np.exp(1j * phi * t) * hs_inner(j, rho0) * psi
-    return out

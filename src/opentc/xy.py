@@ -21,7 +21,6 @@ ENERGY_CLUSTER_TOL = 1e-8     # times max(1, max |E|)
 COUPLING_TOL = 1e-12
 FACTORIZATION_TOL = 1e-10
 MOMENTUM_TOL = 1e-12
-GAPLESS_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -126,17 +125,6 @@ def dispersion(p: XYParams, q: float) -> float:
     phase = 2.0 * np.pi * q / p.length
     return 2.0 * abs(p.j) * np.hypot(p.h - np.cos(phase),
                                      p.gamma * np.sin(phase))
-
-
-def bogoliubov_angle(p: XYParams, q: float) -> float:
-    """Rotation angle from the two-argument arctangent; odd in q."""
-    _check_momentum(p, q)
-    phase = 2.0 * np.pi * q / p.length
-    y = p.gamma * np.sin(phase)
-    x = p.h - np.cos(phase)
-    if abs(x) < GAPLESS_TOL and abs(y) < GAPLESS_TOL:
-        raise ValueError(f"Bogoliubov angle indeterminate at gapless momentum {q}")
-    return float(np.arctan2(y, x))
 
 
 def free_fermion_sector_energies(p: XYParams, sector: str) -> np.ndarray:

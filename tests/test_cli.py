@@ -133,6 +133,24 @@ def test_failed_grid_point_exit_code(tmp_path, capsys, monkeypatch, command):
     assert "1 row(s) failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["spectrum", "disorder"])
+def test_failed_kick_of_a_single_point_exit_code(tmp_path, capsys,
+                                                 monkeypatch, command):
+    # spectrum and disorder run one point: the kick's failure, which the
+    # block loop stores for its point, is re-raised as a numeric failure
+    def failing_kick(p, *args):
+        raise FloatingPointError("injected")
+
+    monkeypatch.setattr(floquet, "kicked", failing_kick)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "numeric failure: injected" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, values", [
     ("sweep", {"eta_grid": []}), ("sweep", {"h_grid": []}),
     ("scaling", {"l_grid": []})])

@@ -15,13 +15,12 @@ import scipy.sparse.linalg
 import opentc
 from opentc import floquet, lindblad, models, operators, spectral, xy
 from opentc.experiments import (ConfigError, ExperimentConfig, ResultTable,
-                                _initial_state, _partner, _protocol,
-                                _sectors, _shapes, _sweep_row, load_config,
+                                _classes, _initial_state, _partner,
+                                _protocol, _sectors, _sweep_row, load_config,
                                 run_disorder, run_scaling, run_spectrum,
                                 run_sweep, run_trace, run_validate)
 from opentc.floquet import floquet_propagator
-from opentc.operators import (devectorize, hs_inner, magnetization_per_spin,
-                              vectorize)
+from opentc.operators import devectorize, hs_inner, magnetization, vectorize
 from opentc.xy import theoretical_amplitude
 
 REPO = Path(__file__).resolve().parents[1]
@@ -161,7 +160,7 @@ def test_run_trace_secular_matches_dense_map(mode, state):
     ef = floquet_propagator(proto)
     psi = _initial_state(cfg, params)
     vec = vectorize(np.outer(psi, psi.conj()))
-    mx = magnetization_per_spin("X", cfg.length)
+    mx = magnetization("X", cfg.length) / cfg.length
     expected = []
     for _ in range(cfg.n_periods + 1):
         expected.append(hs_inner(mx, devectorize(vec)).real)
@@ -234,7 +233,7 @@ def test_default_dense_runners_decompose_momentum_parity_blocks(
     blocks = spy(monkeypatch, gen.matrix, gen)
     sides = tuple(s.isometry for s in _sectors(4))
     partner = _partner(4)
-    shapes = len(_shapes(sides, partner))
+    shapes = len(_classes(sides, partner)[0])
     assert (len(sides), shapes) == (8, 5)
     for run, calls in ((run_sweep, 5 * shapes), (run_spectrum, 2 * shapes),
                        (run_disorder, shapes + 1)):
@@ -261,7 +260,7 @@ def test_default_dense_runners_decompose_momentum_parity_blocks(
     decomposed.clear()
     run_sweep(ExperimentConfig())
     sizes = [len(s) for (s, *_), _ in decomposed]
-    assert sizes == [5 * len(p) for p in _shapes(sides, partner)] * 5
+    assert sizes == [5 * len(p) for p in _classes(sides, partner)[0]] * 5
 
 
 def test_only_disorder_computes_eigenvectors(monkeypatch):

@@ -8,9 +8,9 @@ from opentc import floquet, operators
 from opentc.floquet import matrix_exp
 from opentc.operators import (SERIAL_BLAS_DIM, devectorize, hs_inner,
                               identity, is_unitary, kron, magnetization,
-                              magnetization_per_spin, pauli, sandwich,
-                              site_operator, trace_functional,
-                              unitary_conjugation, vectorize, z_signs)
+                              pauli, sandwich, site_operator,
+                              trace_functional, unitary_conjugation,
+                              vectorize, z_signs)
 from opentc.spectral import decompose
 
 
@@ -119,7 +119,7 @@ def test_site_operators_commute_on_distinct_sites():
 def test_magnetization():
     assert np.allclose(magnetization("Z", 1), pauli("Z"))
     plus = np.ones(4) / 2.0
-    mx = magnetization_per_spin("X", 2)
+    mx = magnetization("X", 2) / 2
     assert plus @ mx @ plus == pytest.approx(1.0)
     evals = np.sort(np.linalg.eigvalsh(magnetization("Z", 3)))
     assert np.allclose(evals, [-3, -1, -1, -1, 1, 1, 1, 3])

@@ -21,9 +21,9 @@ import scipy.sparse.linalg
 from scipy.optimize import linear_sum_assignment
 
 from opentc import experiments, floquet, lindblad, xy
-from opentc.experiments import (ExperimentConfig, _block_spectra,
-                                _field_setup, _generator_blocks,
-                                _initial_state, _kick, _protocol, _trace_mx)
+from opentc.experiments import (ExperimentConfig, _assemble, _classes,
+                                _field_setup, _initial_state, _kick,
+                                _map_spectra, _partner, _protocol, _trace_mx)
 from opentc.floquet import (KickedProtocol, find_star, floquet_propagator,
                             kicked, stroboscopic_evolve)
 from opentc.lindblad import LindbladModel
@@ -60,14 +60,32 @@ def runner_sides(length):
 
 
 def blocks(sides):
-    """Every block (rows, cols), in _block_spectra's order."""
+    """Every block (rows, cols), in row-major order."""
     return [(rows, cols) for rows in sides for cols in sides]
 
 
-def stacked(sides, build):
-    """_block_spectra's build(pairs) from build(block) of one block."""
-    return lambda pairs: np.stack([build((sides[a], sides[b]))
-                                   for a, b in pairs])
+def with_vectors(sides, build, kind):
+    """Every block's spectrum with vectors, in row-major order, from
+    build(block) of one block: a block a <= b decomposed alone, a block
+    a > b the mirror of block (b, a)."""
+    n = len(sides)
+    built = {(a, b): decompose(build((sides[a], sides[b])), kind=kind)
+             for a in range(n) for b in range(a, n)}
+    return [built[a, b] if a <= b else
+            mirror(built[b, a], (sides[b].shape[1], sides[a].shape[1]))
+            for a in range(n) for b in range(n)]
+
+
+def runner_spectra(cfg, h, length, eta):
+    """The generator's and the map's block spectra, eigenvalues only, as
+    spectrum builds them on the (k, P) sides: the _field_setup and a dict
+    of two lists, one spectrum per block in row-major order."""
+    built = {}
+    setup = _field_setup(cfg, h, length, built)
+    sides = setup[1]
+    maps, = _map_spectra(setup, length, [_kick(*setup, eta)])
+    generator = _assemble(built, _classes(sides, _partner(length))[1])
+    return setup, {"generator": generator, "map": maps}
 
 
 def to_block(rho, v):
@@ -131,7 +149,7 @@ def test_mirrored_block_matches_direct_block(length, mode, kind):
         return (floquet_propagator(proto, block) if kind == "map"
                 else proto.model.matrix(block))
 
-    mirrored = _block_spectra(sides, stacked(sides, build), kind)[2]
+    mirrored = with_vectors(sides, build, kind)[2]
     s = build((sides[1], sides[0]))
     direct = decompose(s, kind=kind)
     w = mirrored.eigenvalues
@@ -151,8 +169,8 @@ def test_mirrored_block_matches_direct_block(length, mode, kind):
     first = np.unique(mirrored.clusters, return_index=True)[1]
     assert np.all(np.diff(first) > 0)
     # without vectors: the eigenvalues of the explicitly built (-, +) block
-    bare = _block_spectra(sides, stacked(sides, build), kind,
-                          vectors=False)[2]
+    bare = mirror(decompose(build((sides[0], sides[1])), kind=kind,
+                            vectors=False), None)
     assert bare.right is None and bare.left is None and bare.defective is None
     direct = decompose(s, kind=kind, vectors=False).eigenvalues
     assert multiset_distance(bare.eigenvalues, direct) < 1e-12
@@ -166,8 +184,8 @@ def test_mirror_of_rectangular_momentum_blocks():
     _, proto = _protocol(cfg, 0.9, np.pi / 40, 4)
     sides = momentum_sides(4)
     n = len(sides)
-    spectra = _block_spectra(sides, stacked(
-        sides, lambda block: floquet_propagator(proto, block)))
+    spectra = with_vectors(
+        sides, lambda block: floquet_propagator(proto, block), "map")
     mirrored = 0
     for k, (rows, cols) in enumerate(blocks(sides)):
         a, b = divmod(k, n)
@@ -210,22 +228,18 @@ EIGENVALUES_ONLY_TOL = 1e-12
 
 
 def assert_classes_match_direct_blocks(length, mode, h, eta):
-    """Every block's spectrum, as _block_spectra reports it without vectors
-    from the runners' set-up, one block per reflection class built, against
-    that block built from its own sides and decomposed with vectors: the
-    same multiset within EIGENVALUES_ONLY_TOL * cond, for the generator and
-    the map. Returns the two lists of map spectra."""
+    """Every block's spectrum, as runner_spectra reports it without
+    vectors, one block per reflection class built, against that block
+    built from its own sides and decomposed with vectors: the same
+    multiset within EIGENVALUES_ONLY_TOL * cond, for the generator and the
+    map. Returns the two lists of map spectra."""
     cfg = ExperimentConfig(length=length, dissipator_mode=mode)
-    proto, sides, kicks, evolved = _field_setup(cfg, h, length)
-    partner = experiments._partner(length)
+    (proto, sides, *_), spectra = runner_spectra(cfg, h, length, eta)
     at_eta = replace(proto, error=eta)
-    builds = {
-        "generator": (_generator_blocks(proto, sides), proto.model.matrix),
-        "map": (_kick(proto, sides, kicks, evolved, eta),
-                lambda block: floquet_propagator(at_eta, block))}
-    for kind, (build, direct) in builds.items():
-        bare = _block_spectra(sides, build, kind, vectors=False,
-                              partner=partner)
+    directs = {"generator": proto.model.matrix,
+               "map": lambda block: floquet_propagator(at_eta, block)}
+    for kind, direct in directs.items():
+        bare = spectra[kind]
         full = [decompose(direct(block), kind=kind)
                 for block in blocks(sides)]
         for f, b in zip(full, bare, strict=True):
@@ -280,8 +294,9 @@ def test_reflection_images_are_the_partner_sides():
     # the built blocks: one per class, 24 of 36, 46 of 78 and 76 of 136
     for length, count, total in ((4, 24, 36), (6, 46, 78), (8, 76, 136)):
         sides, partner = runner_sides(length), experiments._partner(length)
-        assert sum(map(len, experiments._shapes(sides, partner))) == count
-        assert sum(map(len, experiments._shapes(sides))) == total
+        identity = tuple(range(len(sides)))
+        assert sum(map(len, _classes(sides, partner)[0])) == count
+        assert sum(map(len, _classes(sides, identity)[0])) == total
 
 
 def chiral_model(length, part):
@@ -344,18 +359,14 @@ def test_momentum_parity_blocks_match_parity_blocks(length, mode, h):
     # and the map; an eigenvalue of condition number cond may move by
     # EIGENVALUES_ONLY_TOL * cond with the basis (README "Tolerances")
     cfg = ExperimentConfig(length=length, dissipator_mode=mode)
-    proto, sides, kicks, evolved = _field_setup(cfg, h, length)
+    (proto, sides, *_), spectra = runner_spectra(cfg, h, length, np.pi / 20)
     at_eta = replace(proto, error=np.pi / 20)
     parity = parity_sides(length)
-    builds = {
-        "generator": (_generator_blocks(proto, sides),
-                      lambda block: proto.model.matrix(block)),
-        "map": (_kick(proto, sides, kicks, evolved, np.pi / 20),
-                lambda block: floquet_propagator(at_eta, block))}
-    for kind, (build, direct) in builds.items():
-        want = _block_spectra(parity, stacked(parity, direct), kind)
-        got = _block_spectra(sides, build, kind, vectors=False,
-                             partner=experiments._partner(length))
+    directs = {"generator": proto.model.matrix,
+               "map": lambda block: floquet_propagator(at_eta, block)}
+    for kind, direct in directs.items():
+        want = with_vectors(parity, direct, kind)
+        got = spectra[kind]
         assert [sd.size for sd in got] == [
             rows.shape[1] * cols.shape[1] for rows, cols in blocks(sides)]
         w = np.concatenate([sd.eigenvalues for sd in want])
@@ -399,7 +410,7 @@ def test_disorder_elements_on_a_momentum_block_match_the_parity_block(mode):
 
 
 def test_stacked_kick_matches_each_block_kicked_alone():
-    # a _shapes group kicked as one stack, from the commutator diagonals
+    # a group of _classes kicked as one stack, from the commutator diagonals
     # g_i - g_j, against each block's map from floquet_propagator
     cfg = ExperimentConfig()
     proto, sides, kicks, evolved = _field_setup(cfg, 0.9, 4)

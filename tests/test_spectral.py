@@ -11,7 +11,7 @@ from scipy.sparse.csgraph import connected_components
 
 from opentc import floquet, spectral
 from opentc.experiments import (ExperimentConfig, _field_setup, _kick,
-                                _partner, _protocol, _shapes)
+                                _classes, _partner, _protocol)
 from opentc.floquet import floquet_propagator
 from opentc.lindblad import (HERMITICITY_TOL, JumpChannel, LindbladModel,
                              liouvillian_matrix)
@@ -19,9 +19,8 @@ from opentc.models import dfs_independent_model
 from opentc.operators import Sector, devectorize, pauli, vectorize
 from opentc.spectral import (DEFECTIVE_COND, SPECTRAL_TOL, _biorthonormal,
                              _biorthonormalize, _clusters, _hermitian_basis,
-                             _real_eig, _real_form, asymptotic_state,
-                             asymptotic_subspace, decompose, dissipative_gap,
-                             dual_basis, mirror, split)
+                             _real_eig, _real_form, asymptotic_subspace,
+                             decompose, dual_basis, mirror, split)
 
 
 def dephasing_generator(h=0.0, kappa=0.5):
@@ -61,7 +60,6 @@ def test_unitary_qubit_spectrum():
     sd = decompose(liouvillian_matrix(model), kind="generator")
     expected = np.sort_complex(np.array([0, 0, -1j * h, 1j * h]))
     assert np.max(np.abs(np.sort_complex(sd.eigenvalues) - expected)) < 1e-12
-    assert dissipative_gap(sd) == np.inf
 
 
 def test_biorthonormality_and_reconstruction():
@@ -107,42 +105,6 @@ def test_asymptotic_subspace_empty_is_error():
     sd = decompose(np.diag([-1.0, -2.0, -3.0, -4.0]), kind="generator")
     with pytest.raises(ValueError):
         asymptotic_subspace(sd)
-
-
-def test_dissipative_gap():
-    kappa = 0.3
-    sd = decompose(dephasing_generator(0.0, kappa), kind="generator")
-    assert dissipative_gap(sd) == pytest.approx(2 * kappa)
-    rng = np.random.default_rng(3)
-    mat = random_generator(rng, 3)
-    sd = decompose(mat, kind="generator")
-    w = np.linalg.eigvals(mat)
-    brute = np.min(np.abs(w.real[w.real < -1e-8]))
-    assert dissipative_gap(sd) == pytest.approx(brute, rel=1e-6)
-
-
-def test_asymptotic_state_dephasing_diagonal():
-    sd = decompose(dephasing_generator(), kind="generator")
-    asy = asymptotic_subspace(sd)
-    rho0 = np.diag([0.3, 0.7]).astype(complex)
-    out = asymptotic_state(asy, rho0)
-    assert np.max(np.abs(out - rho0)) < 1e-10
-
-
-def test_asymptotic_state_matches_long_time_evolution():
-    rng = np.random.default_rng(4)
-    mat = random_generator(rng, 3)
-    sd = decompose(mat, kind="generator")
-    asy = asymptotic_subspace(sd)
-    gap = dissipative_gap(sd)
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    rho0 = a @ a.conj().T
-    rho0 /= np.trace(rho0)
-    t = 20.0 / gap
-    evolved = devectorize(scipy.linalg.expm(mat * t) @ vectorize(rho0))
-    asym = asymptotic_state(asy, rho0, t)
-    diff = 0.5 * np.sum(np.linalg.svd(evolved - asym, compute_uv=False))
-    assert diff < np.exp(-gap * t) + 1e-8
 
 
 def test_map_kind_and_peripheral():
@@ -528,7 +490,7 @@ def test_stack_decomposes_as_each_matrix_alone(eigvals_inputs):
     cfg = ExperimentConfig()
     setup = _field_setup(cfg, 0.5, 4)
     sides = setup[1]
-    pairs = next(p for p in _shapes(sides, _partner(4))
+    pairs = next(p for p in _classes(sides, _partner(4))[0]
                  if len({a == b for a, b in p}) == 2)
     stack = _kick(*setup, np.pi / 20)(pairs)
     sd = decompose(stack, kind="map", vectors=False)
@@ -549,7 +511,7 @@ def test_stack_in_parts_gives_the_same_bits(monkeypatch, eigvals_inputs):
     # with its own real and complex stacks; the eigenvalues do not change
     cfg = ExperimentConfig()
     setup = _field_setup(cfg, 0.5, 4)
-    pairs = next(p for p in _shapes(setup[1], _partner(4))
+    pairs = next(p for p in _classes(setup[1], _partner(4))[0]
                  if len({a == b for a, b in p}) == 2)
     stack = np.concatenate([_kick(*setup, eta)(pairs)
                             for eta in (0.0, np.pi / 40, np.pi / 20)])

@@ -10,7 +10,7 @@ from opentc import xy
 from opentc.lindblad import liouvillian_matrix, rk4_evolve
 from opentc.operators import magnetization, pauli, site_operator, z_signs
 from opentc.xy import (BOHR_CLUSTER_TOL, BathSpec, NumericGenerator,
-                       XYParams, bogoliubov_angle, brillouin_zone, dispersion,
+                       XYParams, brillouin_zone, dispersion,
                        energy_eigenbasis, factorized_states,
                        free_fermion_sector_energies, ground_state_pair,
                        secular_liouvillian, theoretical_amplitude,
@@ -89,17 +89,10 @@ def test_dispersion_closed_points():
         dispersion(p, 5.0)
 
 
-def test_dispersion_symmetry_and_angle_oddness():
+def test_dispersion_symmetry():
     p = XYParams(j=1.3, gamma=0.6, h=0.4, length=8)
     for q in brillouin_zone(8, "even"):
         assert dispersion(p, q) == pytest.approx(dispersion(p, -q))
-        assert bogoliubov_angle(p, q) == pytest.approx(-bogoliubov_angle(p, -q))
-
-
-def test_bogoliubov_angle_gapless():
-    p = XYParams(j=1.0, gamma=0.5, h=1.0, length=4)
-    with pytest.raises(ValueError):
-        bogoliubov_angle(p, 0.0)
 
 
 @pytest.mark.parametrize("length", [2, 4, 6])
