@@ -13,6 +13,11 @@ HERMITICITY_TOL = 1e-10       # absolute, as all four; README "Tolerances"
 STATE_PSD_TOL = 1e-8
 TRACE_TOL = 1e-8
 SECTOR_TOL = 1e-10
+# A superoperator on blocks of at most this many entries (rows * cols)
+# applies as one dense matrix product, larger ones as sandwiches (_Terms);
+# README "BLAS threads" has the timings that chose it. It covers the L = 6
+# trace block (13 x 13) and leaves the L = 8 one (30 x 30) to sandwiches.
+DENSE_ACTION_DIM = 256
 
 
 class Generator(Protocol):
@@ -46,13 +51,19 @@ class _Terms:
     rectangular block. The actions also take a stack of operators, shape
     (..., *shape).
 
-    Two or more pairs whose factors are both dense are applied together as
-    two matrix products: Z = x [B_1 ... B_K], read without a copy as the
-    (r K) x c matrix with row (j, k), and then A_hat Z with
-    A_hat[i, j K + k] = A_k[i, j]. The other pairs follow one at a time.
-    The two stacked factors are built on the first action (the transposed
-    ones on the first adjoint action) and kept; matrix, trace and restrict
-    never build them.
+    The actions follow one of two plans, by the size of the block. Up to
+    DENSE_ACTION_DIM entries, rows * cols = n, the superoperator is its
+    n x n matrix M = sum_k kron(A_k, B_k^T), and an action is one product
+    x M^T of the operators read as rows of n entries; the transposed
+    factors' superoperator is M^T, so the adjoint is x M and one M serves
+    both. Above it the actions are sandwiches (_sandwiches): two or more
+    pairs whose factors are both dense are applied together as two matrix
+    products, Z = x [B_1 ... B_K], read without a copy as the (r K) x c
+    matrix with row (j, k), and then A_hat Z with A_hat[i, j K + k] =
+    A_k[i, j]; the other pairs follow one at a time. A plan is built on
+    the first action that needs it (M on the first action of either
+    direction, the transposed stack on the first adjoint action) and kept;
+    matrix, trace and restrict never build one.
     """
 
     def __init__(self, pairs, shape=None):
@@ -63,32 +74,55 @@ class _Terms:
         self._plans = {}
 
     def _plan(self, transposed: bool):
-        """(stack, pairs) for _apply, of the transposed factors if asked.
+        """The action's plan, of the transposed factors if asked: the
+        matrix that right-multiplies the flattened operators, or
+        _stacked's (stack, pairs)."""
+        plan = self._plans.get(transposed)
+        if plan is None:
+            rows, cols = self.shape
+            if rows * cols > DENSE_ACTION_DIM:
+                plan = self._stacked(transposed)
+            elif (not transposed) in self._plans:
+                plan = self._plans[not transposed].T
+            else:
+                # M, not through operators.sandwich: the traced benchmark
+                # counts its calls, and the trace workloads must make none
+                m = self._summed(_kron_transposed)
+                plan = m if transposed else m.T
+            self._plans[transposed] = plan
+        return plan
+
+    def _stacked(self, transposed: bool):
+        """(stack, pairs) for _sandwiches, of the transposed factors if asked.
 
         stack is (A_hat, [B_1 ... B_K]) of the dense pairs, or None when
         there are fewer than two; pairs are the ones applied one at a time.
         """
-        plan = self._plans.get(transposed)
-        if plan is None:
-            pairs = [(_transpose(a), _transpose(b)) if transposed else (a, b)
-                     for a, b in self.pairs]
-            dense = [all(f is not None and f.ndim == 2 for f in pair)
-                     for pair in pairs]
-            stack = None
-            if sum(dense) >= 2:
-                left, right = zip(*(p for p, s in zip(pairs, dense) if s))
-                stack = (np.stack(left, axis=-1).reshape(self.shape[0], -1),
-                         np.concatenate(right, axis=1))
-                pairs = [p for p, s in zip(pairs, dense) if not s]
-            plan = self._plans[transposed] = (stack, pairs)
-        return plan
+        pairs = [(_transpose(a), _transpose(b)) if transposed else (a, b)
+                 for a, b in self.pairs]
+        dense = [all(f is not None and f.ndim == 2 for f in pair)
+                 for pair in pairs]
+        stack = None
+        if sum(dense) >= 2:
+            left, right = zip(*(p for p, s in zip(pairs, dense) if s))
+            stack = (np.stack(left, axis=-1).reshape(self.shape[0], -1),
+                     np.concatenate(right, axis=1))
+            pairs = [p for p, s in zip(pairs, dense) if not s]
+        return stack, pairs
 
     def _apply(self, x, transposed: bool) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
         if x.shape[-2:] != self.shape:
             raise ValueError("operator dimension differs from superoperator "
                              "dimension")
-        stack, pairs = self._plan(transposed)
+        plan = self._plan(transposed)
+        if isinstance(plan, np.ndarray):
+            n = plan.shape[0]
+            return (x.reshape(-1, n) @ plan).reshape(x.shape)
+        return self._sandwiches(x, *plan)
+
+    def _sandwiches(self, x, stack, pairs) -> np.ndarray:
+        """sum_k A_k x B_k over _stacked's (stack, pairs)."""
         if stack is None:
             out = np.zeros_like(x)
         else:
@@ -116,11 +150,15 @@ class _Terms:
             -1, m.shape[0]).T
 
     def matrix(self) -> np.ndarray:
+        # sandwich takes the factors of a square rho only
+        return self._summed(sandwich if self.shape[0] == self.shape[1]
+                            else _kron_transposed)
+
+    def _summed(self, kron) -> np.ndarray:
+        """sum_k kron(A_k, B_k^T), each term built by kron(A_k, B_k)."""
         rows, cols = self.shape
         full = lambda f, n: (np.eye(n) if f is None
                              else np.diag(f) if f.ndim == 1 else f)
-        # sandwich takes the factors of a square rho only
-        kron = sandwich if rows == cols else _kron_transposed
         out = np.zeros((rows * cols,) * 2, dtype=complex)
         for a, b in self.pairs:
             out += kron(full(a, rows), full(b, cols))
@@ -278,9 +316,10 @@ class LindbladModel(_SectorGenerator):
     the sandwiches (K, 1), (1, K^dag) and (k_a L_a, L_a^dag) with
     K = -iH - 1/2 sum_a k_a L_a^dag L_a. A side v restricts H and each L_a
     once and forms K from them, so no whole-space K is built for a block.
-    With two or more jumps their sandwiches are applied as two stacked
-    matrix products (see _Terms), so an action costs the same few BLAS
-    calls for any number of jumps.
+    An action on a block of at most DENSE_ACTION_DIM entries is one matrix
+    product; on a larger one, two or more jumps' sandwiches are applied as
+    two stacked matrix products (see _Terms). Either way an action costs
+    the same few BLAS calls for any number of jumps.
     """
 
     hamiltonian: np.ndarray
@@ -363,7 +402,9 @@ def rk4_evolve(model: Generator, rho0: np.ndarray, t_total: float,
     """Classic fourth-order integration of d rho/dt = L(rho) in operator space.
 
     `model` is any Generator; only its action is used, so the d^2 x d^2
-    matrix is never materialized. The state is hermitized after every step.
+    matrix is built only where the action's own plan builds it, for
+    d^2 <= DENSE_ACTION_DIM (_Terms). The state is hermitized after every
+    step.
     A negative or non-finite t_total raises ValueError.
     """
     if dt <= 0:

@@ -172,6 +172,28 @@ def _serial_blas(dim: int = 0):
             put(count)
 
 
+@contextlib.contextmanager
+def _fixed_probes():
+    """Yield reseed(), which puts numpy's global random state at a fixed
+    seed, and give the caller's state back on exit, also from an
+    exception.
+
+    scipy's onenormest, which expm_multiply calls on a LinearOperator,
+    draws its probe columns from that global state, so without reseed()
+    before each call its estimate, and with it the Taylor degree, the
+    scaling and the rounding of the result, would change from run to run.
+    Saving and restoring the state takes about 0.1 ms and seeding it a few
+    microseconds, so a caller with several calls in a row reseeds before
+    each inside one body. The state is per process, like _serial_blas's
+    thread counts, so threads must not use this concurrently.
+    """
+    saved = np.random.get_state()
+    try:
+        yield functools.partial(np.random.seed, 0)
+    finally:
+        np.random.set_state(saved)
+
+
 def unitary_conjugation(u: np.ndarray) -> np.ndarray:
     """Superoperator matrix of rho -> U rho U^dag, i.e. kron(U, conj(U))."""
     u = np.asarray(u, dtype=complex)

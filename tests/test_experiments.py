@@ -16,9 +16,10 @@ import opentc
 from opentc import floquet, lindblad, models, operators, spectral, xy
 from opentc.experiments import (ConfigError, ExperimentConfig, ResultTable,
                                 _classes, _initial_state, _partner,
-                                _protocol, _sectors, _sweep_row, load_config,
-                                run_disorder, run_scaling, run_spectrum,
-                                run_sweep, run_trace, run_validate)
+                                _protocol, _sectors, _sweep_row, _trace_mx,
+                                load_config, run_disorder, run_scaling,
+                                run_spectrum, run_sweep, run_trace,
+                                run_validate)
 from opentc.floquet import floquet_propagator
 from opentc.operators import devectorize, hs_inner, magnetization, vectorize
 from opentc.xy import theoretical_amplitude
@@ -167,6 +168,42 @@ def test_run_trace_secular_matches_dense_map(mode, state):
         vec = ef @ vec
     assert np.max(np.abs(np.array(values) - expected)) < 1e-10
     assert np.sign(values[1]) == -np.sign(values[0])
+
+
+def test_trace_is_bit_reproducible_under_any_global_seed():
+    # scipy's onenormest draws its probes from numpy's global random state;
+    # the stepper fixes them, and gives the caller its state back
+    cfg = ExperimentConfig(length=6, h=0.9, eta=np.pi / 40, n_periods=10)
+    values = []
+    for seed in (1, 2):
+        np.random.seed(seed)
+        before = np.random.get_state()
+        values.append(_trace_mx(cfg, cfg.length, cfg.n_periods))
+        after = np.random.get_state()
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    assert values[0] == values[1]
+
+
+# the trace workloads of perfbench: their runs must not reach
+# operators.sandwich, which the benchmark requires them to bypass
+_BENCHMARK_TRACES = {
+    "trace-L8": dict(length=8, n_periods=1),
+    "trace-secular-L6": dict(length=6, n_periods=3,
+                             dissipator_mode="independent"),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(_BENCHMARK_TRACES))
+def test_benchmark_traces_bypass_sandwich(monkeypatch, workload):
+    def refused(*args):
+        raise AssertionError("sandwich called on the trace path")
+
+    for mod in (lindblad, operators):
+        monkeypatch.setattr(mod, "sandwich", refused)
+    cfg = ExperimentConfig(h=0.9, eta=np.pi / 40,
+                           initial_state="gs_superposition",
+                           **_BENCHMARK_TRACES[workload])
+    assert len(run_trace(cfg).rows) == cfg.n_periods + 1
 
 
 def test_run_sweep_rows_and_gap():

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opentc.lindblad import JumpChannel, LindbladModel, _Terms
-from opentc.operators import Sector, devectorize, vectorize
+from opentc.lindblad import DENSE_ACTION_DIM, JumpChannel, LindbladModel, _Terms
+from opentc.operators import Sector, _kron_transposed, devectorize, vectorize
 from opentc.xy import BathSpec, NumericGenerator, XYParams, secular_liouvillian
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -181,6 +181,11 @@ def test_sandwich_sum_columns_stacks_and_adjoint(terms_and_rng, n):
     scale = max(1.0, np.max(np.abs(expected)))
     assert np.max(np.abs(terms.columns(m) - expected)) <= 1e-13 * scale
     stack = m.T.reshape(n, d, d)
+    # d <= 4 takes the dense plan, whose M is summed like matrix(): the
+    # sandwich evaluator is checked against matrix() as well
+    sandwiches = terms._sandwiches(stack, *terms._stacked(False))
+    assert np.max(np.abs(sandwiches.reshape(n, -1).T - expected)) \
+        <= 1e-13 * scale
     got = terms.action(stack)
     for k in range(n):
         assert np.max(np.abs(got[k] - terms.action(stack[k]))) <= 1e-13 * scale
@@ -235,7 +240,10 @@ def test_skipped_identity_factors_are_bitwise_unchanged(name):
     for terms in (gen._terms(None), gen._terms((even, odd))):
         assert any(f is None for pair in terms.pairs for f in pair)
         x = random_operator(rng, terms.shape[0])
-        assert np.array_equal(terms.action(x), former_action(terms, x))
+        # both blocks are small enough for the dense plan, so the sandwich
+        # evaluator is called directly
+        assert np.array_equal(terms._sandwiches(x, *terms._stacked(False)),
+                              former_action(terms, x))
 
 
 BLOCK_GENERATORS = ["numeric-L4", "secular-independent-L4",
@@ -306,8 +314,12 @@ def test_stacked_dense_pairs_match_pair_loop(n_dense, shape, lead):
     pairs = mixed_pairs(rng, shape, n_dense)
     terms = _Terms(pairs, shape=shape)
     x = rng.normal(size=(*lead, *shape)) + 1j * rng.normal(size=(*lead, *shape))
+    # these blocks take the dense plan, so the sandwiches are called too
+    sandwiches = (terms._sandwiches(x, *terms._stacked(False)),
+                  terms._sandwiches(x.conj(), *terms._stacked(True)).conj())
     for got, adjoint in ((terms.action(x), False),
-                         (terms.adjoint_action(x), True)):
+                         (terms.adjoint_action(x), True),
+                         (sandwiches[0], False), (sandwiches[1], True)):
         want = loop_reference(pairs, x, adjoint)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -327,3 +339,53 @@ def test_stacked_factors_are_built_by_the_actions_only():
     assert list(terms._plans) == [False] and not part._plans
     part.adjoint_action(np.eye(4))
     assert list(part._plans) == [True]
+
+
+def plan_results(terms, x):
+    """(action, adjoint action) of x by the dense plan and by the sandwich
+    plan, each called directly, whichever one the size rule picks."""
+    n = x.shape[-2] * x.shape[-1]
+    m = terms._summed(_kron_transposed)
+    flat = x.reshape(-1, n)
+    dense = ((flat @ m.T).reshape(x.shape),
+             (flat.conj() @ m).conj().reshape(x.shape))
+    stacked = (terms._sandwiches(x, *terms._stacked(False)),
+               terms._sandwiches(x.conj(), *terms._stacked(True)).conj())
+    return dense, stacked, np.abs(m).max()
+
+
+@pytest.mark.parametrize("n_dense", [2, 7])
+@pytest.mark.parametrize("shape", [(4, 4), (4, 6), (16, 16), (16, 17),
+                                   (17, 17)])
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_dense_and_sandwich_plans_agree(n_dense, shape, lead):
+    rng = np.random.default_rng(12 + n_dense)
+    terms = _Terms(mixed_pairs(rng, shape, n_dense), shape=shape)
+    x = rng.normal(size=(*lead, *shape)) + 1j * rng.normal(size=(*lead, *shape))
+    x /= np.linalg.norm(x, axis=(-2, -1), keepdims=True)
+    dense, stacked, scale = plan_results(terms, x)
+    picked = dense if shape[0] * shape[1] <= DENSE_ACTION_DIM else stacked
+    for got, d, s in zip((terms.action(x), terms.adjoint_action(x)), dense,
+                         stacked):
+        assert np.max(np.abs(d - s)) <= 1e-14 * max(1.0, scale)
+    assert np.array_equal(terms.action(x), picked[0])
+    assert np.array_equal(terms.adjoint_action(x), picked[1])
+
+
+@pytest.mark.parametrize("length, dense", [(6, True), (8, False)])
+def test_trace_block_plan_follows_its_size(length, dense):
+    # the stepper's k = 0, R = +1 block is 13 x 13 at L = 6, 30 x 30 at L = 8
+    gen = NumericGenerator(chain_h09(length), BathSpec(0.01, np.inf))
+    v = Sector(length, k=0, reflection=1).isometry
+    block = (v, v)
+    terms = gen._terms(block)
+    gen.action(np.eye(v.shape[1]), block)
+    gen.adjoint_action(np.eye(v.shape[1]), block)
+    plans = [terms._plans[t] for t in (False, True)]
+    if dense:
+        assert all(isinstance(p, np.ndarray) for p in plans)
+        # one M serves both directions: the adjoint's plan is its transpose
+        assert np.shares_memory(*plans)
+        assert np.array_equal(plans[0], plans[1].T)
+    else:
+        assert all(isinstance(p, tuple) for p in plans)

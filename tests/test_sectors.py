@@ -459,6 +459,49 @@ def test_momentum_parity_sectors_split_the_momentum_sectors(length):
     assert (Sector(length, k=1, parity=1) in sectors) == (length > 2)
 
 
+def site_commutator_elements(rows, cols, length, rng):
+    """<<l|[Z_r, .]|r>> for every site r, and <<l|[M_z, .]|r>>, of a random
+    pair of block operators l and r, each lifted to the whole space as
+    rows x cols^dag, as floquet.disorder_susceptibility lifts the star's
+    vectors."""
+    left, right = (rows @ (rng.normal(size=(rows.shape[1], cols.shape[1]))
+                           + 1j * rng.normal(size=(rows.shape[1],
+                                                   cols.shape[1])))
+                   @ cols.conj().T for _ in range(2))
+    left, right = left / np.linalg.norm(left), right / np.linalg.norm(right)
+
+    def element(z):
+        return np.vdot(left, z[:, None] * right - right * z)
+
+    signs = z_signs(length)
+    return np.array([element(z) for z in signs]), element(signs.sum(0))
+
+
+@pytest.mark.parametrize("length", [4, 6])
+def test_site_elements_are_equal_on_every_momentum_block(length):
+    # T maps every operator of a (k, P) x (k', P') block to e^(i phi) times
+    # itself, and Z_r to Z_(r+1), so the elements do not depend on the
+    # site: the premise for replacing disorder_susceptibility's per-site
+    # loop by one M_z element
+    sectors = experiments._sectors(length)
+    rng = np.random.default_rng(13)
+    off_diagonal = 0
+    for a in sectors:
+        for b in sectors:
+            if a.k == b.k:
+                continue
+            off_diagonal += 1
+            sites, total = site_commutator_elements(a.isometry, b.isometry,
+                                                    length, rng)
+            assert np.max(np.abs(sites - sites[0])) < 1e-13
+            assert abs(sites[0] - total / length) < 1e-13
+    assert off_diagonal == len(sectors) * (len(sectors) - 2)
+    # a parity block is not translation-covariant, and the sites differ
+    side = Sector(length, parity=1).isometry
+    sites, _ = site_commutator_elements(side, side, length, rng)
+    assert np.max(np.abs(sites - sites[0])) > 1e-3
+
+
 QUBIT_SIDES = (np.eye(2)[:, :1], np.eye(2)[:, 1:])
 
 
