@@ -14,16 +14,17 @@ import scipy.sparse.linalg
 
 from .lindblad import (HERMITICITY_TOL, TRACE_TOL, Generator, _sector_part,
                        _Terms, check_state)
-from .operators import (UNITARITY_TOL, _fixed_probes, _serial_blas, _shift,
-                        devectorize, hermitize, is_unitary, trace_functional,
-                        vectorize, z_signs)
+from .operators import (UNITARITY_TOL, _dot, _fixed_probes, _serial_blas,
+                        _shift, devectorize, hermitize, is_unitary,
+                        trace_functional, vectorize, z_signs)
 from .spectral import SpectralData
 
 PROPAGATOR_TRACE_TOL = 1e-9   # times the dimension d; README "Tolerances"
 ROOT_OF_UNITY_TOL = 1e-6
 # The stepper refuses a period whose bound on ||L T||_1, taken in the
 # evolved block's own basis, is larger: its sub-steps, and so its
-# generator applications, grow in proportion to it; README "Tolerances"
+# generator applications, grow in proportion to it. For a generator that
+# splits (covariant_split) L is the dissipator; README "Tolerances"
 PERIOD_NORM_MAX = 1e5
 # The stepper splits a period into the fewest sub-steps t = T / k whose
 # bound on ||t (L - mu)||_1, mu = tr L / n^2 the shift expm_multiply
@@ -65,21 +66,21 @@ class KickedProtocol:
 
     @property
     def kick_unitary(self) -> np.ndarray:
-        return _kick_unitary(self.kick_generator, self.error)
+        return _unitary(self.kick_generator, np.pi + self.error)
 
 
-def _kick_unitary(g: np.ndarray, error: float) -> np.ndarray:
-    """exp(-i (pi + error) g) of a Hermitian g; a 1-D g is a diagonal."""
+def _unitary(g: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i t g) of a Hermitian g, from eigh; a 1-D g is a diagonal."""
     if g.ndim == 1:
-        return _phases(g, error)
+        return _phases(g, t)
     evals, vecs = np.linalg.eigh(g)
-    return (vecs * _phases(evals, error)) @ vecs.conj().T
+    return (vecs * _phases(evals, t)) @ vecs.conj().T
 
 
-def _phases(g: np.ndarray, error: float) -> np.ndarray:
-    """exp(-i (pi + error) g) entrywise, for the diagonal entries g of a
-    Hermitian kick generator."""
-    return np.exp(-1j * (np.pi + error) * np.real(g))
+def _phases(g: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i t g) entrywise, for the diagonal entries or eigenvalues g of
+    a Hermitian matrix."""
+    return np.exp(-1j * t * np.real(g))
 
 
 @dataclass(frozen=True)
@@ -181,7 +182,7 @@ def kicked(p: KickedProtocol, evolved: np.ndarray, block=None,
         prop = kick.columns(evolved)
         blocks = [block]
     else:
-        prop = _phases(generators, p.error)[:, :, None] * evolved
+        prop = _phases(generators, np.pi + p.error)[:, :, None] * evolved
         blocks = block
     diagonal = [k for k, b in enumerate(blocks) if b is None or b[0] is b[1]]
     if diagonal:
@@ -298,6 +299,11 @@ def stroboscopic_evolve(p: KickedProtocol, rho0: np.ndarray, n: int,
     followed by the kick; the state is hermitized after every period. k is
     the fewest sub-steps whose bound on the shifted ||t L||_1 is at most
     STEP_NORM, so that expm_multiply estimates no norm of a power of t L.
+    A generator whose covariant_split(block) is not None is -i[h, .] plus
+    a dissipator D that commutes with it: expm_multiply then steps D
+    alone (its sub-steps, norm_bound, trace and the PERIOD_NORM_MAX
+    refusal all D's), and exp(-i h T), from eigh of h, is folded into the
+    kick as the one sandwich U_K exp(-i h T) r exp(i h T) U_K^dag.
     Each call draws the same probes for its 1-norm estimate of t L
     (operators._fixed_probes, entered once a period), so the states are
     the same in every run.
@@ -321,11 +327,12 @@ def _stroboscopic_states(p: KickedProtocol, rho: np.ndarray, n: int,
     yield rho
     if n == 0:
         return
-    gen = p.model
+    split = p.model.covariant_split(block)
+    gen = p.model if split is None else split[1]
     norm = p.period * gen.norm_bound(block)
     if not norm <= PERIOD_NORM_MAX:
-        raise RuntimeError(f"||L T||_1 of the evolved block may reach "
-                           f"{norm:.3g}, above PERIOD_NORM_MAX = "
+        raise RuntimeError(f"||L T||_1 of the stepped generator's block may "
+                           f"reach {norm:.3g}, above PERIOD_NORM_MAX = "
                            f"{PERIOD_NORM_MAX:g}: a period would take too "
                            f"many generator applications")
     d = rho.shape[0]
@@ -333,6 +340,8 @@ def _stroboscopic_states(p: KickedProtocol, rho: np.ndarray, n: int,
     steps = max(1, math.ceil((norm + abs(tra) / d ** 2) / STEP_NORM))
     op = _period_operator(gen, p.period / steps, block, d)
     kick = _conjugation(p.kick_unitary).restrict(block)
+    if split is not None:
+        kick = _after_hamiltonian(kick, split[0], p.period)
     vec = vectorize(rho)
     for _ in range(n):
         with _fixed_probes() as reseed:
@@ -347,6 +356,17 @@ def _stroboscopic_states(p: KickedProtocol, rho: np.ndarray, n: int,
                                f"evolution")
         yield rho
         vec = vectorize(rho)
+
+
+def _after_hamiltonian(kick: _Terms, hamiltonians, t: float) -> _Terms:
+    """The one-pair kick (A, B) after exp(-i[h, .] t) on the same block:
+    the pair (A exp(-i h_rows t), exp(i h_cols t) B), hamiltonians being
+    (h_rows, h_cols); a diagonal side block needs one eigh."""
+    (a, b), = kick.pairs
+    h_rows, h_cols = hamiltonians
+    rows = _unitary(h_rows, t)
+    cols = rows if h_cols is h_rows else _unitary(h_cols, t)
+    return _Terms([(_dot(a, rows), _dot(cols.conj().T, b))], shape=kick.shape)
 
 
 def _period_operator(gen: Generator, t: float, block,

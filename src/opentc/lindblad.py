@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Protocol
 
 import numpy as np
@@ -18,6 +19,10 @@ SECTOR_TOL = 1e-10
 # README "BLAS threads" has the timings that chose it. It covers the L = 6
 # trace block (13 x 13) and leaves the L = 8 one (30 x 30) to sandwiches.
 DENSE_ACTION_DIM = 256
+# A jump a is covariant on a side of a block, h that side's Hamiltonian,
+# when ||[h, a] + w a||_F is at most this times max(1, ||h||_1) ||A||_F,
+# A the whole-space jump and w its Bohr frequency; README "Tolerances"
+COVARIANCE_TOL = 1e-10
 
 
 class Generator(Protocol):
@@ -27,6 +32,10 @@ class Generator(Protocol):
     row-major vectorized states, its conjugate transpose is the adjoint
     action, trace() equals np.trace(matrix()) and norm_bound() bounds the
     1-norm of matrix() from above, both without building it.
+    covariant_split() is (hamiltonians, dissipator) when the generator is
+    -i[H, .] plus a dissipator that commutes with it, so that exp(L t) is
+    exp(-i[H, .] t) exp(D t); hamiltonians holds H on the rows and on the
+    cols. It is None when the generator has no such split.
     Each method also takes a block (rows, cols) of isometries and is then
     the generator on r = rows^dag rho cols, built from restricted factors
     (see _SectorGenerator); the actions take and return that r, or a stack
@@ -38,6 +47,7 @@ class Generator(Protocol):
     def matrix(self, block=None) -> np.ndarray: ...
     def trace(self, block=None) -> complex: ...
     def norm_bound(self, block=None) -> float: ...
+    def covariant_split(self, block=None) -> tuple | None: ...
 
 
 class _Terms:
@@ -51,8 +61,10 @@ class _Terms:
     rectangular block. The actions also take a stack of operators, shape
     (..., *shape).
 
-    The actions follow one of two plans, by the size of the block. Up to
-    DENSE_ACTION_DIM entries, rows * cols = n, the superoperator is its
+    The actions follow one of two plans, by the size of the block and the
+    number of pairs. A single pair is always applied as its sandwich, two
+    products or scalings, which no n x n product beats. With more pairs,
+    up to DENSE_ACTION_DIM entries, rows * cols = n, the superoperator is its
     n x n matrix M = sum_k kron(A_k, B_k^T), and an action is one product
     x M^T of the operators read as rows of n entries; the transposed
     factors' superoperator is M^T, so the adjoint is x M and one M serves
@@ -80,7 +92,7 @@ class _Terms:
         plan = self._plans.get(transposed)
         if plan is None:
             rows, cols = self.shape
-            if rows * cols > DENSE_ACTION_DIM:
+            if rows * cols > DENSE_ACTION_DIM or len(self.pairs) == 1:
                 plan = self._stacked(transposed)
             elif (not transposed) in self._plans:
                 plan = self._plans[not transposed].T
@@ -272,14 +284,16 @@ class _SectorGenerator:
     so a caller passing one block assembles it once.
     """
 
-    def _side(self, v) -> tuple:
-        """_parts(v), built once per isometry object."""
-        # id(v) -> (v, parts); holding v keeps its id unique. vars() also
-        # writes to a frozen dataclass.
+    def _side(self, v, part: str = "_parts"):
+        """The method `part` of v, _parts(v) by default, built once per
+        isometry object."""
+        # (id(v), part) -> (v, built); holding v keeps its id unique.
+        # vars() also writes to a frozen dataclass.
         sides = vars(self).setdefault("_sides", {})
-        if id(v) not in sides:
-            sides[id(v)] = (v, self._parts(v))
-        return sides[id(v)][1]
+        key = (id(v), part)
+        if key not in sides:
+            sides[key] = (v, getattr(self, part)(v))
+        return sides[key][1]
 
     def _terms(self, block) -> _Terms:
         """The factor pairs on block = (rows, cols); None is all of rho."""
@@ -320,6 +334,9 @@ class LindbladModel(_SectorGenerator):
     product; on a larger one, two or more jumps' sandwiches are applied as
     two stacked matrix products (see _Terms). Either way an action costs
     the same few BLAS calls for any number of jumps.
+    covariant_split() separates -i[H, .] from the dissipator when every
+    jump is an eigenoperator of [H, .], as in the secular (independent)
+    bath.
     """
 
     hamiltonian: np.ndarray
@@ -343,6 +360,62 @@ class LindbladModel(_SectorGenerator):
             j.rate * (op.conj().T @ op) for j, op in zip(self.jumps, ops))
         return (k, [j.rate * op for j, op in zip(self.jumps, ops)],
                 [op.conj().T for op in ops])
+
+    def _covariance(self, v) -> tuple:
+        """(h, scale, w, size) on the side v, or None when a jump is not
+        covariant there.
+
+        h is the restricted Hamiltonian and scale max(1, ||h||_1). Each
+        restricted jump a is read from the dissipator's side, which the
+        stepper then uses, so each jump is restricted once. w is its Bohr
+        frequency fitted by least squares, -<a, [h, a]> / <a, a> (real for
+        a Hermitian h; 0 for a = 0), and size is ||a||_F / ||A||_F, A the
+        whole-space jump. A jump whose residual ||[h, a] + w a||_F exceeds
+        COVARIANCE_TOL * scale * ||A||_F makes the side None: relative to
+        the whole jump, a jump that vanishes on v (to rounding, on most
+        sectors of the XY chain) passes.
+        """
+        h = _restrict(self.hamiltonian, v)
+        scale = max(1.0, float(np.abs(h).sum(0).max(initial=0.0)))
+        w, size = [], []
+        for j, right in zip(self.jumps, self._dissipator._side(v)[2]):
+            a = right.conj().T
+            whole = np.linalg.norm(j.operator)
+            norm2 = np.vdot(a, a).real
+            comm = h @ a - a @ h
+            w.append(-np.vdot(a, comm).real / norm2 if norm2 > 0 else 0.0)
+            if np.linalg.norm(comm + w[-1] * a) > (COVARIANCE_TOL * scale
+                                                   * whole):
+                return None
+            size.append(np.sqrt(norm2) / whole if whole > 0 else 0.0)
+        return h, scale, np.array(w), np.array(size)
+
+    def covariant_split(self, block=None) -> tuple | None:
+        """((h_rows, h_cols), dissipator) when every jump is covariant.
+
+        Each restricted jump a must satisfy [h, a] = -w a on both sides of
+        the block (_covariance, once per side), with one w for both where
+        a is present on both: |w_rows - w_cols| times the smaller size is
+        at most COVARIANCE_TOL * scale. Then a^dag a and K commute with h,
+        the sandwich a r a^dag picks up no phase under exp(-i[h, .] t), and
+        the dissipator commutes with -i[h, .] on the block. Returns None
+        when a jump fails, so the caller steps the whole generator.
+        """
+        rows, cols = (None, None) if block is None else block
+        sides = [self._side(v, "_covariance") for v in (rows, cols)]
+        if None in sides:
+            return None
+        (h_rows, s_rows, w_rows, n_rows), (h_cols, s_cols, w_cols,
+                                           n_cols) = sides
+        if np.any(np.abs(w_rows - w_cols) * np.minimum(n_rows, n_cols)
+                  > COVARIANCE_TOL * max(s_rows, s_cols)):
+            return None
+        return (h_rows, h_cols), self._dissipator
+
+    @cached_property
+    def _dissipator(self) -> LindbladModel:
+        """This model with a zero Hamiltonian, built once."""
+        return LindbladModel(np.zeros_like(self.hamiltonian), self.jumps)
 
     def action(self, rho: np.ndarray, block=None) -> np.ndarray:
         return liouvillian_action(self, rho, block)

@@ -56,6 +56,13 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, where either factor may be a diagonal kept as its 1-D array."""
+    if a.ndim == 1:
+        return a[:, None] * b
+    return a * b if b.ndim == 1 else a @ b
+
+
 def vectorize(a: np.ndarray) -> np.ndarray:
     """Row-major stacking of a d x d operator into a length-d^2 vector."""
     a = np.asarray(a, dtype=complex)

@@ -72,6 +72,9 @@ class UniformDecay:
     def norm_bound(self, block=None):
         return 1.0
 
+    def covariant_split(self, block=None):
+        return None
+
 
 def test_protocol_validation():
     with pytest.raises(ValueError):

@@ -5,6 +5,8 @@ matrix and trace; the matrix-free stepper relies on the three that avoid
 the d^2 x d^2 matrix, so each is checked against matrix() here. Both are
 evaluated as sums of sandwiches A rho B with regrouped factors, so their
 actions are also checked against the textbook formulas, written out below.
+covariant_split, which lets the stepper exponentiate -i[H, .] apart, is
+checked against the dense map.
 """
 
 import numpy as np
@@ -12,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opentc.floquet import (KickedProtocol, floquet_propagator,
+                            stroboscopic_evolve)
 from opentc.lindblad import DENSE_ACTION_DIM, JumpChannel, LindbladModel, _Terms
 from opentc.operators import Sector, _kron_transposed, devectorize, vectorize
 from opentc.xy import BathSpec, NumericGenerator, XYParams, secular_liouvillian
@@ -389,3 +393,116 @@ def test_trace_block_plan_follows_its_size(length, dense):
         assert np.array_equal(plans[0], plans[1].T)
     else:
         assert all(isinstance(p, tuple) for p in plans)
+
+
+def test_a_single_pair_applies_as_its_sandwich_at_any_size():
+    # two products or scalings, never the n x n plan
+    rng = np.random.default_rng(13)
+    for pair in ((rng.normal(size=4), rng.normal(size=4)),
+                 (random_operator(rng, 4), rng.normal(size=4))):
+        terms = _Terms([pair])
+        x = random_operator(rng, 4)
+        want = devectorize(terms.matrix() @ vectorize(x))
+        assert np.max(np.abs(terms.action(x) - want)) <= 1e-14
+        terms.adjoint_action(x)
+        assert all(isinstance(p, tuple) for p in terms._plans.values())
+
+
+@pytest.mark.parametrize("name", ["numeric-L6-h0.9", "lindblad-d3-three-jumps"])
+def test_covariant_split_refuses_a_dissipator_off_the_bohr_frequencies(name):
+    gen = REFERENCE_ONLY[name]()
+    assert gen.covariant_split() is None
+    if name.startswith("numeric"):
+        v = Sector(6, k=0, reflection=1).isometry
+        assert gen.covariant_split((v, v)) is None
+
+
+@pytest.mark.parametrize("length", [4, 6])
+def test_collective_jump_does_not_split_and_independent_jumps_do(length):
+    # the sum over Bohr frequencies is no eigenoperator of [H, .]
+    gen = secular_liouvillian(chain_h09(length), BathSpec(0.01, np.inf),
+                              "collective")
+    v = Sector(length, k=0, reflection=1).isometry
+    assert gen.covariant_split() is None
+    assert gen.covariant_split((v, v)) is None
+    independent = secular_liouvillian(chain_h09(length),
+                                      BathSpec(0.01, np.inf), "independent")
+    hamiltonians, dissipator = independent.covariant_split((v, v))
+    assert hamiltonians[0] is hamiltonians[1]
+    assert not np.any(dissipator.hamiltonian)
+    assert dissipator.jumps == independent.jumps
+
+
+def test_independent_jumps_split_on_every_block_of_sectors():
+    # on most (k, P) sides some jump vanishes, to rounding (||a||_F about
+    # 1e-17 ||A||_F) and not exactly, and must not be refused for it
+    gen = secular_liouvillian(chain_h09(6), BathSpec(0.01, 1.0),
+                              "independent")
+    sides = [Sector(6, k, p).isometry for k in range(6) for p in (1, -1)]
+    for rows in sides:
+        for cols in sides:
+            assert gen.covariant_split((rows, cols)) is not None
+
+
+def test_covariant_split_refuses_a_spread_of_bohr_frequencies():
+    # a = |0><1| + |1><2| lowers by E_1 - E_0 and by E_2 - E_1
+    a = np.diag([1.0, 1.0], k=1)
+    for spread, splits in ((0.0, True), (1e-8, False)):
+        model = LindbladModel(np.diag([0.0, 1.0, 2.0 + spread]), ((a, 0.5),))
+        assert (model.covariant_split() is not None) is splits
+
+
+def test_covariant_split_needs_one_frequency_on_both_sides():
+    # H and the jumps keep the spans of |0>, |1> and of |2>, |3>; a lowers
+    # by 1 on the first and by 2 on the second, so each side splits alone
+    # but a sandwich between them picks up a phase. b vanishes on the
+    # second side and puts no condition on it.
+    h = np.diag([0.0, 1.0, 0.0, 2.0])
+    first, second = np.eye(4)[:, :2], np.eye(4)[:, 2:]
+    a = np.zeros((4, 4))
+    a[0, 1] = a[2, 3] = 1.0
+    b = np.zeros((4, 4))
+    b[0, 1] = 1.0
+    for jump, mixed in ((a, False), (b, True)):
+        model = LindbladModel(h, ((jump, 0.3),))
+        assert model.covariant_split((first, first)) is not None
+        assert model.covariant_split((second, second)) is not None
+        assert (model.covariant_split((first, second)) is not None) is mixed
+
+
+@st.composite
+def covariant_models(draw):
+    """A random H with levels on a ladder of step s, in a random basis,
+    and jumps each made of the transitions of one Bohr frequency."""
+    d = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    levels = rng.integers(0, 4, size=d)
+    step = draw(st.floats(0.2, 3.0))
+    q = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    h = q @ np.diag(step * levels) @ q.conj().T
+    gaps = levels[None, :] - levels[:, None]    # in steps, E_l - E_k at [k, l]
+    jumps = []
+    for gap in rng.choice(np.unique(gaps), size=draw(st.integers(1, 3))):
+        a = np.where(gaps == gap, rng.normal(size=(d, d))
+                     + 1j * rng.normal(size=(d, d)), 0.0)
+        jumps.append(JumpChannel(q @ a @ q.conj().T,
+                                 float(rng.uniform(0.05, 1.0))))
+    model = LindbladModel(0.5 * (h + h.conj().T), tuple(jumps))
+    kick = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return model, 0.5 * (kick + kick.conj().T), rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(covariant_models(), st.floats(0.1, 2.0))
+def test_covariant_jumps_split_and_step_as_the_dense_map(drawn, period):
+    model, kick, rng = drawn
+    assert model.covariant_split() is not None
+    proto = KickedProtocol(model=model, period=period, kick_generator=kick)
+    d = model.dim
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+    ef = floquet_propagator(proto)
+    vec = rho.reshape(-1)
+    for state in stroboscopic_evolve(proto, rho, 3):
+        assert np.max(np.abs(state.reshape(-1) - vec)) < 1e-11
+        vec = ef @ vec

@@ -729,6 +729,15 @@ class RecordingGenerator:
     def norm_bound(self, block=None):
         return self.gen.norm_bound(block)
 
+    def covariant_split(self, block=None):
+        """The generator's split, its dissipator recorded here as well."""
+        split = self.gen.covariant_split(block)
+        if split is None:
+            return None
+        dissipator = RecordingGenerator(split[1])
+        dissipator._record = self._record
+        return split[0], dissipator
+
 
 @pytest.mark.parametrize("initial_state", ["gs_superposition",
                                            "local_plus_x"])
@@ -761,7 +770,8 @@ def count_expm_multiply(monkeypatch):
 @pytest.mark.parametrize("mode", ["numeric", "independent", "collective"])
 @pytest.mark.parametrize("length", [4, 6])
 def test_sub_stepped_periods_match_the_block_map(monkeypatch, length, mode):
-    # the trace runner's block, whose bound needs k >= 2 sub-steps a period
+    # the trace runner's block, whose bound needs k >= 2 sub-steps a period;
+    # the independent mode splits, and its dissipator alone needs one
     cfg = ExperimentConfig(length=length, dissipator_mode=mode)
     params, proto = _protocol(cfg, 0.9, np.pi / 40, length)
     v = Sector(length, k=0, reflection=1).isometry
@@ -770,7 +780,10 @@ def test_sub_stepped_periods_match_the_block_map(monkeypatch, length, mode):
     n = 3
     calls = count_expm_multiply(monkeypatch)
     states = list(stroboscopic_evolve(proto, r, n, (v, v)))
-    assert len(calls) % n == 0 and len(calls) // n >= 2
+    if mode == "independent":
+        assert len(calls) == n
+    else:
+        assert len(calls) % n == 0 and len(calls) // n >= 2
     ef = floquet_propagator(proto, (v, v))
     vec = r.reshape(-1)
     for state in states:
@@ -791,6 +804,49 @@ def test_trace_length_8_period_applications(monkeypatch):
                              np.outer(psi, psi.conj()), 1, (v, v)))
     assert len(calls) >= 2
     assert model.applied <= 450
+
+
+def test_trace_secular_length_6_steady_period_applications():
+    # a steady period at the benchmark's trace-secular-L6 point: the
+    # independent mode steps its dissipator alone, 22 operators, where the
+    # whole generator took 640
+    cfg = ExperimentConfig(length=6, h=0.9, eta=np.pi / 40,
+                           dissipator_mode="independent")
+    params, proto = _protocol(cfg, cfg.h, cfg.eta, 6)
+    v = Sector(6, k=0, reflection=1).isometry
+    psi = v.conj().T @ _initial_state(cfg, params)
+    model = RecordingGenerator(proto.model)
+    applied = [model.applied for _ in stroboscopic_evolve(
+        replace(proto, model=model), np.outer(psi, psi.conj()), 3, (v, v))]
+    assert 0 < applied[-1] - applied[-2] <= 40
+
+
+@pytest.mark.parametrize("kappa0, beta", [(0.01, np.inf), (0.01, 1.0),
+                                          (0.0, np.inf)])
+@pytest.mark.parametrize("h", [0.5, _SQ2, 0.9])
+@pytest.mark.parametrize("length", [4, 6])
+def test_split_stepper_matches_the_block_map(monkeypatch, length, h, kappa0,
+                                             beta):
+    # the independent jumps commute with [H, .]: one expm_multiply of the
+    # dissipator a period, then exp(-i h T) folded into the kick; at
+    # kappa0 = 0 there is no jump and the period is unitary
+    cfg = ExperimentConfig(length=length, dissipator_mode="independent",
+                           kappa0=kappa0, beta=beta)
+    params, proto = _protocol(cfg, h, np.pi / 40, length)
+    assert (len(proto.model.jumps) == 0) == (kappa0 == 0)
+    v = Sector(length, k=0, reflection=1).isometry
+    assert proto.model.covariant_split((v, v)) is not None
+    psi = v.conj().T @ _initial_state(cfg, params)
+    r = np.outer(psi, psi.conj())
+    n = 5
+    calls = count_expm_multiply(monkeypatch)
+    states = list(stroboscopic_evolve(proto, r, n, (v, v)))
+    assert len(calls) == n
+    ef = floquet_propagator(proto, (v, v))
+    vec = r.reshape(-1)
+    for state in states:
+        assert np.max(np.abs(state.reshape(-1) - vec)) < 1e-12
+        vec = ef @ vec
 
 
 def test_state_touching_every_sector_evolves_whole():
